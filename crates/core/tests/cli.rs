@@ -101,7 +101,7 @@ fn quickstart_golden_stdout() {
     assert_eq!(
         lines[3],
         "aggregate: cycles=417728 loads=16384 stores=8190 L1$miss=4495 \
-         L2$miss=713 (local=581 remote=132 intv=192) tlb=97 inval(tx/rx)=0/0 faults=1 wb=1"
+         L2$miss=713 (local=581 remote=132 intv=192) tlb=97 inval(tx/rx)=0/0 faults=0 wb=1"
     );
     assert_eq!(lines[4], "pages/node: [33, 32]");
 }

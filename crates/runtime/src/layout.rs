@@ -118,6 +118,18 @@ impl RtArray {
                     portions.push(base);
                 }
                 let ptr_table = m.alloc(gs * 8, 8);
+                // The real runtime writes the table at start-up, so its
+                // pages are mapped (on the binding processor's node) before
+                // any region runs. Left to first-touch, whichever team
+                // member's first slot load won the host race would home
+                // them. Pages already mapped hold earlier data and stay put.
+                let page = m.config().page_size as u64;
+                let home = node_of_grid_proc(m, 0);
+                for vpage in ptr_table / page..=(ptr_table + gs as u64 * 8 - 1) / page {
+                    if m.home_of(vpage * page).is_none() {
+                        m.place_page(vpage, home);
+                    }
+                }
                 for (p, &b) in portions.iter().enumerate() {
                     m.poke_i64(ptr_table + (p * 8) as u64, b as i64);
                 }
@@ -366,6 +378,10 @@ mod tests {
                 "portion {p} on wrong node"
             );
         }
+        // The portion-pointer table is mapped at instantiate, on the
+        // binding processor's node: no team member first-touches it.
+        let slot = a.ptr_slot_addr(3).expect("reshaped arrays have a table");
+        assert_eq!(m.home_of(slot), Some(NodeId(0)));
     }
 
     #[test]
