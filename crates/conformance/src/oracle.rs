@@ -440,8 +440,9 @@ impl Oracle {
     }
 
     // -----------------------------------------------------------------
-    // Expressions (mirrors `Interp::eval` / `eval_binop` /
-    // `eval_intrinsic` minus the cycle accounting).
+    // Expressions (an independent statement of the semantics in
+    // `dsm-exec`'s `value.rs`, minus the cycle accounting; integer
+    // arithmetic wraps there and here).
     // -----------------------------------------------------------------
 
     fn eval_in(&self, act: &Act, e: &AExpr) -> OResult<Value> {
@@ -475,7 +476,7 @@ impl Oracle {
                 let v = self.eval_in(act, a)?;
                 Ok(match op {
                     AUnOp::Neg => match v {
-                        Value::I(i) => Value::I(-i),
+                        Value::I(i) => Value::I(i.wrapping_neg()),
                         Value::F(f) => Value::F(-f),
                     },
                     AUnOp::Not => Value::I(i64::from(!v.is_true())),
@@ -496,21 +497,21 @@ impl Oracle {
                 if promote {
                     Value::F(a.as_f() + b.as_f())
                 } else {
-                    Value::I(a.as_i() + b.as_i())
+                    Value::I(a.as_i().wrapping_add(b.as_i()))
                 }
             }
             ABinOp::Sub => {
                 if promote {
                     Value::F(a.as_f() - b.as_f())
                 } else {
-                    Value::I(a.as_i() - b.as_i())
+                    Value::I(a.as_i().wrapping_sub(b.as_i()))
                 }
             }
             ABinOp::Mul => {
                 if promote {
                     Value::F(a.as_f() * b.as_f())
                 } else {
-                    Value::I(a.as_i() * b.as_i())
+                    Value::I(a.as_i().wrapping_mul(b.as_i()))
                 }
             }
             ABinOp::Div => {
@@ -519,14 +520,14 @@ impl Oracle {
                 } else if b.as_i() == 0 {
                     return Err(OracleError::Runtime("integer division by zero".into()));
                 } else {
-                    Value::I(a.as_i() / b.as_i())
+                    Value::I(a.as_i().wrapping_div(b.as_i()))
                 }
             }
             ABinOp::Pow => {
                 if promote || b.as_i() < 0 {
                     Value::F(a.as_f().powf(b.as_f()))
                 } else {
-                    Value::I(a.as_i().pow(b.as_i().min(63) as u32))
+                    Value::I(a.as_i().wrapping_pow(b.as_i().min(63) as u32))
                 }
             }
             ABinOp::Lt => Value::I(i64::from(a.as_f() < b.as_f())),
@@ -561,10 +562,10 @@ impl Oracle {
                 if b == 0 {
                     return Err(OracleError::Runtime("mod by zero".into()));
                 }
-                Value::I(vals[0].as_i().rem_euclid(b))
+                Value::I(vals[0].as_i().wrapping_rem_euclid(b))
             }
             "abs" => match vals[0] {
-                Value::I(v) => Value::I(v.abs()),
+                Value::I(v) => Value::I(v.wrapping_abs()),
                 Value::F(v) => Value::F(v.abs()),
             },
             "sqrt" => Value::F(vals[0].as_f().sqrt()),

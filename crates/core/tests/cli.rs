@@ -42,6 +42,43 @@ fn bad_proc_count_exits_2() {
     assert_eq!(out.status.code(), Some(2));
 }
 
+/// A processor count the machine cannot host is an options error with a
+/// stable code, not a panic.
+#[test]
+fn zero_procs_exits_1_with_options_code() {
+    for engine in ["bytecode", "interp"] {
+        let quickstart = quickstart();
+        let out = dsmfc(&["-p", "0", "--engine", engine, quickstart.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(1), "{engine}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("exec.options"), "{engine}: {err}");
+        assert!(!err.contains("panicked"), "{engine}: {err}");
+    }
+}
+
+/// Integer overflow wraps — `i64::MIN / -1` included — instead of
+/// unwinding the simulator, identically in both engines (and, run under
+/// `cargo test --release` in CI, in both build profiles).
+#[test]
+fn integer_overflow_wraps_in_both_engines() {
+    let f = write_fixture(
+        "cli_overflow.f",
+        "      program main\n      integer k, m\n      k = 2**62\n      k = k*2\n      m = -1\n      k = k/m\n      end\n",
+    );
+    let report = |engine: &str| {
+        let out = dsmfc(&["--engine", engine, f.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(0), "{engine}");
+        let s = String::from_utf8_lossy(&out.stdout).into_owned();
+        let lines: Vec<String> = s.lines().map(str::to_owned).collect();
+        assert!(lines[0].starts_with("cycles:"), "{engine}: {s}");
+        lines
+            .into_iter()
+            .filter(|l| !l.starts_with("host wall-clock:"))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(report("bytecode"), report("interp"));
+}
+
 #[test]
 fn compile_error_exits_1_with_diagnostics() {
     let f = write_fixture("cli_bad.f", "      program main\n      x = 1\n      end\n");

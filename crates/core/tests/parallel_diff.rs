@@ -2,12 +2,12 @@
 //! observationally identical to the serial reference mode.
 //!
 //! The parallel path (one host thread per team member, see
-//! `dsm-exec::interp` and `docs/SIMULATOR.md`) is only deterministic for
-//! conflict-free regions — regions in which no cache line is written by
-//! one member while another member reads or writes it.  The paper's
-//! evaluation workloads are exactly that shape, so for each of them the
-//! serial (`ExecOptions::serial_team`) and parallel runs must agree
-//! on
+//! `dsm-exec`'s `team.rs` and `docs/SIMULATOR.md`) is only deterministic
+//! for conflict-free regions — regions in which no cache line is written
+//! by one member while another member reads or writes it, and no page is
+//! first-touched by two members.  The paper's evaluation workloads are
+//! exactly that shape, so for each of them the serial
+//! (`ExecOptions::serial_team`) and parallel runs must agree on
 //!
 //! * the final contents of every array, and
 //! * every per-processor counter set — including cycle counts — because a

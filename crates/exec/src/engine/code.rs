@@ -19,12 +19,13 @@
 //! one addition where the interpreter paid a dispatch per statement.
 
 use dsm_ir::{
-    ActualArg, AddrMode, BinOp, DistKind, Distribution, Doacross, Expr, Intrinsic, LoopStmt,
-    Param, Program, RtExpr, ScalarTy, Stmt, Subroutine, UnOp, VarId,
+    ActualArg, AddrMode, BinOp, DistKind, Distribution, Expr, Intrinsic, LoopStmt, Param, Program,
+    RtExpr, ScalarTy, Stmt, Subroutine, UnOp, VarId,
 };
 use dsm_machine::MachineConfig;
 
 use super::plan::MAX_RANK;
+use crate::value::Costs;
 
 /// Register index into the extended frame.
 pub(crate) type Reg = u16;
@@ -129,39 +130,6 @@ pub(crate) enum Op {
     NumThreads { dst: Reg },
 }
 
-/// Baked per-run operation costs (one clone of the machine config's
-/// tables, instead of the interpreter's clone per expression node).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Costs {
-    pub int_alu: u64,
-    pub int_mul: u64,
-    pub int_div: u64,
-    pub fp_emulated_div: u64,
-    pub fp_alu: u64,
-    pub fp_div: u64,
-    pub loop_overhead: u64,
-    pub parallel_fork: u64,
-    pub barrier: u64,
-    pub l1_hit: u64,
-}
-
-impl Costs {
-    pub fn from_config(cfg: &MachineConfig) -> Costs {
-        Costs {
-            int_alu: cfg.ops.int_alu,
-            int_mul: cfg.ops.int_mul,
-            int_div: cfg.ops.int_div,
-            fp_emulated_div: cfg.ops.fp_emulated_div,
-            fp_alu: cfg.ops.fp_alu,
-            fp_div: cfg.ops.fp_div,
-            loop_overhead: cfg.ops.loop_overhead,
-            parallel_fork: cfg.ops.parallel_fork,
-            barrier: cfg.ops.barrier,
-            l1_hit: cfg.lat.l1_hit,
-        }
-    }
-}
-
 /// An out-of-line expression block: run from `pc` to its `Halt`, result
 /// in `reg`.
 #[derive(Debug, Clone, Copy, Default)]
@@ -174,7 +142,6 @@ pub(crate) struct ExprBlock {
 #[derive(Debug)]
 pub(crate) struct ParLoop<'p> {
     pub l: &'p LoopStmt,
-    pub d: &'p Doacross,
     pub lb: ExprBlock,
     pub ub: ExprBlock,
     pub step: ExprBlock,
@@ -564,11 +531,10 @@ impl<'p> SubCompiler<'p> {
             }
             Stmt::Loop(l) => match &l.par {
                 None => self.serial_loop(l),
-                Some(d) => {
+                Some(_) => {
                     let idx = self.par_loops.len();
                     self.par_loops.push(ParLoop {
                         l,
-                        d,
                         lb: ExprBlock::default(),
                         ub: ExprBlock::default(),
                         step: ExprBlock::default(),

@@ -8,6 +8,11 @@
 //! access, charge for charge.  The interpreter survives as
 //! [`Engine::Interp`], the differential reference: both engines produce
 //! bit-identical captures and identical hardware counters.
+//!
+//! Fork/join, call binding, redistribution, team resizing and the scalar
+//! operators are not part of either engine: they live once in the
+//! crate's `team.rs` and `value.rs`, and the VM plugs into them through
+//! `team::Engine` (bounds, body, deferred charges, plan rebuilds).
 
 mod code;
 mod plan;

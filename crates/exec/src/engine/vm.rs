@@ -17,25 +17,19 @@
 //!   the machine in a single call, and affine fills/copies elsewhere run
 //!   as fused per-element loops with no opcode dispatch.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
-use dsm_ir::{
-    AddrMode, AffIdx, BinOp, Extent, Intrinsic, Param, Program, ScalarTy, SchedType, UnOp,
-};
-use dsm_machine::{AccessKind, AccessRun, AccessTag, ProcId, SERIAL_REGION};
-use dsm_runtime::epoch::{join_epoch, EpochClock};
-use dsm_runtime::{argcheck::ArgInfo, partition, sched, ArgChecker, ArrayLayout, RuntimeError};
+use dsm_ir::{AddrMode, Program};
+use dsm_machine::{AccessKind, AccessRun, AccessTag, ProcId};
 
-use crate::bind::Binder;
-use crate::interp::{
-    body_parallel_safe, collect_outcome, BinderRef, Ctx, Mach, RedistMode, RunAccounting,
-};
 use crate::report::RunOutcome;
-use crate::value::{Frame, Value};
+use crate::team::{self, CallBinding, Ctx, LoopSite, RunState};
+use crate::value::{bin_op, intrinsic, un_op, Frame, Value};
 use crate::{ExecError, ExecOptions};
 
 use super::code::{
-    AffVar, ArgCode, BulkCode, BulkKind, BulkRef, Costs, Op, ParLoop, ProgramCode, SubCode,
+    AffVar, ArgCode, BulkCode, BulkKind, BulkRef, Op, ParLoop, ProgramCode, SubCode,
 };
 use super::plan::{PlanCache, PlanKind, MAX_RANK};
 
@@ -46,122 +40,97 @@ pub(crate) fn run_bytecode(
     program: &Program,
     opts: &ExecOptions,
 ) -> Result<RunOutcome, ExecError> {
-    assert!(
-        opts.nprocs >= 1 && opts.nprocs <= machine.nprocs(),
-        "nprocs {} out of range for machine with {} processors",
-        opts.nprocs,
-        machine.nprocs()
-    );
-    let host_t0 = std::time::Instant::now();
-    if opts.profile {
-        machine.enable_profiling();
-    }
-    if let Some(policy) = opts.migration {
-        machine.set_migration(policy);
-    }
-    if let Some(sampling) = opts.sampling {
-        machine.set_sampling(sampling).map_err(ExecError::Options)?;
-    }
-    let costs = Costs::from_config(machine.config());
     let code = ProgramCode::compile(program, machine.config());
-    let binder = Binder::new(machine, program, opts.nprocs);
-    let steps = AtomicU64::new(0);
-    let mut vm = Vm {
-        mach: Mach::Whole(machine),
-        code: &code,
-        opts,
-        binder: BinderRef::Owned(binder),
-        plans: PlansRef::Owned(PlanCache::new()),
-        checker: ArgChecker::new(),
-        regions: 0,
-        region_cycles: 0,
-        region_wall: std::time::Duration::ZERO,
-        region_names: Vec::new(),
-        steps: &steps,
-        epoch: EpochClock::default(),
-        pending: 0,
-        costs,
-        team: opts.nprocs,
-    };
-    let main = program.main_sub();
     let main_sc = &code.subs[program.main];
-    let mut frame = Frame::new(main);
+    let mut frame = Frame::new(program.main_sub());
     frame.scalars.resize(main_sc.n_regs, Value::I(0));
-    vm.binder
-        .owned()
-        .bind_declarations(vm.mach.whole(), main, &mut frame);
-    vm.plans.owned().sync(vm.binder.shared());
-    let mut ctx = Ctx {
-        proc: ProcId(0),
-        in_region: false,
-        region: SERIAL_REGION,
+    let eng = Bytecode {
+        code: &code,
+        plans: Arc::new(PlanCache::new()),
+        pending: 0,
     };
-    if let Some(p) = opts.resize_to {
-        vm.exec_resize(p, &ctx)?;
+    team::run(machine, program, opts, eng, frame, |vm, frame, ctx| {
+        vm.sync_plans();
+        let res = vm.run_block(main_sc, 0, frame, ctx);
+        vm.flush(ctx.proc);
+        res
+    })
+}
+
+/// The VM's private state.
+struct Bytecode<'a, 'p> {
+    code: &'a ProgramCode<'p>,
+    /// Interned address plans. Team members share the top-level VM's
+    /// cache read-only (their bodies never bind or redistribute), so only
+    /// the top level — sole owner between regions — ever mutates it.
+    plans: Arc<PlanCache>,
+    /// Deferred arithmetic cycle charges (flushed to the machine before
+    /// every clock read and at run end — charges are additive, so the
+    /// final counters equal the interpreter's immediate-charge totals).
+    pending: u64,
+}
+
+/// A doacross as the VM sees it: the enclosing subroutine's code and the
+/// loop's side table.
+type ParHandle<'a, 'p> = (&'a SubCode<'p>, &'a ParLoop<'p>);
+
+impl<'a, 'p> team::Engine for Bytecode<'a, 'p> {
+    type Handle = ParHandle<'a, 'p>;
+
+    /// Each result register is read immediately after its block runs:
+    /// the three blocks share scratch registers.
+    fn eval_bounds(
+        vm: &mut RunState<'_, Self>,
+        site: LoopSite<'_, Self::Handle>,
+        frame: &mut Frame,
+        ctx: &mut Ctx,
+    ) -> Result<(i64, i64, i64), ExecError> {
+        let (sc, pl) = site.h;
+        vm.run_block(sc, pl.lb.pc, frame, ctx)?;
+        let lb = frame.scalars[pl.lb.reg as usize].as_i();
+        vm.run_block(sc, pl.ub.pc, frame, ctx)?;
+        let ub = frame.scalars[pl.ub.reg as usize].as_i();
+        vm.run_block(sc, pl.step.pc, frame, ctx)?;
+        let step = frame.scalars[pl.step.reg as usize].as_i();
+        Ok((lb, ub, step))
     }
-    let res = vm.run_block(main_sc, 0, &mut frame, &mut ctx);
-    vm.flush(ctx.proc);
-    res?;
 
-    let Vm {
-        mach,
-        binder,
-        checker,
-        regions,
-        region_cycles,
-        region_wall,
-        region_names,
-        ..
-    } = vm;
-    let Mach::Whole(machine) = mach else {
-        unreachable!("top-level VM always holds the whole machine")
-    };
-    let acct = RunAccounting {
-        regions,
-        region_cycles,
-        region_wall,
-        region_names,
-        argcheck_ops: checker.stats(),
-    };
-    Ok(collect_outcome(
-        machine,
-        main,
-        opts,
-        binder.shared(),
-        &frame,
-        acct,
-        host_t0,
-    ))
-}
+    fn run_body(
+        vm: &mut RunState<'_, Self>,
+        site: LoopSite<'_, Self::Handle>,
+        frame: &mut Frame,
+        ctx: &mut Ctx,
+    ) -> Result<(), ExecError> {
+        let (sc, pl) = site.h;
+        vm.run_block(sc, pl.body_pc, frame, ctx)
+    }
 
-/// The VM's handle on the plan cache: owned at top level, shared
-/// read-only by parallel team members (their bodies never bind or
-/// redistribute).
-pub(crate) enum PlansRef<'a> {
-    Owned(PlanCache),
-    Borrowed(&'a PlanCache),
-}
-
-impl PlansRef<'_> {
     #[inline]
-    fn get(&self, idx: usize) -> &super::plan::AddrPlan {
-        match self {
-            PlansRef::Owned(p) => p.get(idx),
-            PlansRef::Borrowed(p) => p.get(idx),
+    fn charge(vm: &mut RunState<'_, Self>, _proc: ProcId, cycles: u64) {
+        vm.eng.pending += cycles;
+    }
+
+    fn flush(vm: &mut RunState<'_, Self>, proc: ProcId) {
+        vm.flush(proc);
+    }
+
+    fn spawn_member(&self) -> Self {
+        Bytecode {
+            code: self.code,
+            plans: Arc::clone(&self.plans),
+            pending: 0,
         }
     }
 
-    fn shared(&self) -> &PlanCache {
-        match self {
-            PlansRef::Owned(p) => p,
-            PlansRef::Borrowed(p) => p,
-        }
-    }
-
-    fn owned(&mut self) -> &mut PlanCache {
-        match self {
-            PlansRef::Owned(p) => p,
-            PlansRef::Borrowed(_) => unreachable!("plan mutation inside a parallel member"),
+    fn rebind(vm: &mut RunState<'_, Self>, inst: Option<usize>) {
+        let RunState { binder, eng, .. } = vm;
+        let plans = eng.plans_mut();
+        match inst {
+            Some(inst) => plans.rebuild(inst, binder.shared()),
+            None => {
+                *plans = PlanCache::new();
+                plans.sync(binder.shared());
+            }
         }
     }
 }
@@ -178,34 +147,24 @@ fn needs_slot(mode: AddrMode) -> bool {
     )
 }
 
-struct Vm<'a, 'p> {
-    mach: Mach<'a>,
-    code: &'a ProgramCode<'p>,
-    opts: &'a ExecOptions,
-    binder: BinderRef<'a>,
-    plans: PlansRef<'a>,
-    checker: ArgChecker,
-    regions: usize,
-    region_cycles: u64,
-    region_wall: std::time::Duration,
-    region_names: Vec<String>,
-    steps: &'a AtomicU64,
-    epoch: EpochClock,
-    /// Deferred arithmetic cycle charges (flushed to the machine before
-    /// every clock read and at run end — charges are additive, so the
-    /// final counters equal the interpreter's immediate-charge totals).
-    pending: u64,
-    costs: Costs,
-    /// Current team size: starts at `opts.nprocs`, changed by
-    /// `resize_team`; members inherit the parent's team at fork.
-    team: usize,
+impl Bytecode<'_, '_> {
+    /// The plan cache, for mutation (top-level VM only).
+    fn plans_mut(&mut self) -> &mut PlanCache {
+        Arc::get_mut(&mut self.plans).expect("plan mutation inside a parallel member")
+    }
 }
 
-impl<'a, 'p> Vm<'a, 'p> {
+impl<'a, 'p> RunState<'_, Bytecode<'a, 'p>> {
+    /// Intern plans for the instances bound since the last sync.
+    fn sync_plans(&mut self) {
+        let RunState { binder, eng, .. } = self;
+        eng.plans_mut().sync(binder.shared());
+    }
+
     #[inline]
     fn flush(&mut self, proc: ProcId) {
-        if self.pending > 0 {
-            let p = std::mem::take(&mut self.pending);
+        if self.eng.pending > 0 {
+            let p = std::mem::take(&mut self.eng.pending);
             self.mach.charge(proc, p);
         }
     }
@@ -225,7 +184,7 @@ impl<'a, 'p> Vm<'a, 'p> {
     /// Execute from `entry` until the block's `Halt`.
     fn run_block(
         &mut self,
-        sc: &SubCode<'p>,
+        sc: &'a SubCode<'p>,
         entry: u32,
         frame: &mut Frame,
         ctx: &mut Ctx,
@@ -238,11 +197,10 @@ impl<'a, 'p> Vm<'a, 'p> {
             match op {
                 Op::Halt => return Ok(()),
                 Op::Charge { cycles, steps } => {
-                    self.pending += cycles;
+                    self.eng.pending += cycles;
                     if track_steps && steps > 0 {
-                        let s =
-                            self.steps.fetch_add(u64::from(steps), Ordering::Relaxed)
-                                + u64::from(steps);
+                        let s = self.steps.fetch_add(u64::from(steps), Ordering::Relaxed)
+                            + u64::from(steps);
                         if s > self.opts.max_steps {
                             return Err(ExecError::StepLimit);
                         }
@@ -250,7 +208,7 @@ impl<'a, 'p> Vm<'a, 'p> {
                 }
                 Op::Jump { target } => pc = target as usize,
                 Op::Branch { cond, else_target } => {
-                    self.pending += self.costs.int_alu;
+                    self.eng.pending += self.costs.int_alu;
                     if !frame.scalars[cond as usize].is_true() {
                         pc = else_target as usize;
                     }
@@ -267,20 +225,16 @@ impl<'a, 'p> Vm<'a, 'p> {
                     frame.scalars[dst as usize] = Value::F(frame.scalars[src as usize].as_f());
                 }
                 Op::Un { op, dst, src } => {
-                    self.pending += self.costs.int_alu;
-                    let v = frame.scalars[src as usize];
-                    frame.scalars[dst as usize] = match op {
-                        UnOp::Neg => match v {
-                            Value::I(i) => Value::I(-i),
-                            Value::F(f) => Value::F(-f),
-                        },
-                        UnOp::Not => Value::I(i64::from(!v.is_true())),
-                    };
+                    let (v, cost) = un_op(op, frame.scalars[src as usize], &self.costs);
+                    self.eng.pending += cost;
+                    frame.scalars[dst as usize] = v;
                 }
                 Op::Bin { op, dst, a, b } => {
                     let va = frame.scalars[a as usize];
                     let vb = frame.scalars[b as usize];
-                    frame.scalars[dst as usize] = self.bin_value(op, va, vb)?;
+                    let (v, cost) = bin_op(op, va, vb, &self.costs)?;
+                    self.eng.pending += cost;
+                    frame.scalars[dst as usize] = v;
                 }
                 Op::Intr { intr, dst, args } => {
                     let regs = &sc.pool[args.start as usize..][..args.len as usize];
@@ -298,7 +252,9 @@ impl<'a, 'p> Vm<'a, 'p> {
                             .collect::<Vec<_>>();
                         &spill
                     };
-                    frame.scalars[dst as usize] = self.intr_value(intr, vals)?;
+                    let (v, cost) = intrinsic(intr, vals, &self.costs)?;
+                    self.eng.pending += cost;
+                    frame.scalars[dst as usize] = v;
                 }
                 Op::RtDim {
                     dst,
@@ -363,7 +319,7 @@ impl<'a, 'p> Vm<'a, 'p> {
                     if (stepv > 0 && lbv <= ubv) || (stepv < 0 && lbv >= ubv) {
                         frame.scalars[var as usize] = Value::I(lbv);
                         frame.scalars[cur as usize] = Value::I(lbv);
-                        self.pending += self.costs.loop_overhead;
+                        self.eng.pending += self.costs.loop_overhead;
                     } else {
                         pc = exit as usize;
                     }
@@ -381,7 +337,7 @@ impl<'a, 'p> Vm<'a, 'p> {
                     if (stepv > 0 && i <= ubv) || (stepv < 0 && i >= ubv) {
                         frame.scalars[cur as usize] = Value::I(i);
                         frame.scalars[var as usize] = Value::I(i);
-                        self.pending += self.costs.loop_overhead;
+                        self.eng.pending += self.costs.loop_overhead;
                         pc = back as usize;
                     }
                 }
@@ -392,193 +348,29 @@ impl<'a, 'p> Vm<'a, 'p> {
                     // else: fall through to the generic LoopHead.
                 }
                 Op::Fork { idx } => {
-                    self.exec_fork(sc, &sc.par_loops[idx as usize], frame, ctx)?;
+                    let pl = &sc.par_loops[idx as usize];
+                    let site = LoopSite {
+                        l: pl.l,
+                        sub: sc.sub,
+                        h: (sc, pl),
+                    };
+                    self.doacross(site, frame, ctx)?;
                 }
                 Op::CallSub { idx } => {
                     self.exec_call(sc, idx, frame, ctx)?;
                 }
                 Op::Redist { idx } => {
                     let rc = &sc.redists[idx as usize];
-                    let inst = frame.arrays[rc.array as usize];
-                    let nprocs = self.team;
-                    let scheduled = self.opts.redist == RedistMode::Scheduled;
-                    // Redistribution moves data through the machine; bring
-                    // this processor's clock current first.
-                    self.flush(ctx.proc);
-                    // Split borrow: take the array out, operate, put it back.
-                    let mut arr = self.binder.get(inst).clone();
-                    let res = if scheduled {
-                        arr.redistribute_scheduled(self.mach.whole(), ctx.proc, rc.dist, nprocs)
-                    } else {
-                        arr.redistribute(self.mach.whole(), ctx.proc, rc.dist, nprocs)
-                    };
-                    *self.binder.owned().get_mut(inst) = arr;
-                    res.map_err(ExecError::from)?;
-                    self.plans.owned().rebuild(inst, self.binder.shared());
+                    self.redistribute(frame.arrays[rc.array as usize], rc.dist, ctx.proc)?;
                 }
                 Op::Resize { idx } => {
-                    let new = sc.resizes[idx as usize] as usize;
-                    self.flush(ctx.proc);
-                    self.exec_resize(new, ctx)?;
+                    self.resize_team(sc.resizes[idx as usize] as usize, ctx.proc)?;
                 }
                 Op::NumThreads { dst } => {
                     frame.scalars[dst as usize] = Value::I(self.team as i64);
                 }
             }
         }
-    }
-
-    /// Re-chunk every regular array for a team of `new` processors (the
-    /// `c$resize_team` directive and [`ExecOptions::resize_to`]). All
-    /// descriptors change, so every cached address plan is rebuilt.
-    fn exec_resize(&mut self, new: usize, ctx: &Ctx) -> Result<(), ExecError> {
-        let scheduled = self.opts.redist == RedistMode::Scheduled;
-        let m = self.mach.whole();
-        let new = new.clamp(1, m.nprocs());
-        self.binder.owned().resize_team(m, ctx.proc, new, scheduled)?;
-        self.team = new;
-        let Vm { plans, binder, .. } = self;
-        let binder = binder.shared();
-        let plans = plans.owned();
-        for i in 0..binder.live() {
-            plans.rebuild(i, binder);
-        }
-        Ok(())
-    }
-
-    // -----------------------------------------------------------------
-    // Scalar operators (value semantics identical to the interpreter).
-    // -----------------------------------------------------------------
-
-    fn bin_value(&mut self, op: BinOp, a: Value, b: Value) -> Result<Value, ExecError> {
-        let c = &self.costs;
-        let promote = a.promotes(b);
-        self.pending += match op {
-            BinOp::Add | BinOp::Sub => {
-                if promote {
-                    c.fp_alu
-                } else {
-                    c.int_alu
-                }
-            }
-            BinOp::Mul => {
-                if promote {
-                    c.fp_alu
-                } else {
-                    c.int_mul
-                }
-            }
-            BinOp::Div => {
-                if promote {
-                    c.fp_div
-                } else {
-                    c.int_div
-                }
-            }
-            BinOp::Rem => c.int_div,
-            BinOp::Pow => c.fp_div + c.fp_alu,
-            _ => c.int_alu,
-        };
-        Ok(match op {
-            BinOp::Add => {
-                if promote {
-                    Value::F(a.as_f() + b.as_f())
-                } else {
-                    Value::I(a.as_i() + b.as_i())
-                }
-            }
-            BinOp::Sub => {
-                if promote {
-                    Value::F(a.as_f() - b.as_f())
-                } else {
-                    Value::I(a.as_i() - b.as_i())
-                }
-            }
-            BinOp::Mul => {
-                if promote {
-                    Value::F(a.as_f() * b.as_f())
-                } else {
-                    Value::I(a.as_i() * b.as_i())
-                }
-            }
-            BinOp::Div => {
-                if promote {
-                    Value::F(a.as_f() / b.as_f())
-                } else if b.as_i() == 0 {
-                    return Err(ExecError::BadCall("integer division by zero".into()));
-                } else {
-                    Value::I(a.as_i() / b.as_i())
-                }
-            }
-            BinOp::Rem => {
-                if b.as_i() == 0 {
-                    return Err(ExecError::BadCall("mod by zero".into()));
-                } else {
-                    Value::I(a.as_i().rem_euclid(b.as_i()))
-                }
-            }
-            BinOp::Pow => {
-                if promote || b.as_i() < 0 {
-                    Value::F(a.as_f().powf(b.as_f()))
-                } else {
-                    Value::I(a.as_i().pow(b.as_i().min(63) as u32))
-                }
-            }
-            BinOp::Lt => Value::I(i64::from(a.as_f() < b.as_f())),
-            BinOp::Le => Value::I(i64::from(a.as_f() <= b.as_f())),
-            BinOp::Gt => Value::I(i64::from(a.as_f() > b.as_f())),
-            BinOp::Ge => Value::I(i64::from(a.as_f() >= b.as_f())),
-            BinOp::Eq => Value::I(i64::from(a.as_f() == b.as_f())),
-            BinOp::Ne => Value::I(i64::from(a.as_f() != b.as_f())),
-            BinOp::And => Value::I(i64::from(a.is_true() && b.is_true())),
-            BinOp::Or => Value::I(i64::from(a.is_true() || b.is_true())),
-        })
-    }
-
-    fn intr_value(&mut self, intr: Intrinsic, vals: &[Value]) -> Result<Value, ExecError> {
-        let c = &self.costs;
-        self.pending += match intr {
-            Intrinsic::Sqrt => c.fp_div,
-            Intrinsic::Mod | Intrinsic::CeilDiv => c.int_div,
-            _ => c.int_alu,
-        };
-        Ok(match intr {
-            Intrinsic::Max => {
-                if vals.iter().any(|v| matches!(v, Value::F(_))) {
-                    Value::F(vals.iter().map(|v| v.as_f()).fold(f64::MIN, f64::max))
-                } else {
-                    Value::I(vals.iter().map(|v| v.as_i()).max().unwrap_or(0))
-                }
-            }
-            Intrinsic::Min => {
-                if vals.iter().any(|v| matches!(v, Value::F(_))) {
-                    Value::F(vals.iter().map(|v| v.as_f()).fold(f64::MAX, f64::min))
-                } else {
-                    Value::I(vals.iter().map(|v| v.as_i()).min().unwrap_or(0))
-                }
-            }
-            Intrinsic::Mod => {
-                let b = vals[1].as_i();
-                if b == 0 {
-                    return Err(ExecError::BadCall("mod by zero".into()));
-                }
-                Value::I(vals[0].as_i().rem_euclid(b))
-            }
-            Intrinsic::CeilDiv => {
-                let (a, b) = (vals[0].as_i(), vals[1].as_i());
-                if b == 0 {
-                    return Err(ExecError::BadCall("ceildiv by zero".into()));
-                }
-                Value::I((a + b - 1).div_euclid(b))
-            }
-            Intrinsic::Abs => match vals[0] {
-                Value::I(v) => Value::I(v.abs()),
-                Value::F(v) => Value::F(v.abs()),
-            },
-            Intrinsic::Sqrt => Value::F(vals[0].as_f().sqrt()),
-            Intrinsic::Dble => Value::F(vals[0].as_f()),
-            Intrinsic::Int => Value::I(vals[0].as_i()),
-        })
     }
 
     // -----------------------------------------------------------------
@@ -590,7 +382,7 @@ impl<'a, 'p> Vm<'a, 'p> {
     #[inline]
     fn elem_addr(
         &mut self,
-        sc: &SubCode<'p>,
+        sc: &'a SubCode<'p>,
         array: u16,
         idx: super::code::ListRef,
         mode: AddrMode,
@@ -609,7 +401,7 @@ impl<'a, 'p> Vm<'a, 'p> {
     /// `index_values` + `element_addr`.
     fn addr_checked(
         &mut self,
-        sc: &SubCode<'p>,
+        sc: &'a SubCode<'p>,
         array: u16,
         vals: &[i64],
         mode: AddrMode,
@@ -618,7 +410,7 @@ impl<'a, 'p> Vm<'a, 'p> {
     ) -> Result<u64, ExecError> {
         let inst = frame.arrays[array as usize];
         let (addr, slot, sym, cost) = {
-            let plan = self.plans.get(inst);
+            let plan = self.eng.plans.get(inst);
             let mut idx0 = [0u64; MAX_RANK];
             for (d, &v) in vals.iter().enumerate() {
                 if v < 1 || v as u64 > plan.extents[d] {
@@ -647,7 +439,7 @@ impl<'a, 'p> Vm<'a, 'p> {
                 },
             );
         }
-        self.pending += cost;
+        self.eng.pending += cost;
         if let Some(slot) = slot {
             self.mach.access(ctx.proc, slot, AccessKind::Read);
         }
@@ -663,7 +455,7 @@ impl<'a, 'p> Vm<'a, 'p> {
     /// `Ok(false)` to fall through to the generic loop.
     fn bulk_exec(
         &mut self,
-        sc: &SubCode<'p>,
+        sc: &'a SubCode<'p>,
         b: &BulkCode,
         frame: &mut Frame,
         ctx: &mut Ctx,
@@ -707,9 +499,9 @@ impl<'a, 'p> Vm<'a, 'p> {
             BulkKind::Fill { value } => {
                 // Evaluate the loop-invariant RHS once, measuring its
                 // charge; the remaining iterations charge the same delta.
-                let before = self.pending;
+                let before = self.eng.pending;
                 self.run_block(sc, value.pc, frame, ctx)?;
-                let delta = self.pending - before;
+                let delta = self.eng.pending - before;
                 let v = frame.scalars[value.reg as usize];
                 let word = if b.dst.is_f {
                     v.as_f().to_bits()
@@ -718,18 +510,17 @@ impl<'a, 'p> Vm<'a, 'p> {
                 };
                 let dinst = frame.arrays[b.dst.array as usize];
                 let (n_dist, sym, contig) = {
-                    let plan = self.plans.get(dinst);
+                    let plan = self.eng.plans.get(dinst);
                     (
                         plan.n_dist,
                         plan.sym,
                         matches!(plan.kind, PlanKind::Contig { .. }),
                     )
                 };
-                self.pending += (self.costs.loop_overhead
-                    + b.idx_cost
-                    + self.mode_cost(b.dst.mode, n_dist))
-                    * n
-                    + delta * (n - 1);
+                self.eng.pending +=
+                    (self.costs.loop_overhead + b.idx_cost + self.mode_cost(b.dst.mode, n_dist))
+                        * n
+                        + delta * (n - 1);
                 if self.opts.profile {
                     self.mach.set_tag(
                         ctx.proc,
@@ -772,14 +563,14 @@ impl<'a, 'p> Vm<'a, 'p> {
                 let dinst = frame.arrays[b.dst.array as usize];
                 let sinst = frame.arrays[src.array as usize];
                 let (dn, dsym) = {
-                    let p = self.plans.get(dinst);
+                    let p = self.eng.plans.get(dinst);
                     (p.n_dist, p.sym)
                 };
                 let (sn, ssym) = {
-                    let p = self.plans.get(sinst);
+                    let p = self.eng.plans.get(sinst);
                     (p.n_dist, p.sym)
                 };
-                self.pending += (self.costs.loop_overhead
+                self.eng.pending += (self.costs.loop_overhead
                     + b.idx_cost
                     + self.mode_cost(src.mode, sn)
                     + self.mode_cost(b.dst.mode, dn))
@@ -838,7 +629,7 @@ impl<'a, 'p> Vm<'a, 'p> {
     /// Endpoint bounds check of every affine index of one side.
     fn run_in_bounds(&self, r: &BulkRef, first: i128, last: i128, frame: &Frame) -> bool {
         let inst = frame.arrays[r.array as usize];
-        let plan = self.plans.get(inst);
+        let plan = self.eng.plans.get(inst);
         if r.idx.len() != plan.extents.len() {
             return false;
         }
@@ -853,12 +644,10 @@ impl<'a, 'p> Vm<'a, 'p> {
                     (Some(a), Some(b)) => (a, b),
                     _ => return false,
                 },
-                AffVar::Reg(rg) => {
-                    match term(frame.scalars[rg as usize].as_i() as i128) {
-                        Some(v) => (v, v),
-                        None => return false,
-                    }
-                }
+                AffVar::Reg(rg) => match term(frame.scalars[rg as usize].as_i() as i128) {
+                    Some(v) => (v, v),
+                    None => return false,
+                },
                 AffVar::None => (t.offset as i128, t.offset as i128),
             };
             let (lo, hi) = (v0.min(v1), v0.max(v1));
@@ -873,7 +662,7 @@ impl<'a, 'p> Vm<'a, 'p> {
     /// iteration value `i` (indices already prechecked in-bounds).
     #[inline]
     fn bulk_addr(&self, r: &BulkRef, inst: usize, i: i64, frame: &Frame) -> (u64, Option<u64>) {
-        let plan = self.plans.get(inst);
+        let plan = self.eng.plans.get(inst);
         let mut idx0 = [0u64; MAX_RANK];
         for (d, t) in r.idx.iter().enumerate() {
             let v = match t.var {
@@ -893,415 +682,35 @@ impl<'a, 'p> Vm<'a, 'p> {
     }
 
     // -----------------------------------------------------------------
-    // Parallel regions.
-    // -----------------------------------------------------------------
-
-    /// Execute iterations `lb..=ub:step` of a par-loop body on the
-    /// current processor (the interpreter's `run_chunk`).
-    #[allow(clippy::too_many_arguments)] // loop + frame + chunk bounds
-    fn run_chunk(
-        &mut self,
-        sc: &SubCode<'p>,
-        pl: &ParLoop<'p>,
-        frame: &mut Frame,
-        ctx: &mut Ctx,
-        lb: i64,
-        ub: i64,
-        step: i64,
-    ) -> Result<(), ExecError> {
-        let var = pl.l.var.0;
-        let loop_overhead = self.costs.loop_overhead;
-        let mut i = lb;
-        while (step > 0 && i <= ub) || (step < 0 && i >= ub) {
-            frame.scalars[var] = Value::I(i);
-            self.pending += loop_overhead;
-            self.run_block(sc, pl.body_pc, frame, ctx)?;
-            i += step;
-        }
-        Ok(())
-    }
-
-    /// A proc-tile member inside a region: bind this processor's own
-    /// grid coordinate and run the body once.
-    fn proctile_member(
-        &mut self,
-        sc: &SubCode<'p>,
-        pl: &ParLoop<'p>,
-        frame: &mut Frame,
-        ctx: &mut Ctx,
-    ) -> Result<(), ExecError> {
-        let SchedType::ProcTile { grid_dim } = pl.d.sched else {
-            unreachable!()
-        };
-        let aff = pl.d.affinity.as_ref().expect("proc-tile loops carry affinity");
-        let inst = frame.arrays[aff.array.0];
-        let coord = {
-            let desc = &self.binder.get(inst).desc;
-            if ctx.proc.0 >= desc.grid_size() {
-                return Ok(()); // idle member
-            }
-            // Re-resolve the grid axis against the live descriptor: a
-            // redistribute/resize before this loop can re-map the tiled
-            // dimension to a different axis than the one compiled in.
-            let decl = sc.sub.arrays[aff.array.0].dist.as_ref();
-            let axis = sched::proctile_axis(desc, decl, grid_dim);
-            desc.delinearize_proc(ctx.proc.0)[axis] as i64
-        };
-        frame.scalars[pl.l.var.0] = Value::I(coord);
-        self.run_block(sc, pl.body_pc, frame, ctx)
-    }
-
-    /// Evaluate a par-loop's bounds in interpreter order.  Each result
-    /// register is read immediately after its block runs: the three
-    /// blocks share scratch registers.
-    fn eval_bounds(
-        &mut self,
-        sc: &SubCode<'p>,
-        pl: &ParLoop<'p>,
-        frame: &mut Frame,
-        ctx: &mut Ctx,
-    ) -> Result<(i64, i64, i64), ExecError> {
-        self.run_block(sc, pl.lb.pc, frame, ctx)?;
-        let lb = frame.scalars[pl.lb.reg as usize].as_i();
-        self.run_block(sc, pl.ub.pc, frame, ctx)?;
-        let ub = frame.scalars[pl.ub.reg as usize].as_i();
-        self.run_block(sc, pl.step.pc, frame, ctx)?;
-        let step = frame.scalars[pl.step.reg as usize].as_i();
-        Ok((lb, ub, step))
-    }
-
-    /// The `Fork` opcode: a doacross loop.  Inside a region it runs this
-    /// member's share; at top level it forks the team (the interpreter's
-    /// `fork_region`, access for access).
-    fn exec_fork(
-        &mut self,
-        sc: &SubCode<'p>,
-        pl: &ParLoop<'p>,
-        frame: &mut Frame,
-        ctx: &mut Ctx,
-    ) -> Result<(), ExecError> {
-        let l = pl.l;
-        let d = pl.d;
-        if ctx.in_region {
-            if matches!(d.sched, SchedType::ProcTile { .. }) {
-                return self.proctile_member(sc, pl, frame, ctx);
-            }
-            // Serial semantics for a nested doacross.
-            let (lb, ub, step) = self.eval_bounds(sc, pl, frame, ctx)?;
-            if step == 0 {
-                return Err(ExecError::BadCall("zero loop step".into()));
-            }
-            return self.run_chunk(sc, pl, frame, ctx, lb, ub, step);
-        }
-
-        let region_id = self.regions as u32;
-        self.regions += 1;
-        self.region_names
-            .push(format!("{}:do {}", sc.sub.name, sc.sub.scalars[l.var.0].name));
-        let nprocs = self.team;
-        self.flush(ctx.proc);
-        let start = self.mach.cycles(ctx.proc) + self.costs.parallel_fork;
-        // Per-node memory-service demand before the region: deltas bound
-        // region time by the bottleneck node's throughput (the hot-node
-        // effect of the paper's Figure 5).
-        let served_before: Vec<u64> = self.mach.whole().node_served();
-
-        // Per-member work lists: (proc, chunks or proc-tile marker).
-        enum Work {
-            Chunks(Vec<sched::Chunk>),
-            ProcTile,
-        }
-        let mut team: Vec<(ProcId, Work)> = Vec::new();
-        match d.sched {
-            SchedType::ProcTile { .. } => {
-                let aff = d.affinity.as_ref().expect("proc-tile loops carry affinity");
-                let inst = frame.arrays[aff.array.0];
-                let gs = self.binder.get(inst).desc.grid_size().min(nprocs);
-                for p in 0..gs {
-                    team.push((ProcId(p), Work::ProcTile));
-                }
-            }
-            SchedType::RuntimeAffinity => {
-                let (lb, ub, step) = self.eval_bounds(sc, pl, frame, ctx)?;
-                let aff = d.affinity.as_ref().expect("runtime affinity has a clause");
-                let inst = frame.arrays[aff.array.0];
-                let desc = self.binder.get(inst).desc.clone();
-                // The axis driven by this loop's variable.
-                let axis = aff
-                    .indices
-                    .iter()
-                    .position(|ix| matches!(ix, AffIdx::Loop { var, .. } if *var == l.var));
-                match axis {
-                    Some(dim) if desc.dims[dim].dist.is_distributed() => {
-                        let AffIdx::Loop { scale, offset, .. } = &aff.indices[dim] else {
-                            unreachable!()
-                        };
-                        let parts = sched::partition_affinity(
-                            lb,
-                            ub,
-                            step,
-                            &desc.dims[dim],
-                            *scale,
-                            *offset,
-                        );
-                        let grid_dim = desc
-                            .distributed
-                            .iter()
-                            .position(|&dd| dd == dim)
-                            .unwrap_or(0);
-                        for (coord, chunks) in parts.into_iter().enumerate() {
-                            // Representative member for this coordinate:
-                            // zero on every other grid axis.
-                            let mut coords = vec![0u64; desc.grid.len()];
-                            coords[grid_dim] = coord as u64;
-                            let p = desc.linearize_coords(&coords).min(nprocs - 1);
-                            team.push((ProcId(p), Work::Chunks(chunks)));
-                        }
-                    }
-                    _ => {
-                        // Affinity unusable: fall back to simple.
-                        for (p, chunks) in partition(SchedType::Simple, lb, ub, step, nprocs)
-                            .into_iter()
-                            .enumerate()
-                        {
-                            team.push((ProcId(p), Work::Chunks(chunks)));
-                        }
-                    }
-                }
-            }
-            sched_kind => {
-                let (lb, ub, step) = self.eval_bounds(sc, pl, frame, ctx)?;
-                for (p, chunks) in partition(sched_kind, lb, ub, step, nprocs)
-                    .into_iter()
-                    .enumerate()
-                {
-                    team.push((ProcId(p), Work::Chunks(chunks)));
-                }
-            }
-        }
-        self.flush(ctx.proc);
-
-        // Host-parallel simulation is sound only when the body cannot
-        // mutate whole-machine/binder state (same gate as the
-        // interpreter).
-        let distinct = {
-            let mut ids: Vec<usize> = team.iter().map(|(p, _)| p.0).collect();
-            ids.sort_unstable();
-            ids.dedup();
-            ids.len()
-        };
-        let run_parallel = !self.opts.serial_team && distinct >= 2 && body_parallel_safe(&l.body);
-
-        let dispatch = matches!(d.sched, SchedType::Dynamic(_));
-        let int_alu = self.costs.int_alu;
-        let fork_t0 = std::time::Instant::now();
-        if run_parallel {
-            // Merge duplicate members (runtime-affinity clamping can hand
-            // two grid coordinates to one processor) so each processor's
-            // state is owned by exactly one host thread.
-            let mut merged: Vec<(ProcId, Vec<&Work>)> = Vec::new();
-            for (p, w) in &team {
-                match merged.iter_mut().find(|(q, _)| q == p) {
-                    Some((_, ws)) => ws.push(w),
-                    None => merged.push((*p, vec![w])),
-                }
-            }
-            let code = self.code;
-            let opts = self.opts;
-            let steps = self.steps;
-            let costs = self.costs;
-            let team_size = self.team;
-            let binder: &Binder = self.binder.shared();
-            let plans: &PlanCache = self.plans.shared();
-            let machine = self.mach.whole();
-            for (p, _) in &merged {
-                if machine.cycles(*p) < start {
-                    machine.set_cycles(*p, start);
-                }
-            }
-            let ids: Vec<ProcId> = merged.iter().map(|(p, _)| *p).collect();
-            let shards = machine.team_shards(&ids);
-            let results: Vec<Result<(), ExecError>> = std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for (shard, (proc, works)) in shards.into_iter().zip(&merged) {
-                    let member_frame = frame.clone();
-                    let proc = *proc;
-                    handles.push(scope.spawn(move || -> Result<(), ExecError> {
-                        let mut member = Vm {
-                            mach: Mach::Shard(shard),
-                            code,
-                            opts,
-                            binder: BinderRef::Borrowed(binder),
-                            plans: PlansRef::Borrowed(plans),
-                            checker: ArgChecker::new(),
-                            regions: 0,
-                            region_cycles: 0,
-                            region_wall: std::time::Duration::ZERO,
-                            region_names: Vec::new(),
-                            steps,
-                            epoch: EpochClock::default(),
-                            pending: 0,
-                            costs,
-                            team: team_size,
-                        };
-                        let mut member_ctx = Ctx {
-                            proc,
-                            in_region: true,
-                            region: region_id,
-                        };
-                        // Private copy of all scalars (covers the `local`
-                        // clause; in-region writes to shared scalars are
-                        // discarded at join, as in the serial path).
-                        let mut member_frame = member_frame;
-                        for work in works {
-                            match work {
-                                Work::ProcTile => {
-                                    member.proctile_member(
-                                        sc,
-                                        pl,
-                                        &mut member_frame,
-                                        &mut member_ctx,
-                                    )?;
-                                }
-                                Work::Chunks(chunks) => {
-                                    for c in chunks {
-                                        if dispatch {
-                                            // Work-queue grab per chunk.
-                                            member.mach.charge(proc, 6 * int_alu);
-                                        }
-                                        member.run_chunk(
-                                            sc,
-                                            pl,
-                                            &mut member_frame,
-                                            &mut member_ctx,
-                                            c.lb,
-                                            c.ub,
-                                            c.step,
-                                        )?;
-                                    }
-                                }
-                            }
-                        }
-                        member.flush(proc);
-                        Ok(())
-                    }));
-                }
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("team member thread panicked"))
-                    .collect()
-            });
-            // Deliver invalidations still in flight at the join.
-            machine.drain_mail();
-            for r in results {
-                r?;
-            }
-        } else {
-            // Serial reference path: level every member to the fork point
-            // and run its share to completion before the next member.
-            // Access-count migration epochs pause until the join (see the
-            // interpreter for the rationale).
-            self.mach.whole().pause_epochs(true);
-            for (p, work) in &team {
-                if self.mach.cycles(*p) < start {
-                    self.mach.whole().set_cycles(*p, start);
-                }
-                let mut member_ctx = Ctx {
-                    proc: *p,
-                    in_region: true,
-                    region: region_id,
-                };
-                // Private copy of all scalars (covers the `local` clause;
-                // the model discards in-region writes to shared scalars at
-                // join).
-                let mut member_frame = frame.clone();
-                match work {
-                    Work::ProcTile => {
-                        self.proctile_member(sc, pl, &mut member_frame, &mut member_ctx)?;
-                    }
-                    Work::Chunks(chunks) => {
-                        for c in chunks {
-                            if dispatch {
-                                // Work-queue grab per chunk.
-                                self.mach.charge(*p, 6 * int_alu);
-                            }
-                            self.run_chunk(
-                                sc,
-                                pl,
-                                &mut member_frame,
-                                &mut member_ctx,
-                                c.lb,
-                                c.ub,
-                                c.step,
-                            )?;
-                        }
-                    }
-                }
-                self.flush(*p);
-            }
-            self.mach.whole().pause_epochs(false);
-        }
-        self.region_wall += fork_t0.elapsed();
-        debug_assert_eq!(self.pending, 0, "unflushed charges at region join");
-
-        // Implicit barrier: everyone (team and idle processors alike)
-        // advances to the slowest member — or, if some node's memory had
-        // to service more line fills than fit in that window, to the end
-        // of the bottleneck node's service demand (throughput bound).
-        let occupancy = self.mach.config().lat.mem_occupancy;
-        let machine = self.mach.whole();
-        let node_demand = machine
-            .node_served()
-            .iter()
-            .zip(&served_before)
-            .map(|(after, before)| (after - before) * occupancy)
-            .max()
-            .unwrap_or(0);
-        let t_end = (0..machine.nprocs())
-            .map(|p| machine.cycles(ProcId(p)))
-            .max()
-            .unwrap_or(start)
-            .max(start + node_demand)
-            + self.costs.barrier;
-        for p in 0..nprocs.max(1) {
-            machine.set_cycles(ProcId(p), t_end);
-        }
-        if machine.cycles(ctx.proc) < t_end {
-            machine.set_cycles(ctx.proc, t_end);
-        }
-        self.region_cycles += t_end - (start - self.costs.parallel_fork);
-        // Team join = migration epoch boundary: the shards sampled the
-        // reference counters; the daemon itself needs the whole machine.
-        join_epoch(self.mach.whole(), &mut self.epoch);
-        // Sequential semantics for the loop variable after the region
-        // (what `lastlocal` guarantees on the real system).
-        if !matches!(d.sched, SchedType::ProcTile { .. }) {
-            let (lb, ub, step) = self.eval_bounds(sc, pl, frame, ctx)?;
-            if step != 0 {
-                let niters = if step > 0 {
-                    (ub - lb + step).max(0) / step
-                } else {
-                    (lb - ub - step).max(0) / -step
-                };
-                frame.scalars[l.var.0] = Value::I(lb + niters * step);
-            }
-        }
-        Ok(())
-    }
-
-    // -----------------------------------------------------------------
     // Calls.
     // -----------------------------------------------------------------
 
-    /// The `CallSub` opcode (the interpreter's `exec_call`).
+    /// Run a call argument's index block and read its result registers.
+    fn eval_indices(
+        &mut self,
+        sc: &'a SubCode<'p>,
+        pc: u32,
+        regs: &[super::code::Reg],
+        frame: &mut Frame,
+        ctx: &mut Ctx,
+    ) -> Result<[i64; MAX_RANK], ExecError> {
+        self.run_block(sc, pc, frame, ctx)?;
+        let mut vals = [0i64; MAX_RANK];
+        for (v, &r) in vals.iter_mut().zip(regs) {
+            *v = frame.scalars[r as usize].as_i();
+        }
+        Ok(vals)
+    }
+
+    /// The `CallSub` opcode.
     fn exec_call(
         &mut self,
-        sc: &SubCode<'p>,
+        sc: &'a SubCode<'p>,
         idx: u16,
         frame: &mut Frame,
         ctx: &mut Ctx,
     ) -> Result<(), ExecError> {
-        let code = self.code;
+        let code = self.eng.code;
         let cc = &sc.calls[idx as usize];
         let Some(callee_idx) = cc.callee else {
             return Err(ExecError::UnknownSubroutine(cc.name.to_string()));
@@ -1313,58 +722,38 @@ impl<'a, 'p> Vm<'a, 'p> {
         self.flush(ctx.proc);
         let mut callee_frame = Frame::new(callee);
         callee_frame.scalars.resize(callee_sc.n_regs, Value::I(0));
-        // Registered actual addresses to pop on return.
-        let mut registered: Vec<u64> = Vec::new();
-        // (callee ArrayId idx, arena idx): applied after all args.
-        let mut array_binds: Vec<(usize, usize)> = Vec::new();
+        let mut call = CallBinding::default();
         for arg in &cc.args {
             match arg {
                 ArgCode::Scalar { block, var } => {
                     self.run_block(sc, block.pc, frame, ctx)?;
                     let val = frame.scalars[block.reg as usize];
-                    callee_frame.scalars[*var as usize] = match callee.scalars[*var as usize].ty {
-                        ScalarTy::Int => Value::I(val.as_i()),
-                        ScalarTy::Real => Value::F(val.as_f()),
-                    };
+                    callee_frame.scalars[*var as usize] =
+                        val.coerce(callee.scalars[*var as usize].ty);
                 }
                 ArgCode::Array {
                     caller,
-                    callee: ca,
+                    callee: formal,
                     caller_reshaped,
                 } => {
                     let inst = frame.arrays[*caller as usize];
-                    if self.opts.runtime_checks && *caller_reshaped {
-                        let (base, name, shape) = {
-                            let arr = self.binder.get(inst);
-                            let base = match &arr.layout {
-                                ArrayLayout::Contiguous { base } => *base,
-                                ArrayLayout::Reshaped { ptr_table, .. } => *ptr_table,
-                            };
-                            let shape: Vec<u64> =
-                                arr.desc.dims.iter().map(|d| d.extent).collect();
-                            (base, arr.name.clone(), shape)
-                        };
-                        self.checker
-                            .register(base, ArgInfo::WholeArray { name, shape });
-                        registered.push(base);
-                        self.mach.charge(ctx.proc, 40);
-                    }
-                    // Whole-array pass: the callee sees the same instance.
-                    array_binds.push((*ca as usize, inst));
+                    self.bind_whole(
+                        &mut call,
+                        *formal as usize,
+                        inst,
+                        *caller_reshaped,
+                        ctx.proc,
+                    );
                 }
                 ArgCode::Elem {
                     caller,
-                    callee: ca,
+                    callee: formal,
                     idx_pc,
                     idx_regs,
                     caller_reshaped,
                 } => {
-                    self.run_block(sc, *idx_pc, frame, ctx)?;
                     let rank = idx_regs.len();
-                    let mut vals = [0i64; MAX_RANK];
-                    for (i, &r) in idx_regs.iter().enumerate() {
-                        vals[i] = frame.scalars[r as usize].as_i();
-                    }
+                    let vals = self.eval_indices(sc, *idx_pc, idx_regs, frame, ctx)?;
                     let addr = self.addr_checked(
                         sc,
                         *caller,
@@ -1373,56 +762,25 @@ impl<'a, 'p> Vm<'a, 'p> {
                         frame,
                         ctx,
                     )?;
-                    if self.opts.runtime_checks && *caller_reshaped {
-                        // The interpreter re-evaluates the indices here
-                        // (`index_values`), charging again.
-                        self.run_block(sc, *idx_pc, frame, ctx)?;
-                        let mut idx0 = [0u64; MAX_RANK];
-                        for (i, &r) in idx_regs.iter().enumerate() {
-                            idx0[i] = (frame.scalars[r as usize].as_i() - 1) as u64;
-                        }
-                        let inst = frame.arrays[*caller as usize];
-                        // The paper's rule: the passed "portion" runs from
-                        // the element to the end of its contiguous run in
-                        // the fastest dimension, times the remaining
-                        // portion rectangle in the outer dimensions.
-                        let (name, portion_len) = {
-                            let arr = self.binder.get(inst);
-                            let owner_coords = arr.desc.owner_coords(&idx0[..rank]);
-                            let mut gi = 0usize;
-                            let mut remaining = 0u64;
-                            for (d0, dim) in arr.desc.dims.iter().enumerate() {
-                                let coord = if dim.dist.is_distributed() {
-                                    let c = owner_coords[gi];
-                                    gi += 1;
-                                    c
-                                } else {
-                                    0
-                                };
-                                remaining = if d0 == 0 {
-                                    dim.run_remaining(idx0[0])
-                                } else {
-                                    remaining
-                                        * (dim.portion_extent(coord)
-                                            - dim.local_offset(idx0[d0]))
-                                };
-                            }
-                            (arr.name.clone(), remaining)
-                        };
-                        self.checker
-                            .register(addr, ArgInfo::Portion { name, portion_len });
-                        registered.push(addr);
-                        self.mach.charge(ctx.proc, 40);
-                    }
-                    // The view's extents may depend on scalar params bound
-                    // above; create it after scalars are in place.
-                    let view = self.binder.owned().bind_view(
-                        self.mach.whole(),
-                        &callee.arrays[*ca as usize],
+                    // The checker wants the element's indices; the
+                    // interpreter evaluates them a second time, charging
+                    // a second time.
+                    let idx0 = if self.checks_actual(*caller_reshaped) {
+                        let again = self.eval_indices(sc, *idx_pc, idx_regs, frame, ctx)?;
+                        Some(again.map(|v| (v - 1) as u64))
+                    } else {
+                        None
+                    };
+                    self.bind_element(
+                        &mut call,
+                        &callee.arrays[*formal as usize],
+                        *formal as usize,
+                        frame.arrays[*caller as usize],
+                        idx0.as_ref().map(|i| &i[..rank]),
                         addr,
                         &callee_frame,
+                        ctx.proc,
                     );
-                    array_binds.push((*ca as usize, view));
                 }
             }
         }
@@ -1431,54 +789,12 @@ impl<'a, 'p> Vm<'a, 'p> {
         if let Some(msg) = &cc.fail {
             return Err(ExecError::BadCall(msg.clone()));
         }
-        for (aid, inst) in array_binds {
-            callee_frame.arrays[aid] = inst;
-        }
-        // Entry-side runtime checks: each array formal looks up its
-        // incoming base address.
-        if self.opts.runtime_checks {
-            for (pos, param) in callee.params.iter().enumerate() {
-                if let Param::Array(a) = param {
-                    let inst = callee_frame.arrays[a.0];
-                    let base = {
-                        let arr = self.binder.get(inst);
-                        match &arr.layout {
-                            ArrayLayout::Contiguous { base } => *base,
-                            ArrayLayout::Reshaped { ptr_table, .. } => *ptr_table,
-                        }
-                    };
-                    let declared: Vec<u64> = callee.arrays[a.0]
-                        .dims
-                        .iter()
-                        .map(|e| match e {
-                            Extent::Const(v) => (*v).max(0) as u64,
-                            Extent::Var(v) => callee_frame.scalars[v.0].as_i().max(0) as u64,
-                        })
-                        .collect();
-                    self.mach.charge(ctx.proc, 40);
-                    self.checker
-                        .check_formal(&callee.name, pos, base, &declared)
-                        .map_err(|e| ExecError::Runtime(RuntimeError::ArgCheck(e)))?;
-                }
-            }
-        }
-        // Instantiate callee locals / attach commons, then intern plans
-        // for every instance the call brought to life.
-        self.binder
-            .owned()
-            .bind_declarations(self.mach.whole(), callee, &mut callee_frame);
-        self.plans.owned().sync(self.binder.shared());
-        // Call overhead.
-        self.mach.charge(ctx.proc, 10 * self.costs.int_alu);
-        let mut callee_ctx = Ctx {
-            proc: ctx.proc,
-            in_region: ctx.in_region,
-            region: ctx.region,
-        };
+        self.enter_callee(&mut call, callee, &mut callee_frame, ctx.proc)?;
+        // Intern plans for every instance the call brought to life.
+        self.sync_plans();
+        let mut callee_ctx = *ctx;
         self.run_block(callee_sc, 0, &mut callee_frame, &mut callee_ctx)?;
-        for addr in registered {
-            self.checker.unregister(addr);
-        }
+        self.leave_callee(call);
         Ok(())
     }
 
@@ -1491,7 +807,7 @@ impl<'a, 'p> Vm<'a, 'p> {
         step: i64,
         frame: &Frame,
     ) -> (u64, i64) {
-        let plan = self.plans.get(inst);
+        let plan = self.eng.plans.get(inst);
         let PlanKind::Contig { base, strides } = &plan.kind else {
             unreachable!("run geometry of a reshaped plan")
         };
@@ -1509,22 +825,5 @@ impl<'a, 'p> Vm<'a, 'p> {
             }
         }
         (addr as u64, run_stride)
-    }
-}
-
-impl Mach<'_> {
-    /// Dispatch a bulk write run (access + raw store per element) to the
-    /// whole machine or this member's shard.
-    #[inline]
-    fn fill_run(&mut self, proc: ProcId, run: &AccessRun, word: u64) {
-        match self {
-            Mach::Whole(m) => {
-                m.fill_run_u64(proc, run, word);
-            }
-            Mach::Shard(s) => {
-                debug_assert_eq!(proc, s.proc());
-                s.fill_run_u64(run, word);
-            }
-        }
     }
 }

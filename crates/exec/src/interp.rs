@@ -1,36 +1,25 @@
-//! The interpreter.
+//! Execution options and errors, and the tree-walking interpreter.
 //!
-//! Serial sections execute on processor 0; a `doacross` forks a simulated
-//! team, runs each member's chunks against its own caches/clock, and
-//! joins at the implicit barrier (everyone advances to the slowest
-//! member plus barrier cost).  Processor-tile loops produced by the
-//! compiler bind each member to its own grid coordinate — the executable
-//! form of the paper's Figure-2 schedules.
-//!
-//! Team members are simulated on real host threads whenever the region
-//! body is parallel-safe (no calls, no redistribution): each member runs
-//! against a [`MachineShard`] — its own caches,
-//! TLB and clock, plus thread-safe shared memory/page-table/directory
-//! state.  [`ExecOptions::serial_team`] forces the old one-member-at-a-
-//! time execution, which remains the fallback for unsafe bodies.
+//! [`run_outcome`] is the crate's entry point; it dispatches on
+//! [`ExecOptions::engine`]. The interpreter in this file walks the IR
+//! statement by statement and is kept as the differential reference for
+//! the bytecode VM. Serial sections execute on processor 0; everything
+//! about parallel regions, calls, redistribution and team resizing is the
+//! shared core in `team.rs`, and the scalar operators are `value.rs`'s —
+//! one definition for both engines, reached through `team::Engine`.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 
 use dsm_ir::{
-    ActualArg, AddrMode, AffIdx, BinOp, DistKind, Doacross, Expr, Intrinsic, LoopStmt, Program,
-    RtExpr, ScalarTy, SchedType, Stmt, Subroutine, UnOp,
+    ActualArg, AddrMode, DistKind, Expr, Param, Program, RtExpr, ScalarTy, Stmt, Subroutine,
 };
-use dsm_machine::{
-    AccessKind, AccessTag, Machine, MachineConfig, MachineShard, MigrationPolicy, ProcId,
-    SamplingConfig, SERIAL_REGION,
-};
-use dsm_runtime::epoch::{join_epoch, EpochClock};
-use dsm_runtime::{argcheck::ArgInfo, partition, sched, ArgChecker, RuntimeError};
+use dsm_machine::{AccessKind, AccessTag, Machine, MigrationPolicy, ProcId, SamplingConfig};
+use dsm_runtime::RuntimeError;
 
-use crate::bind::Binder;
 use crate::engine::Engine;
-use crate::report::{RunOutcome, RunReport};
-use crate::value::{Frame, Value};
+use crate::report::RunOutcome;
+use crate::team::{self, CallBinding, Ctx, LoopSite, RunState};
+use crate::value::{bin_op, intrinsic, un_op, Frame, Value};
 
 /// Which page mover implements `c$redistribute` and `c$resize_team`.
 ///
@@ -302,11 +291,9 @@ impl From<RuntimeError> for ExecError {
 ///
 /// Returns an [`ExecError`] for out-of-bounds accesses, failed runtime
 /// argument checks (when enabled), illegal redistributions, or unresolved
-/// calls; unknown capture names are returned as empty vectors.
-///
-/// # Panics
-///
-/// Panics if `opts.nprocs` exceeds the machine's processor count.
+/// calls, or [`ExecError::Options`] when `opts.nprocs` is zero or exceeds
+/// the machine's processor count; unknown capture names are returned as
+/// empty vectors.
 pub fn run_outcome(
     machine: &mut Machine,
     program: &Program,
@@ -318,391 +305,67 @@ pub fn run_outcome(
     }
 }
 
+/// The tree walker's private state: the program, to resolve calls.
+struct Tree<'p> {
+    program: &'p Program,
+}
+
 /// The tree-walking reference engine behind [`Engine::Interp`].
 fn run_interp(
     machine: &mut Machine,
     program: &Program,
     opts: &ExecOptions,
 ) -> Result<RunOutcome, ExecError> {
-    assert!(
-        opts.nprocs >= 1 && opts.nprocs <= machine.nprocs(),
-        "nprocs {} out of range for machine with {} processors",
-        opts.nprocs,
-        machine.nprocs()
-    );
-    let host_t0 = std::time::Instant::now();
-    if opts.profile {
-        machine.enable_profiling();
-    }
-    if let Some(policy) = opts.migration {
-        machine.set_migration(policy);
-    }
-    if let Some(sampling) = opts.sampling {
-        machine.set_sampling(sampling).map_err(ExecError::Options)?;
-    }
-    let binder = Binder::new(machine, program, opts.nprocs);
-    let steps = AtomicU64::new(0);
-    let mut interp = Interp {
-        mach: Mach::Whole(machine),
-        program,
-        opts: opts.clone(),
-        team: opts.nprocs,
-        binder: BinderRef::Owned(binder),
-        checker: ArgChecker::new(),
-        regions: 0,
-        region_cycles: 0,
-        region_wall: std::time::Duration::ZERO,
-        region_names: Vec::new(),
-        steps: &steps,
-        epoch: EpochClock::default(),
-    };
     let main = program.main_sub();
-    let mut frame = Frame::new(main);
-    interp
-        .binder
-        .owned()
-        .bind_declarations(interp.mach.whole(), main, &mut frame);
-    let mut ctx = Ctx {
-        proc: ProcId(0),
-        in_region: false,
-        region: SERIAL_REGION,
-    };
-    if let Some(p) = opts.resize_to {
-        interp.resize_now(p, &ctx)?;
-    }
-    interp.exec_block(&main.body, main, &mut frame, &mut ctx)?;
-
-    let Interp {
-        mach,
-        binder,
-        checker,
-        regions,
-        region_cycles,
-        region_wall,
-        region_names,
-        ..
-    } = interp;
-    let Mach::Whole(machine) = mach else {
-        unreachable!("top-level interpreter always holds the whole machine")
-    };
-    let acct = RunAccounting {
-        regions,
-        region_cycles,
-        region_wall,
-        region_names,
-        argcheck_ops: checker.stats(),
-    };
-    Ok(collect_outcome(
+    team::run(
         machine,
-        main,
+        program,
         opts,
-        binder.shared(),
-        &frame,
-        acct,
-        host_t0,
-    ))
+        Tree { program },
+        Frame::new(main),
+        |rs, frame, ctx| rs.exec_block(&main.body, main, frame, ctx),
+    )
 }
 
-/// Run-level bookkeeping both engines hand to [`collect_outcome`].
-pub(crate) struct RunAccounting {
-    pub(crate) regions: usize,
-    pub(crate) region_cycles: u64,
-    pub(crate) region_wall: std::time::Duration,
-    pub(crate) region_names: Vec<String>,
-    pub(crate) argcheck_ops: (u64, u64),
-}
+impl team::Engine for Tree<'_> {
+    type Handle = ();
 
-/// Shared postamble: drain in-flight invalidations, gather counters and
-/// the attribution profile, and read back captured arrays.
-pub(crate) fn collect_outcome(
-    machine: &mut Machine,
-    main: &Subroutine,
-    opts: &ExecOptions,
-    binder: &Binder,
-    frame: &Frame,
-    acct: RunAccounting,
-    host_t0: std::time::Instant,
-) -> RunOutcome {
-    machine.drain_mail();
-    let per_proc: Vec<_> = (0..machine.nprocs())
-        .map(|p| *machine.counters(ProcId(p)))
-        .collect();
-    let total = machine.total_counters();
-    let total_cycles = per_proc.iter().map(|c| c.cycles).max().unwrap_or(0);
-    let profile = if opts.profile {
-        // Array shapes let the hints suggest a distribution per dimension.
-        let shapes: Vec<(String, Vec<u64>)> = main
-            .arrays
-            .iter()
-            .enumerate()
-            .filter_map(|(i, decl)| {
-                let inst = frame.arrays[i];
-                (inst != usize::MAX).then(|| {
-                    let arr = binder.get(inst);
-                    (
-                        decl.name.clone(),
-                        arr.desc.dims.iter().map(|d| d.extent).collect(),
-                    )
-                })
-            })
-            .collect();
-        machine.merged_attribution().map(|attr| {
-            Box::new(crate::profile::build_profile(
-                &attr,
-                machine,
-                &acct.region_names,
-                &shapes,
-            ))
-        })
-    } else {
-        None
-    };
-    let report = RunReport {
-        total_cycles,
-        per_proc,
-        total,
-        parallel_regions: acct.regions,
-        parallel_cycles: acct.region_cycles,
-        pages_per_node: machine.pages_per_node(),
-        argcheck_ops: acct.argcheck_ops,
-        pages_migrated: machine.pages_migrated(),
-        migration_cycles: machine.migration_cycles(),
-        redist_pages: machine.redist_pages(),
-        redist_cycles: machine.redist_cycles(),
-        host_wall: host_t0.elapsed(),
-        host_region_wall: acct.region_wall,
-        profile,
-        sampling: (opts.sampling.is_some() || !machine.config().sampling.is_exact())
-            .then(|| machine.sampling_summary()),
-    };
-    let mut captured = Vec::with_capacity(opts.captures.len());
-    for name in &opts.captures {
-        let mut data = Vec::new();
-        if let Some(aid) = main.array_named(name) {
-            let inst = frame.arrays[aid.0];
-            if inst != usize::MAX {
-                let arr = binder.get(inst);
-                let total_len = arr.desc.total_len();
-                let rank = arr.desc.dims.len();
-                for linear in 0..total_len {
-                    // Delinearize the column-major index.
-                    let mut rest = linear;
-                    let mut idx = Vec::with_capacity(rank);
-                    for d in &arr.desc.dims {
-                        idx.push(rest % d.extent);
-                        rest /= d.extent;
-                    }
-                    data.push(machine.peek_f64(arr.addr_of(&idx)));
-                }
-            }
-        }
-        captured.push(data);
-    }
-    RunOutcome {
-        report,
-        captures: captured,
-    }
-}
-
-/// Execution context: which simulated processor runs the current code,
-/// whether we are inside a parallel region, and which one (for access
-/// attribution; [`SERIAL_REGION`] outside any region).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Ctx {
-    pub(crate) proc: ProcId,
-    pub(crate) in_region: bool,
-    pub(crate) region: u32,
-}
-
-/// The interpreter's handle on the machine: either the whole thing (serial
-/// sections and the team leader) or one member's shard during a parallel
-/// region.
-pub(crate) enum Mach<'m> {
-    Whole(&'m mut Machine),
-    Shard(MachineShard<'m>),
-}
-
-impl Mach<'_> {
-    pub(crate) fn config(&self) -> &MachineConfig {
-        match self {
-            Mach::Whole(m) => m.config(),
-            Mach::Shard(s) => s.config(),
-        }
+    fn eval_bounds(
+        rs: &mut RunState<'_, Self>,
+        site: LoopSite<'_, ()>,
+        frame: &mut Frame,
+        ctx: &mut Ctx,
+    ) -> Result<(i64, i64, i64), ExecError> {
+        let lb = rs.eval(&site.l.lb, site.sub, frame, ctx)?.as_i();
+        let ub = rs.eval(&site.l.ub, site.sub, frame, ctx)?.as_i();
+        let step = rs.eval(&site.l.step, site.sub, frame, ctx)?.as_i();
+        Ok((lb, ub, step))
     }
 
-    /// The whole machine; only reachable outside parallel members (region
-    /// bodies containing whole-machine operations are executed serially).
-    pub(crate) fn whole(&mut self) -> &mut Machine {
-        match self {
-            Mach::Whole(m) => m,
-            Mach::Shard(_) => unreachable!("whole-machine operation inside a parallel member"),
-        }
+    fn run_body(
+        rs: &mut RunState<'_, Self>,
+        site: LoopSite<'_, ()>,
+        frame: &mut Frame,
+        ctx: &mut Ctx,
+    ) -> Result<(), ExecError> {
+        rs.exec_block(&site.l.body, site.sub, frame, ctx)
     }
 
-    pub(crate) fn charge(&mut self, proc: ProcId, cycles: u64) {
-        match self {
-            Mach::Whole(m) => m.charge(proc, cycles),
-            Mach::Shard(s) => {
-                debug_assert_eq!(proc, s.proc());
-                s.charge(cycles);
-            }
-        }
+    /// The reference engine charges at once; there is nothing to flush.
+    fn charge(rs: &mut RunState<'_, Self>, proc: ProcId, cycles: u64) {
+        rs.mach.charge(proc, cycles);
     }
 
-    pub(crate) fn set_tag(&mut self, proc: ProcId, tag: AccessTag) {
-        match self {
-            Mach::Whole(m) => m.set_tag(proc, tag),
-            Mach::Shard(s) => {
-                debug_assert_eq!(proc, s.proc());
-                s.set_tag(tag);
-            }
-        }
-    }
+    fn flush(_rs: &mut RunState<'_, Self>, _proc: ProcId) {}
 
-    pub(crate) fn cycles(&self, proc: ProcId) -> u64 {
-        match self {
-            Mach::Whole(m) => m.cycles(proc),
-            Mach::Shard(s) => {
-                debug_assert_eq!(proc, s.proc());
-                s.cycles()
-            }
-        }
-    }
-
-    pub(crate) fn access(&mut self, proc: ProcId, addr: u64, kind: AccessKind) -> u64 {
-        match self {
-            Mach::Whole(m) => m.access(proc, addr, kind),
-            Mach::Shard(s) => {
-                debug_assert_eq!(proc, s.proc());
-                s.access(addr, kind)
-            }
-        }
-    }
-
-    pub(crate) fn read_f64(&mut self, proc: ProcId, addr: u64) -> (f64, u64) {
-        match self {
-            Mach::Whole(m) => m.read_f64(proc, addr),
-            Mach::Shard(s) => {
-                debug_assert_eq!(proc, s.proc());
-                s.read_f64(addr)
-            }
-        }
-    }
-
-    pub(crate) fn write_f64(&mut self, proc: ProcId, addr: u64, v: f64) -> u64 {
-        match self {
-            Mach::Whole(m) => m.write_f64(proc, addr, v),
-            Mach::Shard(s) => {
-                debug_assert_eq!(proc, s.proc());
-                s.write_f64(addr, v)
-            }
-        }
-    }
-
-    pub(crate) fn read_i64(&mut self, proc: ProcId, addr: u64) -> (i64, u64) {
-        match self {
-            Mach::Whole(m) => m.read_i64(proc, addr),
-            Mach::Shard(s) => {
-                debug_assert_eq!(proc, s.proc());
-                s.read_i64(addr)
-            }
-        }
-    }
-
-    pub(crate) fn write_i64(&mut self, proc: ProcId, addr: u64, v: i64) -> u64 {
-        match self {
-            Mach::Whole(m) => m.write_i64(proc, addr, v),
-            Mach::Shard(s) => {
-                debug_assert_eq!(proc, s.proc());
-                s.write_i64(addr, v)
-            }
+    fn spawn_member(&self) -> Self {
+        Tree {
+            program: self.program,
         }
     }
 }
 
-/// The interpreter's handle on the binder: the top-level interpreter owns
-/// it; parallel members share it read-only (their bodies are gated to
-/// never bind, view, or redistribute arrays).
-pub(crate) enum BinderRef<'a> {
-    Owned(Binder),
-    Borrowed(&'a Binder),
-}
-
-impl BinderRef<'_> {
-    pub(crate) fn get(&self, idx: usize) -> &dsm_runtime::RtArray {
-        match self {
-            BinderRef::Owned(b) => b.get(idx),
-            BinderRef::Borrowed(b) => b.get(idx),
-        }
-    }
-
-    /// Read-only view for sharing with team members.
-    pub(crate) fn shared(&self) -> &Binder {
-        match self {
-            BinderRef::Owned(b) => b,
-            BinderRef::Borrowed(b) => b,
-        }
-    }
-
-    /// Mutable access; only reachable outside parallel members.
-    pub(crate) fn owned(&mut self) -> &mut Binder {
-        match self {
-            BinderRef::Owned(b) => b,
-            BinderRef::Borrowed(_) => {
-                unreachable!("binder mutation inside a parallel member")
-            }
-        }
-    }
-}
-
-/// A region body is parallel-safe when it cannot touch whole-machine or
-/// binder state: no subroutine calls (they bind declarations and run
-/// argument checks) and no redistribution. Such bodies are the compiled
-/// doacross kernels; anything else falls back to serial team simulation.
-pub(crate) fn body_parallel_safe(body: &[Stmt]) -> bool {
-    body.iter().all(|st| match st {
-        Stmt::Call { .. } | Stmt::Redistribute { .. } | Stmt::ResizeTeam { .. } => false,
-        Stmt::If {
-            then_body,
-            else_body,
-            ..
-        } => body_parallel_safe(then_body) && body_parallel_safe(else_body),
-        Stmt::Loop(l) => body_parallel_safe(&l.body),
-        _ => true,
-    })
-}
-
-struct Interp<'a> {
-    mach: Mach<'a>,
-    program: &'a Program,
-    opts: ExecOptions,
-    /// Current team size: starts at `opts.nprocs`, changed by
-    /// `resize_team` (directive or [`ExecOptions::resize_to`]). Members
-    /// inherit the value at fork; only the top-level interpreter resizes.
-    team: usize,
-    binder: BinderRef<'a>,
-    checker: ArgChecker,
-    regions: usize,
-    region_cycles: u64,
-    /// Host wall-clock accumulated across parallel regions (fork to join).
-    /// Only meaningful on the top-level interpreter; member interpreters
-    /// never fork.
-    region_wall: std::time::Duration,
-    /// Label of each parallel region executed so far, indexed by region id
-    /// (only the top-level interpreter forks, so only it appends).
-    region_names: Vec<String>,
-    /// Statement counter, shared across the team for the step limit.
-    steps: &'a AtomicU64,
-    /// Migration-epoch cadence at team joins (top-level interpreter only;
-    /// members never fork).
-    epoch: EpochClock,
-}
-
-impl Interp<'_> {
-    fn ops(&self) -> dsm_machine::OpCosts {
-        self.mach.config().ops.clone()
-    }
-
+impl RunState<'_, Tree<'_>> {
     fn exec_block(
         &mut self,
         body: &[Stmt],
@@ -730,10 +393,7 @@ impl Interp<'_> {
         match st {
             Stmt::SAssign { var, value } => {
                 let v = self.eval(value, sub, frame, ctx)?;
-                frame.scalars[var.0] = match sub.scalars[var.0].ty {
-                    ScalarTy::Int => Value::I(v.as_i()),
-                    ScalarTy::Real => Value::F(v.as_f()),
-                };
+                frame.scalars[var.0] = v.coerce(sub.scalars[var.0].ty);
                 Ok(())
             }
             Stmt::Assign {
@@ -760,34 +420,30 @@ impl Interp<'_> {
                 else_body,
             } => {
                 let c = self.eval(cond, sub, frame, ctx)?;
-                self.mach.charge(ctx.proc, self.ops().int_alu);
+                self.mach.charge(ctx.proc, self.costs.int_alu);
                 if c.is_true() {
                     self.exec_block(then_body, sub, frame, ctx)
                 } else {
                     self.exec_block(else_body, sub, frame, ctx)
                 }
             }
-            Stmt::Loop(l) => self.exec_loop(l, sub, frame, ctx),
+            Stmt::Loop(l) => {
+                let site = LoopSite { l, sub, h: () };
+                if l.par.is_some() {
+                    self.doacross(site, frame, ctx)
+                } else {
+                    self.serial_loop(site, frame, ctx)
+                }
+            }
             Stmt::Call { name, args } => self.exec_call(name, args, sub, frame, ctx),
             Stmt::Redistribute { array, dist } => {
-                let inst = frame.arrays[array.0];
-                let nprocs = self.team;
-                let scheduled = self.opts.redist == RedistMode::Scheduled;
-                // Split borrow: take the array out, operate, put it back.
-                let mut arr = self.binder.get(inst).clone();
-                let res = if scheduled {
-                    arr.redistribute_scheduled(self.mach.whole(), ctx.proc, dist, nprocs)
-                } else {
-                    arr.redistribute(self.mach.whole(), ctx.proc, dist, nprocs)
-                };
-                *self.binder.owned().get_mut(inst) = arr;
-                res.map(|_| ()).map_err(ExecError::from)
+                self.redistribute(frame.arrays[array.0], dist, ctx.proc)
             }
-            Stmt::ResizeTeam { nprocs } => self.resize_now(*nprocs as usize, ctx),
+            Stmt::ResizeTeam { nprocs } => self.resize_team(*nprocs as usize, ctx.proc),
             Stmt::Barrier => {
                 // Explicit barriers only make sense between regions; in
                 // this serialized interpreter they only cost time.
-                self.mach.charge(ctx.proc, self.ops().barrier);
+                self.mach.charge(ctx.proc, self.costs.barrier);
                 Ok(())
             }
             Stmt::Overhead {
@@ -795,411 +451,14 @@ impl Interp<'_> {
                 indirect_loads,
                 int_alu,
             } => {
-                let ops = self.ops();
-                let lat = self.mach.config().lat.clone();
-                let cost = u64::from(*int_divs) * ops.int_div
-                    + u64::from(*indirect_loads) * (lat.l1_hit + ops.int_alu)
-                    + u64::from(*int_alu) * ops.int_alu;
+                let c = &self.costs;
+                let cost = u64::from(*int_divs) * c.int_div
+                    + u64::from(*indirect_loads) * (c.l1_hit + c.int_alu)
+                    + u64::from(*int_alu) * c.int_alu;
                 self.mach.charge(ctx.proc, cost);
                 Ok(())
             }
         }
-    }
-
-    /// Re-chunk every live regular array for a team of `new` processors
-    /// (clamped to the machine) and make `new` the team size for
-    /// subsequent regions, `$numthreads` and redistributions.
-    fn resize_now(&mut self, new: usize, ctx: &Ctx) -> Result<(), ExecError> {
-        let scheduled = self.opts.redist == RedistMode::Scheduled;
-        let m = self.mach.whole();
-        let new = new.clamp(1, m.nprocs());
-        self.binder.owned().resize_team(m, ctx.proc, new, scheduled)?;
-        self.team = new;
-        Ok(())
-    }
-
-    // -----------------------------------------------------------------
-    // Loops.
-    // -----------------------------------------------------------------
-
-    fn exec_loop(
-        &mut self,
-        l: &LoopStmt,
-        sub: &Subroutine,
-        frame: &mut Frame,
-        ctx: &mut Ctx,
-    ) -> Result<(), ExecError> {
-        match &l.par {
-            Some(d) if !ctx.in_region => self.fork_region(l, d, sub, frame, ctx),
-            Some(d) if matches!(d.sched, SchedType::ProcTile { .. }) => {
-                // Inside a region: bind this member's own coordinate.
-                let SchedType::ProcTile { grid_dim } = d.sched else {
-                    unreachable!()
-                };
-                let aff = d.affinity.as_ref().expect("proc-tile loops carry affinity");
-                let inst = frame.arrays[aff.array.0];
-                let desc = &self.binder.get(inst).desc;
-                let gs = desc.grid_size();
-                if ctx.proc.0 >= gs {
-                    return Ok(()); // idle member
-                }
-                // Re-resolve the grid axis against the live descriptor: a
-                // redistribute/resize before this loop can re-map the
-                // tiled dimension to a different axis than compiled in.
-                let decl = sub.arrays[aff.array.0].dist.as_ref();
-                let axis = dsm_runtime::proctile_axis(desc, decl, grid_dim);
-                let coord = desc.delinearize_proc(ctx.proc.0)[axis] as i64;
-                frame.scalars[l.var.0] = Value::I(coord);
-                self.exec_block(&l.body, sub, frame, ctx)
-            }
-            _ => self.serial_loop(l, sub, frame, ctx),
-        }
-    }
-
-    fn serial_loop(
-        &mut self,
-        l: &LoopStmt,
-        sub: &Subroutine,
-        frame: &mut Frame,
-        ctx: &mut Ctx,
-    ) -> Result<(), ExecError> {
-        let lb = self.eval(&l.lb, sub, frame, ctx)?.as_i();
-        let ub = self.eval(&l.ub, sub, frame, ctx)?.as_i();
-        let step = self.eval(&l.step, sub, frame, ctx)?.as_i();
-        if step == 0 {
-            return Err(ExecError::BadCall("zero loop step".into()));
-        }
-        self.run_chunk(l, sub, frame, ctx, lb, ub, step)
-    }
-
-    /// Execute iterations `lb..=ub:step` of `l` on the current processor.
-    #[allow(clippy::too_many_arguments)] // loop + frame + chunk bounds
-    fn run_chunk(
-        &mut self,
-        l: &LoopStmt,
-        sub: &Subroutine,
-        frame: &mut Frame,
-        ctx: &mut Ctx,
-        lb: i64,
-        ub: i64,
-        step: i64,
-    ) -> Result<(), ExecError> {
-        let loop_overhead = self.ops().loop_overhead;
-        let mut i = lb;
-        while (step > 0 && i <= ub) || (step < 0 && i >= ub) {
-            frame.scalars[l.var.0] = Value::I(i);
-            self.mach.charge(ctx.proc, loop_overhead);
-            self.exec_block(&l.body, sub, frame, ctx)?;
-            i += step;
-        }
-        Ok(())
-    }
-
-    /// Fork a parallel region for a doacross encountered in serial code.
-    fn fork_region(
-        &mut self,
-        l: &LoopStmt,
-        d: &Doacross,
-        sub: &Subroutine,
-        frame: &mut Frame,
-        ctx: &mut Ctx,
-    ) -> Result<(), ExecError> {
-        let region_id = self.regions as u32;
-        self.regions += 1;
-        self.region_names
-            .push(format!("{}:do {}", sub.name, sub.scalars[l.var.0].name));
-        let ops = self.ops();
-        let nprocs = self.team;
-        let start = self.mach.cycles(ctx.proc) + ops.parallel_fork;
-        // Per-node memory-service demand before the region: deltas bound
-        // region time by the bottleneck node's throughput (the hot-node
-        // effect of the paper's Figure 5).
-        let served_before: Vec<u64> = self.mach.whole().node_served();
-
-        // Per-member work lists: (proc, chunks or proc-tile marker).
-        enum Work {
-            Chunks(Vec<sched::Chunk>),
-            ProcTile,
-        }
-        let mut team: Vec<(ProcId, Work)> = Vec::new();
-        match d.sched {
-            SchedType::ProcTile { .. } => {
-                let aff = d.affinity.as_ref().expect("proc-tile loops carry affinity");
-                let inst = frame.arrays[aff.array.0];
-                let gs = self.binder.get(inst).desc.grid_size().min(nprocs);
-                for p in 0..gs {
-                    team.push((ProcId(p), Work::ProcTile));
-                }
-            }
-            SchedType::RuntimeAffinity => {
-                let lb = self.eval(&l.lb, sub, frame, ctx)?.as_i();
-                let ub = self.eval(&l.ub, sub, frame, ctx)?.as_i();
-                let step = self.eval(&l.step, sub, frame, ctx)?.as_i();
-                let aff = d.affinity.as_ref().expect("runtime affinity has a clause");
-                let inst = frame.arrays[aff.array.0];
-                let desc = self.binder.get(inst).desc.clone();
-                // The axis driven by this loop's variable.
-                let axis = aff
-                    .indices
-                    .iter()
-                    .position(|ix| matches!(ix, AffIdx::Loop { var, .. } if *var == l.var));
-                match axis {
-                    Some(dim) if desc.dims[dim].dist.is_distributed() => {
-                        let AffIdx::Loop { scale, offset, .. } = &aff.indices[dim] else {
-                            unreachable!()
-                        };
-                        let parts = dsm_runtime::sched::partition_affinity(
-                            lb,
-                            ub,
-                            step,
-                            &desc.dims[dim],
-                            *scale,
-                            *offset,
-                        );
-                        let grid_dim = desc
-                            .distributed
-                            .iter()
-                            .position(|&dd| dd == dim)
-                            .unwrap_or(0);
-                        for (coord, chunks) in parts.into_iter().enumerate() {
-                            // Representative member for this coordinate:
-                            // zero on every other grid axis.
-                            let mut coords = vec![0u64; desc.grid.len()];
-                            coords[grid_dim] = coord as u64;
-                            let p = desc.linearize_coords(&coords).min(nprocs - 1);
-                            team.push((ProcId(p), Work::Chunks(chunks)));
-                        }
-                    }
-                    _ => {
-                        // Affinity unusable: fall back to simple.
-                        for (p, chunks) in partition(SchedType::Simple, lb, ub, step, nprocs)
-                            .into_iter()
-                            .enumerate()
-                        {
-                            team.push((ProcId(p), Work::Chunks(chunks)));
-                        }
-                    }
-                }
-            }
-            sched_kind => {
-                let lb = self.eval(&l.lb, sub, frame, ctx)?.as_i();
-                let ub = self.eval(&l.ub, sub, frame, ctx)?.as_i();
-                let step = self.eval(&l.step, sub, frame, ctx)?.as_i();
-                for (p, chunks) in partition(sched_kind, lb, ub, step, nprocs)
-                    .into_iter()
-                    .enumerate()
-                {
-                    team.push((ProcId(p), Work::Chunks(chunks)));
-                }
-            }
-        }
-
-        // Host-parallel simulation is sound only when the body cannot
-        // mutate whole-machine/binder state. (Migration is compatible:
-        // shards only bump lock-free reference counters; the daemon
-        // itself runs at the join below, with the whole machine back in
-        // hand.) Count distinct members: with fewer than two there is
-        // nothing to overlap.
-        let distinct = {
-            let mut ids: Vec<usize> = team.iter().map(|(p, _)| p.0).collect();
-            ids.sort_unstable();
-            ids.dedup();
-            ids.len()
-        };
-        let run_parallel = !self.opts.serial_team && distinct >= 2 && body_parallel_safe(&l.body);
-
-        let dispatch = matches!(d.sched, SchedType::Dynamic(_));
-        let fork_t0 = std::time::Instant::now();
-        if run_parallel {
-            // Merge duplicate members (runtime-affinity clamping can hand
-            // two grid coordinates to one processor) so each processor's
-            // state is owned by exactly one host thread.
-            let mut merged: Vec<(ProcId, Vec<&Work>)> = Vec::new();
-            for (p, w) in &team {
-                match merged.iter_mut().find(|(q, _)| q == p) {
-                    Some((_, ws)) => ws.push(w),
-                    None => merged.push((*p, vec![w])),
-                }
-            }
-            let program = self.program;
-            let opts = self.opts.clone();
-            let team = self.team;
-            let steps = self.steps;
-            let int_alu = ops.int_alu;
-            let binder: &Binder = self.binder.shared();
-            let machine = self.mach.whole();
-            for (p, _) in &merged {
-                if machine.cycles(*p) < start {
-                    machine.set_cycles(*p, start);
-                }
-            }
-            let ids: Vec<ProcId> = merged.iter().map(|(p, _)| *p).collect();
-            let shards = machine.team_shards(&ids);
-            let results: Vec<Result<(), ExecError>> = std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for (shard, (proc, works)) in shards.into_iter().zip(&merged) {
-                    let member_frame = frame.clone();
-                    let opts = opts.clone();
-                    let proc = *proc;
-                    handles.push(scope.spawn(move || -> Result<(), ExecError> {
-                        let mut member = Interp {
-                            mach: Mach::Shard(shard),
-                            program,
-                            opts,
-                            team,
-                            binder: BinderRef::Borrowed(binder),
-                            checker: ArgChecker::new(),
-                            regions: 0,
-                            region_cycles: 0,
-                            region_wall: std::time::Duration::ZERO,
-                            region_names: Vec::new(),
-                            steps,
-                            epoch: EpochClock::default(),
-                        };
-                        let mut member_ctx = Ctx {
-                            proc,
-                            in_region: true,
-                            region: region_id,
-                        };
-                        // Private copy of all scalars (covers the `local`
-                        // clause; in-region writes to shared scalars are
-                        // discarded at join, as in the serial path).
-                        let mut member_frame = member_frame;
-                        for work in works {
-                            match work {
-                                Work::ProcTile => {
-                                    member.exec_loop(l, sub, &mut member_frame, &mut member_ctx)?;
-                                }
-                                Work::Chunks(chunks) => {
-                                    for c in chunks {
-                                        if dispatch {
-                                            // Work-queue grab per chunk.
-                                            member.mach.charge(proc, 6 * int_alu);
-                                        }
-                                        member.run_chunk(
-                                            l,
-                                            sub,
-                                            &mut member_frame,
-                                            &mut member_ctx,
-                                            c.lb,
-                                            c.ub,
-                                            c.step,
-                                        )?;
-                                    }
-                                }
-                            }
-                        }
-                        Ok(())
-                    }));
-                }
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("team member thread panicked"))
-                    .collect()
-            });
-            // Deliver invalidations still in flight at the join.
-            machine.drain_mail();
-            for r in results {
-                r?;
-            }
-        } else {
-            // Serial reference path: level every member to the fork point
-            // and run its share to completion before the next member.
-            //
-            // Access-count migration epochs are paused here: replaying
-            // members one at a time means the reference counters are
-            // transiently dominated by whichever member is current, and a
-            // mid-region epoch would chase each member in turn (page
-            // thrash the threaded path can't exhibit). The daemon instead
-            // fires at the join below with whole-team counts.
-            self.mach.whole().pause_epochs(true);
-            for (p, work) in &team {
-                if self.mach.cycles(*p) < start {
-                    self.mach.whole().set_cycles(*p, start);
-                }
-                let mut member_ctx = Ctx {
-                    proc: *p,
-                    in_region: true,
-                    region: region_id,
-                };
-                // Private copy of all scalars (covers the `local` clause;
-                // the model discards in-region writes to shared scalars at
-                // join).
-                let mut member_frame = frame.clone();
-                match work {
-                    Work::ProcTile => {
-                        // Re-dispatch: exec_loop binds the coordinate.
-                        self.exec_loop(l, sub, &mut member_frame, &mut member_ctx)?;
-                    }
-                    Work::Chunks(chunks) => {
-                        for c in chunks {
-                            if dispatch {
-                                // Work-queue grab per chunk.
-                                self.mach.charge(*p, 6 * ops.int_alu);
-                            }
-                            self.run_chunk(
-                                l,
-                                sub,
-                                &mut member_frame,
-                                &mut member_ctx,
-                                c.lb,
-                                c.ub,
-                                c.step,
-                            )?;
-                        }
-                    }
-                }
-            }
-            self.mach.whole().pause_epochs(false);
-        }
-        self.region_wall += fork_t0.elapsed();
-
-        // Implicit barrier: everyone (team and idle processors alike)
-        // advances to the slowest member — or, if some node's memory had
-        // to service more line fills than fit in that window, to the end
-        // of the bottleneck node's service demand (throughput bound).
-        let occupancy = self.mach.config().lat.mem_occupancy;
-        let machine = self.mach.whole();
-        let node_demand = machine
-            .node_served()
-            .iter()
-            .zip(&served_before)
-            .map(|(after, before)| (after - before) * occupancy)
-            .max()
-            .unwrap_or(0);
-        let t_end = (0..machine.nprocs())
-            .map(|p| machine.cycles(ProcId(p)))
-            .max()
-            .unwrap_or(start)
-            .max(start + node_demand)
-            + ops.barrier;
-        for p in 0..self.team.max(1) {
-            machine.set_cycles(ProcId(p), t_end);
-        }
-        if machine.cycles(ctx.proc) < t_end {
-            machine.set_cycles(ctx.proc, t_end);
-        }
-        self.region_cycles += t_end - (start - ops.parallel_fork);
-        // Team join = migration epoch boundary: the shards sampled the
-        // reference counters; the daemon itself needs the whole machine.
-        join_epoch(self.mach.whole(), &mut self.epoch);
-        // Sequential semantics for the loop variable after the region
-        // (what `lastlocal` guarantees on the real system): the value it
-        // would hold after a serial execution of the loop.
-        if !matches!(d.sched, SchedType::ProcTile { .. }) {
-            let lb = self.eval(&l.lb, sub, frame, ctx)?.as_i();
-            let ub = self.eval(&l.ub, sub, frame, ctx)?.as_i();
-            let step = self.eval(&l.step, sub, frame, ctx)?.as_i();
-            if step != 0 {
-                let niters = if step > 0 {
-                    (ub - lb + step).max(0) / step
-                } else {
-                    (lb - ub - step).max(0) / -step
-                };
-                frame.scalars[l.var.0] = Value::I(lb + niters * step);
-            }
-        }
-        Ok(())
     }
 
     // -----------------------------------------------------------------
@@ -1214,10 +473,11 @@ impl Interp<'_> {
         frame: &mut Frame,
         ctx: &mut Ctx,
     ) -> Result<(), ExecError> {
-        let Some(callee_id) = self.program.sub_named(name) else {
+        let program = self.eng.program;
+        let Some(callee_id) = program.sub_named(name) else {
             return Err(ExecError::UnknownSubroutine(name.to_string()));
         };
-        let callee: &Subroutine = &self.program.subs[callee_id.0];
+        let callee: &Subroutine = &program.subs[callee_id.0];
         if callee.params.len() != args.len() {
             return Err(ExecError::BadCall(format!(
                 "`{name}` expects {} arguments, got {}",
@@ -1226,105 +486,47 @@ impl Interp<'_> {
             )));
         }
         let mut callee_frame = Frame::new(callee);
-        // Registered (address, was-checked) actuals to pop on return.
-        let mut registered: Vec<u64> = Vec::new();
-        // First bind scalars and compute array bindings.
-        let mut array_binds: Vec<(usize, usize)> = Vec::new(); // (callee ArrayId idx, arena idx)
+        let mut call = CallBinding::default();
         for (pos, (param, actual)) in callee.params.iter().zip(args).enumerate() {
             match (param, actual) {
-                (dsm_ir::Param::Scalar(v), ActualArg::Scalar(e)) => {
+                (Param::Scalar(v), ActualArg::Scalar(e)) => {
                     let val = self.eval(e, sub, frame, ctx)?;
-                    callee_frame.scalars[v.0] = match callee.scalars[v.0].ty {
-                        ScalarTy::Int => Value::I(val.as_i()),
-                        ScalarTy::Real => Value::F(val.as_f()),
-                    };
+                    callee_frame.scalars[v.0] = val.coerce(callee.scalars[v.0].ty);
                 }
-                (dsm_ir::Param::Array(a), ActualArg::Array(actual_id)) => {
+                (Param::Array(a), ActualArg::Array(actual_id)) => {
+                    let reshaped = sub.arrays[actual_id.0].dist_kind == DistKind::Reshaped;
                     let inst = frame.arrays[actual_id.0];
-                    let arr = self.binder.get(inst);
-                    let base = match &arr.layout {
-                        dsm_runtime::ArrayLayout::Contiguous { base } => *base,
-                        dsm_runtime::ArrayLayout::Reshaped { ptr_table, .. } => *ptr_table,
-                    };
-                    if self.opts.runtime_checks
-                        && sub.arrays[actual_id.0].dist_kind == DistKind::Reshaped
-                    {
-                        let shape: Vec<u64> = arr.desc.dims.iter().map(|d| d.extent).collect();
-                        let name = arr.name.clone();
-                        self.checker
-                            .register(base, ArgInfo::WholeArray { name, shape });
-                        registered.push(base);
-                        self.mach.charge(ctx.proc, 40);
-                    }
-                    // Whole-array pass: the callee sees the same instance
-                    // (its declared shape must match; the clone carries
-                    // the same distribution).
-                    array_binds.push((a.0, inst));
-                    if self.opts.runtime_checks {
-                        // Entry-side lookup happens below once extents
-                        // are evaluable.
-                    }
+                    self.bind_whole(&mut call, a.0, inst, reshaped, ctx.proc);
                 }
-                (dsm_ir::Param::Array(a), ActualArg::ArrayElem(actual_id, idx)) => {
+                (Param::Array(a), ActualArg::ArrayElem(actual_id, idx)) => {
                     let addr =
                         self.element_addr(*actual_id, idx, AddrMode::Direct, sub, frame, ctx)?;
-                    if self.opts.runtime_checks
-                        && sub.arrays[actual_id.0].dist_kind == DistKind::Reshaped
-                    {
-                        // Elements from the passed address to the end of
-                        // the containing portion.
-                        let idx0 = self.index_values(*actual_id, idx, sub, frame, ctx)?;
-                        let inst = frame.arrays[actual_id.0];
-                        let arr = self.binder.get(inst);
-                        // The paper's rule: the passed "portion" runs from
-                        // the element to the end of its contiguous run in
-                        // the fastest dimension, times the remaining
-                        // portion rectangle in the outer dimensions.
-                        let owner_coords = arr.desc.owner_coords(&idx0);
-                        let mut gi = 0usize;
-                        let mut remaining = 0u64;
-                        for (d0, dim) in arr.desc.dims.iter().enumerate() {
-                            let coord = if dim.dist.is_distributed() {
-                                let c = owner_coords[gi];
-                                gi += 1;
-                                c
-                            } else {
-                                0
-                            };
-                            remaining = if d0 == 0 {
-                                dim.run_remaining(idx0[0])
-                            } else {
-                                remaining * (dim.portion_extent(coord) - dim.local_offset(idx0[d0]))
-                            };
-                        }
-                        let name = arr.name.clone();
-                        self.checker.register(
-                            addr,
-                            ArgInfo::Portion {
-                                name,
-                                portion_len: remaining,
-                            },
-                        );
-                        registered.push(addr);
-                        self.mach.charge(ctx.proc, 40);
-                    }
-                    // The view's extents may depend on scalar params bound
-                    // above; create it after scalars are in place.
-                    let view = self.binder.owned().bind_view(
-                        self.mach.whole(),
+                    let reshaped = sub.arrays[actual_id.0].dist_kind == DistKind::Reshaped;
+                    // The checker wants the element's indices; evaluating
+                    // them a second time charges a second time.
+                    let idx0 = if self.checks_actual(reshaped) {
+                        Some(self.index_values(*actual_id, idx, sub, frame, ctx)?)
+                    } else {
+                        None
+                    };
+                    self.bind_element(
+                        &mut call,
                         &callee.arrays[a.0],
+                        a.0,
+                        frame.arrays[actual_id.0],
+                        idx0.as_deref(),
                         addr,
                         &callee_frame,
+                        ctx.proc,
                     );
-                    array_binds.push((a.0, view));
                 }
-                (dsm_ir::Param::Scalar(_), _) => {
+                (Param::Scalar(_), _) => {
                     return Err(ExecError::BadCall(format!(
                         "argument {} of `{name}` must be a scalar",
                         pos + 1
                     )));
                 }
-                (dsm_ir::Param::Array(_), ActualArg::Scalar(_)) => {
+                (Param::Array(_), ActualArg::Scalar(_)) => {
                     return Err(ExecError::BadCall(format!(
                         "argument {} of `{name}` must be an array",
                         pos + 1
@@ -1332,52 +534,10 @@ impl Interp<'_> {
                 }
             }
         }
-        for (aid, inst) in array_binds {
-            callee_frame.arrays[aid] = inst;
-        }
-        // Entry-side runtime checks: each array formal looks up its
-        // incoming base address.
-        if self.opts.runtime_checks {
-            for (pos, param) in callee.params.iter().enumerate() {
-                if let dsm_ir::Param::Array(a) = param {
-                    let inst = callee_frame.arrays[a.0];
-                    let arr = self.binder.get(inst);
-                    let base = match &arr.layout {
-                        dsm_runtime::ArrayLayout::Contiguous { base } => *base,
-                        dsm_runtime::ArrayLayout::Reshaped { ptr_table, .. } => *ptr_table,
-                    };
-                    let declared: Vec<u64> = callee.arrays[a.0]
-                        .dims
-                        .iter()
-                        .map(|e| match e {
-                            dsm_ir::Extent::Const(v) => (*v).max(0) as u64,
-                            dsm_ir::Extent::Var(v) => {
-                                callee_frame.scalars[v.0].as_i().max(0) as u64
-                            }
-                        })
-                        .collect();
-                    self.mach.charge(ctx.proc, 40);
-                    self.checker
-                        .check_formal(&callee.name, pos, base, &declared)
-                        .map_err(|e| ExecError::Runtime(RuntimeError::ArgCheck(e)))?;
-                }
-            }
-        }
-        // Instantiate callee locals / attach commons.
-        self.binder
-            .owned()
-            .bind_declarations(self.mach.whole(), callee, &mut callee_frame);
-        // Call overhead.
-        self.mach.charge(ctx.proc, 10 * self.ops().int_alu);
-        let mut callee_ctx = Ctx {
-            proc: ctx.proc,
-            in_region: ctx.in_region,
-            region: ctx.region,
-        };
+        self.enter_callee(&mut call, callee, &mut callee_frame, ctx.proc)?;
+        let mut callee_ctx = *ctx;
         self.exec_block(&callee.body, callee, &mut callee_frame, &mut callee_ctx)?;
-        for addr in registered {
-            self.checker.unregister(addr);
-        }
+        self.leave_callee(call);
         Ok(())
     }
 
@@ -1392,34 +552,26 @@ impl Interp<'_> {
         frame: &mut Frame,
         ctx: &mut Ctx,
     ) -> Result<Value, ExecError> {
-        let ops = self.ops();
-        match e {
-            Expr::IConst(v) => Ok(Value::I(*v)),
-            Expr::FConst(v) => Ok(Value::F(*v)),
-            Expr::Var(v) => Ok(frame.scalars[v.0]),
-            Expr::Rt(rt) => self.eval_rt(*rt, frame),
+        let (v, cost) = match e {
+            Expr::IConst(v) => return Ok(Value::I(*v)),
+            Expr::FConst(v) => return Ok(Value::F(*v)),
+            Expr::Var(v) => return Ok(frame.scalars[v.0]),
+            Expr::Rt(rt) => return Ok(self.eval_rt(*rt, frame)),
             Expr::Unary(op, x) => {
                 let v = self.eval(x, sub, frame, ctx)?;
-                self.mach.charge(ctx.proc, ops.int_alu);
-                Ok(match op {
-                    UnOp::Neg => match v {
-                        Value::I(i) => Value::I(-i),
-                        Value::F(f) => Value::F(-f),
-                    },
-                    UnOp::Not => Value::I(i64::from(!v.is_true())),
-                })
+                un_op(*op, v, &self.costs)
             }
             Expr::Binary(op, a, b) => {
                 let va = self.eval(a, sub, frame, ctx)?;
                 let vb = self.eval(b, sub, frame, ctx)?;
-                self.eval_binop(*op, va, vb, ctx)
+                bin_op(*op, va, vb, &self.costs)?
             }
             Expr::Call(intr, args) => {
                 let mut vals = Vec::with_capacity(args.len());
                 for a in args {
                     vals.push(self.eval(a, sub, frame, ctx)?);
                 }
-                self.eval_intrinsic(*intr, &vals, ctx)
+                intrinsic(*intr, &vals, &self.costs)?
             }
             Expr::Load {
                 array,
@@ -1427,169 +579,24 @@ impl Interp<'_> {
                 mode,
             } => {
                 let addr = self.element_addr(*array, indices, *mode, sub, frame, ctx)?;
-                match sub.arrays[array.0].ty {
-                    ScalarTy::Real => Ok(Value::F(self.mach.read_f64(ctx.proc, addr).0)),
-                    ScalarTy::Int => Ok(Value::I(self.mach.read_i64(ctx.proc, addr).0)),
-                }
+                return Ok(match sub.arrays[array.0].ty {
+                    ScalarTy::Real => Value::F(self.mach.read_f64(ctx.proc, addr).0),
+                    ScalarTy::Int => Value::I(self.mach.read_i64(ctx.proc, addr).0),
+                });
             }
-        }
-    }
-
-    fn eval_rt(&mut self, rt: RtExpr, frame: &Frame) -> Result<Value, ExecError> {
-        Ok(match rt {
-            RtExpr::NumThreads => Value::I(self.team as i64),
-            RtExpr::NProcs { array, dim } => {
-                let desc = &self.binder.get(frame.arrays[array.0]).desc;
-                Value::I(desc.dims[dim].nprocs as i64)
-            }
-            RtExpr::BlockSize { array, dim } => {
-                let desc = &self.binder.get(frame.arrays[array.0]).desc;
-                Value::I(desc.dims[dim].chunk as i64)
-            }
-        })
-    }
-
-    fn eval_binop(
-        &mut self,
-        op: BinOp,
-        a: Value,
-        b: Value,
-        ctx: &mut Ctx,
-    ) -> Result<Value, ExecError> {
-        let ops = self.ops();
-        let promote = a.promotes(b);
-        let cost = match op {
-            BinOp::Add | BinOp::Sub => {
-                if promote {
-                    ops.fp_alu
-                } else {
-                    ops.int_alu
-                }
-            }
-            BinOp::Mul => {
-                if promote {
-                    ops.fp_alu
-                } else {
-                    ops.int_mul
-                }
-            }
-            BinOp::Div => {
-                if promote {
-                    ops.fp_div
-                } else {
-                    ops.int_div
-                }
-            }
-            BinOp::Rem => ops.int_div,
-            BinOp::Pow => ops.fp_div + ops.fp_alu,
-            _ => ops.int_alu,
         };
         self.mach.charge(ctx.proc, cost);
-        Ok(match op {
-            BinOp::Add => {
-                if promote {
-                    Value::F(a.as_f() + b.as_f())
-                } else {
-                    Value::I(a.as_i() + b.as_i())
-                }
-            }
-            BinOp::Sub => {
-                if promote {
-                    Value::F(a.as_f() - b.as_f())
-                } else {
-                    Value::I(a.as_i() - b.as_i())
-                }
-            }
-            BinOp::Mul => {
-                if promote {
-                    Value::F(a.as_f() * b.as_f())
-                } else {
-                    Value::I(a.as_i() * b.as_i())
-                }
-            }
-            BinOp::Div => {
-                if promote {
-                    Value::F(a.as_f() / b.as_f())
-                } else if b.as_i() == 0 {
-                    return Err(ExecError::BadCall("integer division by zero".into()));
-                } else {
-                    Value::I(a.as_i() / b.as_i())
-                }
-            }
-            BinOp::Rem => {
-                if b.as_i() == 0 {
-                    return Err(ExecError::BadCall("mod by zero".into()));
-                } else {
-                    Value::I(a.as_i().rem_euclid(b.as_i()))
-                }
-            }
-            BinOp::Pow => {
-                if promote || b.as_i() < 0 {
-                    Value::F(a.as_f().powf(b.as_f()))
-                } else {
-                    Value::I(a.as_i().pow(b.as_i().min(63) as u32))
-                }
-            }
-            BinOp::Lt => Value::I(i64::from(a.as_f() < b.as_f())),
-            BinOp::Le => Value::I(i64::from(a.as_f() <= b.as_f())),
-            BinOp::Gt => Value::I(i64::from(a.as_f() > b.as_f())),
-            BinOp::Ge => Value::I(i64::from(a.as_f() >= b.as_f())),
-            BinOp::Eq => Value::I(i64::from(a.as_f() == b.as_f())),
-            BinOp::Ne => Value::I(i64::from(a.as_f() != b.as_f())),
-            BinOp::And => Value::I(i64::from(a.is_true() && b.is_true())),
-            BinOp::Or => Value::I(i64::from(a.is_true() || b.is_true())),
-        })
+        Ok(v)
     }
 
-    fn eval_intrinsic(
-        &mut self,
-        intr: Intrinsic,
-        vals: &[Value],
-        ctx: &mut Ctx,
-    ) -> Result<Value, ExecError> {
-        let ops = self.ops();
-        let cost = match intr {
-            Intrinsic::Sqrt => ops.fp_div,
-            Intrinsic::Mod | Intrinsic::CeilDiv => ops.int_div,
-            _ => ops.int_alu,
+    fn eval_rt(&self, rt: RtExpr, frame: &Frame) -> Value {
+        let dim_of = |array: dsm_ir::ArrayId, dim: usize| {
+            &self.binder.get(frame.arrays[array.0]).desc.dims[dim]
         };
-        self.mach.charge(ctx.proc, cost);
-        Ok(match intr {
-            Intrinsic::Max => {
-                if vals.iter().any(|v| matches!(v, Value::F(_))) {
-                    Value::F(vals.iter().map(|v| v.as_f()).fold(f64::MIN, f64::max))
-                } else {
-                    Value::I(vals.iter().map(|v| v.as_i()).max().unwrap_or(0))
-                }
-            }
-            Intrinsic::Min => {
-                if vals.iter().any(|v| matches!(v, Value::F(_))) {
-                    Value::F(vals.iter().map(|v| v.as_f()).fold(f64::MAX, f64::min))
-                } else {
-                    Value::I(vals.iter().map(|v| v.as_i()).min().unwrap_or(0))
-                }
-            }
-            Intrinsic::Mod => {
-                let b = vals[1].as_i();
-                if b == 0 {
-                    return Err(ExecError::BadCall("mod by zero".into()));
-                }
-                Value::I(vals[0].as_i().rem_euclid(b))
-            }
-            Intrinsic::CeilDiv => {
-                let (a, b) = (vals[0].as_i(), vals[1].as_i());
-                if b == 0 {
-                    return Err(ExecError::BadCall("ceildiv by zero".into()));
-                }
-                Value::I((a + b - 1).div_euclid(b))
-            }
-            Intrinsic::Abs => match vals[0] {
-                Value::I(v) => Value::I(v.abs()),
-                Value::F(v) => Value::F(v.abs()),
-            },
-            Intrinsic::Sqrt => Value::F(vals[0].as_f().sqrt()),
-            Intrinsic::Dble => Value::F(vals[0].as_f()),
-            Intrinsic::Int => Value::I(vals[0].as_i()),
+        Value::I(match rt {
+            RtExpr::NumThreads => self.team as i64,
+            RtExpr::NProcs { array, dim } => dim_of(array, dim).nprocs as i64,
+            RtExpr::BlockSize { array, dim } => dim_of(array, dim).chunk as i64,
         })
     }
 
@@ -1639,9 +646,8 @@ impl Interp<'_> {
         ctx: &mut Ctx,
     ) -> Result<u64, ExecError> {
         let idx0 = self.index_values(array, indices, sub, frame, ctx)?;
-        let inst = frame.arrays[array.0];
-        let ops = self.ops();
-        let arr = self.binder.get(inst);
+        let c = self.costs;
+        let arr = self.binder.get(frame.arrays[array.0]);
         // Attribute this element access — and the addressing loads below —
         // to (array, enclosing region). Index evaluation above already
         // tagged any nested loads with their own arrays.
@@ -1654,7 +660,6 @@ impl Interp<'_> {
                 },
             );
         }
-        let arr = self.binder.get(inst);
         let addr = arr.addr_of(&idx0);
         let n_dist = arr.desc.distributed.len().max(1) as u64;
         let owner = match mode {
@@ -1668,7 +673,7 @@ impl Interp<'_> {
         match mode {
             AddrMode::Direct | AddrMode::ReshapedHoisted | AddrMode::ReshapedSharedAll => {
                 // Strength-reduced column-major walk: one address add.
-                self.mach.charge(ctx.proc, ops.int_alu);
+                self.mach.charge(ctx.proc, c.int_alu);
             }
             AddrMode::ReshapedRaw | AddrMode::ReshapedRawFp => {
                 // One divide per distributed dimension — a MIPS `div`
@@ -1676,12 +681,12 @@ impl Interp<'_> {
                 // Table-1 div+mod pair is a single unpipelined divide plus
                 // register moves — and the indirect portion-pointer load.
                 let div = if mode == AddrMode::ReshapedRaw {
-                    ops.int_div
+                    c.int_div
                 } else {
-                    ops.fp_emulated_div
+                    c.fp_emulated_div
                 };
                 self.mach
-                    .charge(ctx.proc, n_dist * (div + ops.int_alu) + 2 * ops.int_alu);
+                    .charge(ctx.proc, n_dist * (div + c.int_alu) + 2 * c.int_alu);
                 if let Some(slot) = slot {
                     self.mach.access(ctx.proc, slot, AccessKind::Read);
                 }
@@ -1690,7 +695,7 @@ impl Interp<'_> {
                 // No div/mod, but the pointer is re-loaded every access
                 // (indirect loads cannot be speculated / were CSE-shared
                 // only for the divide).
-                self.mach.charge(ctx.proc, 2 * ops.int_alu);
+                self.mach.charge(ctx.proc, 2 * c.int_alu);
                 if let Some(slot) = slot {
                     self.mach.access(ctx.proc, slot, AccessKind::Read);
                 }

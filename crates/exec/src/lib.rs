@@ -24,6 +24,7 @@ pub mod engine;
 pub mod interp;
 pub mod profile;
 pub mod report;
+mod team;
 pub mod value;
 pub mod wire;
 

@@ -2,7 +2,7 @@
 //! compiler → executor → verified results and machine effects.
 
 use dsm_compile::{compile_strings, OptConfig};
-use dsm_exec::{run_outcome, ExecError, ExecOptions};
+use dsm_exec::{run_outcome, Engine, ExecError, ExecOptions};
 use dsm_machine::{Machine, MachineConfig};
 
 fn run_with(
@@ -378,4 +378,70 @@ fn step_limit_catches_runaway_programs() {
     opts.max_steps = 1000;
     let err = dsm_exec::run_outcome(&mut m, &c.program, &opts).unwrap_err();
     assert!(matches!(err, ExecError::StepLimit));
+}
+
+#[test]
+fn nprocs_out_of_range_is_an_options_error() {
+    let src = "      program main\n      real*8 a(4)\n      a(1) = 1.0\n      end\n";
+    let c = compile_strings(&[("t.f", src)], &OptConfig::default()).expect("compiles");
+    for engine in [Engine::Bytecode, Engine::Interp] {
+        for nprocs in [0, 3] {
+            let mut m = Machine::new(MachineConfig::small_test(2));
+            let err = run_outcome(&mut m, &c.program, &ExecOptions::new(nprocs).engine(engine))
+                .unwrap_err();
+            assert!(matches!(err, ExecError::Options(_)), "{engine} P={nprocs}");
+            assert_eq!(err.code(), "exec.options");
+        }
+    }
+}
+
+/// The fork/join core is one function for both engines, including its
+/// duplicate-member merge. No source program reaches that path (every
+/// descriptor is re-chunked with the team), so build the one IR that
+/// does: an array of kind `None` that a `redistribute` nevertheless
+/// distributes over four processors, which `resize_team(2)` then leaves
+/// alone. The runtime-affinity loop's four grid coordinates clamp onto a
+/// team of two — P1 stands in for coordinates 1, 2 and 3 — and all four
+/// engine × team-mode cells must agree.
+#[test]
+fn clamped_affinity_members_merge_identically_in_every_cell() {
+    let src = "      program main\n      integer i\n      real*8 a(256)\nc$distribute a(block)\nc$redistribute a(block)\nc$resize_team(2)\nc$doacross local(i) affinity(i) = data(a(i))\n      do i = 1, 256\n        a(i) = 2*i\n      enddo\n      end\n";
+    let mut program = compile_strings(&[("t.f", src)], &OptConfig::none())
+        .expect("compiles")
+        .program;
+    let main = program.main;
+    program.subs[main].arrays[0].dist_kind = dsm_ir::DistKind::None;
+    let expect: Vec<f64> = (1..=256).map(|i| f64::from(2 * i)).collect();
+    let mut cells = Vec::new();
+    for engine in [Engine::Bytecode, Engine::Interp] {
+        for serial in [true, false] {
+            let mut m = Machine::new(MachineConfig::small_test(4));
+            let opts = ExecOptions::new(4)
+                .engine(engine)
+                .serial_team(serial)
+                .capture(&["a"]);
+            let o = run_outcome(&mut m, &program, &opts).expect("runs");
+            assert_eq!(o.captures[0], expect, "{engine} serial={serial}");
+            let stores: Vec<u64> = o.report.per_proc.iter().map(|c| c.stores).collect();
+            assert_eq!(stores, [64, 192, 0, 0], "{engine} serial={serial}");
+            // Interventions are the one counter threaded mode leaves to
+            // the host scheduler (docs/SIMULATOR.md).
+            let per_proc: Vec<_> = o
+                .report
+                .per_proc
+                .iter()
+                .map(|c| dsm_machine::CounterSet {
+                    interventions: 0,
+                    ..*c
+                })
+                .collect();
+            cells.push((
+                o.report.total_cycles,
+                o.report.parallel_cycles,
+                o.report.parallel_regions,
+                per_proc,
+            ));
+        }
+    }
+    assert!(cells.windows(2).all(|w| w[0] == w[1]), "{cells:#?}");
 }

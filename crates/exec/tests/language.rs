@@ -273,3 +273,19 @@ fn full_scale_origin_config_works() {
         run_outcome(&mut m, &c.program, &ExecOptions::new(8).capture(&["a"])).map(|o| (o.report, o.captures)).expect("runs");
     assert_eq!(cap[0][4095], 4096.0);
 }
+
+/// Integer arithmetic wraps — `i64::MIN / -1`, `mod(i64::MIN, -1)`,
+/// `abs` and negation of `i64::MIN` included — with the same captures
+/// from both engines, in debug and release builds alike.
+#[test]
+fn integer_overflow_wraps_identically_in_both_engines() {
+    let src = "      program main\n      integer k, m\n      real*8 r(5)\n      k = 2**62\n      k = k*2\n      m = -1\n      r(1) = k\n      k = k/m\n      r(2) = k\n      r(3) = mod(k, m)\n      r(4) = abs(k)\n      r(5) = -k\n      end\n";
+    let c = compile_strings(&[("t.f", src)], &OptConfig::default()).expect("compiles");
+    let min = i64::MIN as f64;
+    for engine in [dsm_exec::Engine::Bytecode, dsm_exec::Engine::Interp] {
+        let mut m = Machine::new(MachineConfig::small_test(1));
+        let opts = ExecOptions::new(1).engine(engine).capture(&["r"]);
+        let o = run_outcome(&mut m, &c.program, &opts).expect("wraps instead of panicking");
+        assert_eq!(o.captures[0], vec![min, min, 0.0, min, min], "{engine}");
+    }
+}
