@@ -16,7 +16,7 @@
 //!   optimization variant and executes it across P ∈ {1, 2, 4, 8} ×
 //!   serial-team × checks × profile, asserting bit-identical captures,
 //!   run-to-run determinism, and machine counter balance;
-//! * [`shrink`] — a greedy minimizer that turns any diverging seed into
+//! * [`mod@shrink`] — a greedy minimizer that turns any diverging seed into
 //!   a paste-able few-line reproducer.
 //!
 //! The `dsmfuzz` binary drives all of this; see `docs/TESTING.md`.

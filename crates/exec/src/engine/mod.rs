@@ -1,9 +1,9 @@
 //! The compiled bytecode execution engine.
 //!
 //! [`crate::run_outcome`] lowers the post-pipeline IR to a flat,
-//! register-based opcode stream once per run ([`code`]), interns every
-//! array's address polynomial in a [`plan::PlanCache`], and executes the
-//! stream on a small virtual machine ([`vm`]) that feeds the same
+//! register-based opcode stream once per run (`code`), interns every
+//! array's address polynomial in a `plan::PlanCache`, and executes the
+//! stream on a small virtual machine (`vm`) that feeds the same
 //! simulated machine model as the tree-walking interpreter — access for
 //! access, charge for charge.  The interpreter survives as
 //! [`Engine::Interp`], the differential reference: both engines produce

@@ -165,7 +165,7 @@ impl<'a, 'p> RunState<'_, Bytecode<'a, 'p>> {
     fn flush(&mut self, proc: ProcId) {
         if self.eng.pending > 0 {
             let p = std::mem::take(&mut self.eng.pending);
-            self.mach.charge(proc, p);
+            self.mach.on(proc, |sh| sh.charge(p));
         }
     }
 
@@ -279,9 +279,9 @@ impl<'a, 'p> RunState<'_, Bytecode<'a, 'p>> {
                 } => {
                     let addr = self.elem_addr(sc, array, idx, mode, frame, ctx)?;
                     frame.scalars[dst as usize] = if is_f {
-                        Value::F(self.mach.read_f64(ctx.proc, addr).0)
+                        Value::F(self.mach.on(ctx.proc, |sh| sh.read_f64(addr)).0)
                     } else {
-                        Value::I(self.mach.read_i64(ctx.proc, addr).0)
+                        Value::I(self.mach.on(ctx.proc, |sh| sh.read_i64(addr)).0)
                     };
                 }
                 Op::Store {
@@ -294,9 +294,9 @@ impl<'a, 'p> RunState<'_, Bytecode<'a, 'p>> {
                     let v = frame.scalars[src as usize];
                     let addr = self.elem_addr(sc, array, idx, mode, frame, ctx)?;
                     if is_f {
-                        self.mach.write_f64(ctx.proc, addr, v.as_f());
+                        self.mach.on(ctx.proc, |sh| sh.write_f64(addr, v.as_f()));
                     } else {
-                        self.mach.write_i64(ctx.proc, addr, v.as_i());
+                        self.mach.on(ctx.proc, |sh| sh.write_i64(addr, v.as_i()));
                     }
                 }
                 Op::LoopHead {
@@ -431,17 +431,16 @@ impl<'a, 'p> RunState<'_, Bytecode<'a, 'p>> {
             (addr, slot, plan.sym, self.mode_cost(mode, plan.n_dist))
         };
         if self.opts.profile {
-            self.mach.set_tag(
-                ctx.proc,
-                AccessTag {
-                    sym,
-                    region: ctx.region,
-                },
-            );
+            let tag = AccessTag {
+                sym,
+                region: ctx.region,
+            };
+            self.mach.on(ctx.proc, |sh| sh.set_tag(tag));
         }
         self.eng.pending += cost;
         if let Some(slot) = slot {
-            self.mach.access(ctx.proc, slot, AccessKind::Read);
+            self.mach
+                .on(ctx.proc, |sh| sh.access(slot, AccessKind::Read));
         }
         Ok(addr)
     }
@@ -522,13 +521,11 @@ impl<'a, 'p> RunState<'_, Bytecode<'a, 'p>> {
                         * n
                         + delta * (n - 1);
                 if self.opts.profile {
-                    self.mach.set_tag(
-                        ctx.proc,
-                        AccessTag {
-                            sym,
-                            region: ctx.region,
-                        },
-                    );
+                    let tag = AccessTag {
+                        sym,
+                        region: ctx.region,
+                    };
+                    self.mach.on(ctx.proc, |sh| sh.set_tag(tag));
                 }
                 if contig && b.dst.mode == AddrMode::Direct {
                     // One batched access run through the memory system.
@@ -547,15 +544,9 @@ impl<'a, 'p> RunState<'_, Bytecode<'a, 'p>> {
                         let i = lb + k * step;
                         let (addr, slot) = self.bulk_addr(&b.dst, dinst, i, frame);
                         if let Some(s) = slot {
-                            self.mach.access(ctx.proc, s, AccessKind::Read);
+                            self.mach.on(ctx.proc, |sh| sh.access(s, AccessKind::Read));
                         }
-                        let one = AccessRun {
-                            base: addr,
-                            stride: 0,
-                            count: 1,
-                            kind: AccessKind::Write,
-                        };
-                        self.mach.fill_run(ctx.proc, &one, word);
+                        self.mach.on(ctx.proc, |sh| sh.write_i64(addr, word as i64));
                     }
                 }
             }
@@ -583,39 +574,37 @@ impl<'a, 'p> RunState<'_, Bytecode<'a, 'p>> {
                     let i = lb + k * step;
                     let (saddr, sslot) = self.bulk_addr(src, sinst, i, frame);
                     if profile {
-                        self.mach.set_tag(
-                            ctx.proc,
-                            AccessTag {
-                                sym: ssym,
-                                region: ctx.region,
-                            },
-                        );
+                        let tag = AccessTag {
+                            sym: ssym,
+                            region: ctx.region,
+                        };
+                        self.mach.on(ctx.proc, |sh| sh.set_tag(tag));
                     }
                     if let Some(s) = sslot {
-                        self.mach.access(ctx.proc, s, AccessKind::Read);
+                        self.mach.on(ctx.proc, |sh| sh.access(s, AccessKind::Read));
                     }
                     let word = if src.is_f {
-                        self.mach.read_f64(ctx.proc, saddr).0.to_bits()
+                        self.mach.on(ctx.proc, |sh| sh.read_f64(saddr)).0.to_bits()
                     } else {
-                        self.mach.read_i64(ctx.proc, saddr).0 as u64
+                        self.mach.on(ctx.proc, |sh| sh.read_i64(saddr)).0 as u64
                     };
                     let (daddr, dslot) = self.bulk_addr(&b.dst, dinst, i, frame);
                     if profile {
-                        self.mach.set_tag(
-                            ctx.proc,
-                            AccessTag {
-                                sym: dsym,
-                                region: ctx.region,
-                            },
-                        );
+                        let tag = AccessTag {
+                            sym: dsym,
+                            region: ctx.region,
+                        };
+                        self.mach.on(ctx.proc, |sh| sh.set_tag(tag));
                     }
                     if let Some(s) = dslot {
-                        self.mach.access(ctx.proc, s, AccessKind::Read);
+                        self.mach.on(ctx.proc, |sh| sh.access(s, AccessKind::Read));
                     }
                     if b.dst.is_f {
-                        self.mach.write_f64(ctx.proc, daddr, f64::from_bits(word));
+                        self.mach
+                            .on(ctx.proc, |sh| sh.write_f64(daddr, f64::from_bits(word)));
                     } else {
-                        self.mach.write_i64(ctx.proc, daddr, word as i64);
+                        self.mach
+                            .on(ctx.proc, |sh| sh.write_i64(daddr, word as i64));
                     }
                 }
             }

@@ -88,13 +88,13 @@ pub struct ExecOptions {
     /// (Fortran element order), for verification.
     pub captures: Vec<String>,
     /// Override the machine's reactive page-migration policy for this run
-    /// (`None` keeps whatever the [`MachineConfig`] says).
+    /// (`None` keeps whatever the [`dsm_machine::MachineConfig`] says).
     pub migration: Option<MigrationPolicy>,
     /// Which execution engine runs the program (bytecode by default; the
     /// tree-walking interpreter is kept as the differential reference).
     pub engine: Engine,
     /// Override the machine's systematic cache-set sampling for this run
-    /// (`None` keeps whatever the [`MachineConfig`] says). Data results
+    /// (`None` keeps whatever the [`dsm_machine::MachineConfig`] says). Data results
     /// are bit-identical at any rate; only cost estimates differ.
     pub sampling: Option<SamplingConfig>,
     /// Which page mover implements redistribution and team resizing
@@ -353,7 +353,7 @@ impl team::Engine for Tree<'_> {
 
     /// The reference engine charges at once; there is nothing to flush.
     fn charge(rs: &mut RunState<'_, Self>, proc: ProcId, cycles: u64) {
-        rs.mach.charge(proc, cycles);
+        rs.mach.on(proc, |sh| sh.charge(cycles));
     }
 
     fn flush(_rs: &mut RunState<'_, Self>, _proc: ProcId) {}
@@ -406,10 +406,10 @@ impl RunState<'_, Tree<'_>> {
                 let addr = self.element_addr(*array, indices, *mode, sub, frame, ctx)?;
                 match sub.arrays[array.0].ty {
                     ScalarTy::Real => {
-                        self.mach.write_f64(ctx.proc, addr, v.as_f());
+                        self.mach.on(ctx.proc, |sh| sh.write_f64(addr, v.as_f()));
                     }
                     ScalarTy::Int => {
-                        self.mach.write_i64(ctx.proc, addr, v.as_i());
+                        self.mach.on(ctx.proc, |sh| sh.write_i64(addr, v.as_i()));
                     }
                 }
                 Ok(())
@@ -420,7 +420,7 @@ impl RunState<'_, Tree<'_>> {
                 else_body,
             } => {
                 let c = self.eval(cond, sub, frame, ctx)?;
-                self.mach.charge(ctx.proc, self.costs.int_alu);
+                self.mach.on(ctx.proc, |sh| sh.charge(self.costs.int_alu));
                 if c.is_true() {
                     self.exec_block(then_body, sub, frame, ctx)
                 } else {
@@ -443,7 +443,7 @@ impl RunState<'_, Tree<'_>> {
             Stmt::Barrier => {
                 // Explicit barriers only make sense between regions; in
                 // this serialized interpreter they only cost time.
-                self.mach.charge(ctx.proc, self.costs.barrier);
+                self.mach.on(ctx.proc, |sh| sh.charge(self.costs.barrier));
                 Ok(())
             }
             Stmt::Overhead {
@@ -455,7 +455,7 @@ impl RunState<'_, Tree<'_>> {
                 let cost = u64::from(*int_divs) * c.int_div
                     + u64::from(*indirect_loads) * (c.l1_hit + c.int_alu)
                     + u64::from(*int_alu) * c.int_alu;
-                self.mach.charge(ctx.proc, cost);
+                self.mach.on(ctx.proc, |sh| sh.charge(cost));
                 Ok(())
             }
         }
@@ -580,12 +580,12 @@ impl RunState<'_, Tree<'_>> {
             } => {
                 let addr = self.element_addr(*array, indices, *mode, sub, frame, ctx)?;
                 return Ok(match sub.arrays[array.0].ty {
-                    ScalarTy::Real => Value::F(self.mach.read_f64(ctx.proc, addr).0),
-                    ScalarTy::Int => Value::I(self.mach.read_i64(ctx.proc, addr).0),
+                    ScalarTy::Real => Value::F(self.mach.on(ctx.proc, |sh| sh.read_f64(addr)).0),
+                    ScalarTy::Int => Value::I(self.mach.on(ctx.proc, |sh| sh.read_i64(addr)).0),
                 });
             }
         };
-        self.mach.charge(ctx.proc, cost);
+        self.mach.on(ctx.proc, |sh| sh.charge(cost));
         Ok(v)
     }
 
@@ -652,13 +652,11 @@ impl RunState<'_, Tree<'_>> {
         // to (array, enclosing region). Index evaluation above already
         // tagged any nested loads with their own arrays.
         if self.opts.profile {
-            self.mach.set_tag(
-                ctx.proc,
-                AccessTag {
-                    sym: arr.sym,
-                    region: ctx.region,
-                },
-            );
+            let tag = AccessTag {
+                sym: arr.sym,
+                region: ctx.region,
+            };
+            self.mach.on(ctx.proc, |sh| sh.set_tag(tag));
         }
         let addr = arr.addr_of(&idx0);
         let n_dist = arr.desc.distributed.len().max(1) as u64;
@@ -673,7 +671,7 @@ impl RunState<'_, Tree<'_>> {
         match mode {
             AddrMode::Direct | AddrMode::ReshapedHoisted | AddrMode::ReshapedSharedAll => {
                 // Strength-reduced column-major walk: one address add.
-                self.mach.charge(ctx.proc, c.int_alu);
+                self.mach.on(ctx.proc, |sh| sh.charge(c.int_alu));
             }
             AddrMode::ReshapedRaw | AddrMode::ReshapedRawFp => {
                 // One divide per distributed dimension — a MIPS `div`
@@ -685,19 +683,21 @@ impl RunState<'_, Tree<'_>> {
                 } else {
                     c.fp_emulated_div
                 };
-                self.mach
-                    .charge(ctx.proc, n_dist * (div + c.int_alu) + 2 * c.int_alu);
+                let addressing = n_dist * (div + c.int_alu) + 2 * c.int_alu;
+                self.mach.on(ctx.proc, |sh| sh.charge(addressing));
                 if let Some(slot) = slot {
-                    self.mach.access(ctx.proc, slot, AccessKind::Read);
+                    self.mach
+                        .on(ctx.proc, |sh| sh.access(slot, AccessKind::Read));
                 }
             }
             AddrMode::ReshapedTiled | AddrMode::ReshapedSharedDiv => {
                 // No div/mod, but the pointer is re-loaded every access
                 // (indirect loads cannot be speculated / were CSE-shared
                 // only for the divide).
-                self.mach.charge(ctx.proc, 2 * c.int_alu);
+                self.mach.on(ctx.proc, |sh| sh.charge(2 * c.int_alu));
                 if let Some(slot) = slot {
-                    self.mach.access(ctx.proc, slot, AccessKind::Read);
+                    self.mach
+                        .on(ctx.proc, |sh| sh.access(slot, AccessKind::Read));
                 }
             }
         }

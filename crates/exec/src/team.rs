@@ -23,9 +23,7 @@ use std::time::{Duration, Instant};
 use dsm_ir::{
     AffIdx, ArrayDecl, Distribution, Extent, LoopStmt, Param, Program, SchedType, Stmt, Subroutine,
 };
-use dsm_machine::{
-    AccessKind, AccessRun, AccessTag, Machine, MachineConfig, MachineShard, ProcId, SERIAL_REGION,
-};
+use dsm_machine::{AccessRun, Machine, MachineShard, ProcId, SERIAL_REGION};
 use dsm_runtime::epoch::{join_epoch, EpochClock};
 use dsm_runtime::{
     argcheck::ArgInfo, partition, sched, ArgChecker, ArrayLayout, RtArray, RuntimeError,
@@ -55,13 +53,6 @@ pub(crate) enum Mach<'m> {
 }
 
 impl Mach<'_> {
-    pub(crate) fn config(&self) -> &MachineConfig {
-        match self {
-            Mach::Whole(m) => m.config(),
-            Mach::Shard(s) => s.config(),
-        }
-    }
-
     /// The whole machine; only reachable outside parallel members (region
     /// bodies containing whole-machine operations are executed serially).
     pub(crate) fn whole(&mut self) -> &mut Machine {
@@ -71,100 +62,33 @@ impl Mach<'_> {
         }
     }
 
-    pub(crate) fn charge(&mut self, proc: ProcId, cycles: u64) {
+    /// Run one timed operation as `proc`: a [`Machine::serial`] step on
+    /// the whole machine, or directly on the member's own shard.
+    #[inline(always)]
+    pub(crate) fn on<R>(&mut self, proc: ProcId, op: impl FnOnce(&mut MachineShard<'_>) -> R) -> R {
         match self {
-            Mach::Whole(m) => m.charge(proc, cycles),
-            Mach::Shard(s) => {
-                debug_assert_eq!(proc, s.proc());
-                s.charge(cycles);
-            }
+            Mach::Whole(m) => m.serial(proc, op),
+            Mach::Shard(s) => op(own(s, proc)),
         }
     }
 
-    pub(crate) fn set_tag(&mut self, proc: ProcId, tag: AccessTag) {
-        match self {
-            Mach::Whole(m) => m.set_tag(proc, tag),
-            Mach::Shard(s) => {
-                debug_assert_eq!(proc, s.proc());
-                s.set_tag(tag);
-            }
-        }
-    }
-
-    pub(crate) fn cycles(&self, proc: ProcId) -> u64 {
-        match self {
-            Mach::Whole(m) => m.cycles(proc),
-            Mach::Shard(s) => {
-                debug_assert_eq!(proc, s.proc());
-                s.cycles()
-            }
-        }
-    }
-
-    pub(crate) fn access(&mut self, proc: ProcId, addr: u64, kind: AccessKind) -> u64 {
-        match self {
-            Mach::Whole(m) => m.access(proc, addr, kind),
-            Mach::Shard(s) => {
-                debug_assert_eq!(proc, s.proc());
-                s.access(addr, kind)
-            }
-        }
-    }
-
-    pub(crate) fn read_f64(&mut self, proc: ProcId, addr: u64) -> (f64, u64) {
-        match self {
-            Mach::Whole(m) => m.read_f64(proc, addr),
-            Mach::Shard(s) => {
-                debug_assert_eq!(proc, s.proc());
-                s.read_f64(addr)
-            }
-        }
-    }
-
-    pub(crate) fn write_f64(&mut self, proc: ProcId, addr: u64, v: f64) -> u64 {
-        match self {
-            Mach::Whole(m) => m.write_f64(proc, addr, v),
-            Mach::Shard(s) => {
-                debug_assert_eq!(proc, s.proc());
-                s.write_f64(addr, v)
-            }
-        }
-    }
-
-    pub(crate) fn read_i64(&mut self, proc: ProcId, addr: u64) -> (i64, u64) {
-        match self {
-            Mach::Whole(m) => m.read_i64(proc, addr),
-            Mach::Shard(s) => {
-                debug_assert_eq!(proc, s.proc());
-                s.read_i64(addr)
-            }
-        }
-    }
-
-    pub(crate) fn write_i64(&mut self, proc: ProcId, addr: u64, v: i64) -> u64 {
-        match self {
-            Mach::Whole(m) => m.write_i64(proc, addr, v),
-            Mach::Shard(s) => {
-                debug_assert_eq!(proc, s.proc());
-                s.write_i64(addr, v)
-            }
-        }
-    }
-
-    /// Dispatch a bulk write run (access + raw store per element) to the
-    /// whole machine or this member's shard.
+    /// A bulk write run (access + raw store per element). Not an
+    /// [`Mach::on`] operation: under migration the whole machine walks it
+    /// element by element, one epoch step each.
     #[inline]
     pub(crate) fn fill_run(&mut self, proc: ProcId, run: &AccessRun, word: u64) {
         match self {
-            Mach::Whole(m) => {
-                m.fill_run_u64(proc, run, word);
-            }
-            Mach::Shard(s) => {
-                debug_assert_eq!(proc, s.proc());
-                s.fill_run_u64(run, word);
-            }
-        }
+            Mach::Whole(m) => m.fill_run_u64(proc, run, word),
+            Mach::Shard(s) => own(s, proc).fill_run_u64(run, word),
+        };
     }
+}
+
+/// A member's shard, which acts only as its own processor.
+#[inline(always)]
+fn own<'s, 'm>(s: &'s mut MachineShard<'m>, proc: ProcId) -> &'s mut MachineShard<'m> {
+    assert_eq!(proc, s.proc(), "team member acting as another processor");
+    s
 }
 
 /// An engine's handle on the binder: the top-level engine owns it;
@@ -595,7 +519,8 @@ impl<'a, E: Engine> RunState<'a, E> {
                     for &c in chunks {
                         if dispatch {
                             // Work-queue grab per chunk.
-                            self.mach.charge(ctx.proc, 6 * self.costs.int_alu);
+                            self.mach
+                                .on(ctx.proc, |sh| sh.charge(6 * self.costs.int_alu));
                         }
                         self.run_chunk(site, frame, ctx, c)?;
                     }
@@ -687,7 +612,7 @@ impl<'a, E: Engine> RunState<'a, E> {
         ));
         let costs = self.costs;
         E::flush(self, ctx.proc);
-        let start = self.mach.cycles(ctx.proc) + costs.parallel_fork;
+        let start = self.mach.whole().cycles(ctx.proc) + costs.parallel_fork;
         // Per-node memory-service demand before the region: deltas bound
         // region time by the bottleneck node's throughput (the hot-node
         // effect of the paper's Figure 5).
@@ -779,9 +704,10 @@ impl<'a, E: Engine> RunState<'a, E> {
             // thrash the threaded path can't exhibit). The daemon instead
             // fires at the join below with whole-team counts.
             self.mach.whole().pause_epochs(true);
-            for (p, work) in &team {
-                if self.mach.cycles(*p) < start {
-                    self.mach.whole().set_cycles(*p, start);
+            let replayed = team.iter().try_for_each(|(p, work)| {
+                let machine = self.mach.whole();
+                if machine.cycles(*p) < start {
+                    machine.set_cycles(*p, start);
                 }
                 let mut member_ctx = Ctx {
                     proc: *p,
@@ -792,9 +718,12 @@ impl<'a, E: Engine> RunState<'a, E> {
                 // the model discards in-region writes to shared scalars at
                 // join).
                 let mut member_frame = frame.clone();
-                self.run_works(site, &[work], &mut member_frame, &mut member_ctx)?;
-            }
+                self.run_works(site, &[work], &mut member_frame, &mut member_ctx)
+            });
+            // Resume on every exit path: a faulting member must not leave
+            // the machine deaf to access-count epochs for its next run.
             self.mach.whole().pause_epochs(false);
+            replayed?;
         }
         self.region_wall += fork_t0.elapsed();
 
@@ -802,8 +731,8 @@ impl<'a, E: Engine> RunState<'a, E> {
         // advances to the slowest member — or, if some node's memory had
         // to service more line fills than fit in that window, to the end
         // of the bottleneck node's service demand (throughput bound).
-        let occupancy = self.mach.config().lat.mem_occupancy;
         let machine = self.mach.whole();
+        let occupancy = machine.config().lat.mem_occupancy;
         let node_demand = machine
             .node_served()
             .iter()
@@ -857,7 +786,7 @@ impl<'a, E: Engine> RunState<'a, E> {
     fn register_actual(&mut self, call: &mut CallBinding, addr: u64, info: ArgInfo, proc: ProcId) {
         self.checker.register(addr, info);
         call.registered.push(addr);
-        self.mach.charge(proc, 40);
+        self.mach.on(proc, |sh| sh.charge(40));
     }
 
     /// Whole-array actual: the callee's `formal` sees the same instance
@@ -939,7 +868,7 @@ impl<'a, E: Engine> RunState<'a, E> {
                         Extent::Var(v) => callee_frame.scalars[v.0].as_i().max(0) as u64,
                     })
                     .collect();
-                self.mach.charge(proc, 40);
+                self.mach.on(proc, |sh| sh.charge(40));
                 self.checker
                     .check_formal(&callee.name, pos, base, &declared)
                     .map_err(|e| ExecError::Runtime(RuntimeError::ArgCheck(e)))?;
@@ -948,7 +877,7 @@ impl<'a, E: Engine> RunState<'a, E> {
         self.binder
             .owned()
             .bind_declarations(self.mach.whole(), callee, callee_frame);
-        self.mach.charge(proc, 10 * self.costs.int_alu);
+        self.mach.on(proc, |sh| sh.charge(10 * self.costs.int_alu));
         Ok(())
     }
 

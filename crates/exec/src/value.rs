@@ -1,6 +1,6 @@
 //! Runtime scalar values, frames, and the scalar operators.
 //!
-//! [`bin_op`], [`un_op`] and [`intrinsic`] are the one definition of
+//! `bin_op`, `un_op` and `intrinsic` are the one definition of
 //! Fortran scalar semantics both engines execute: each returns the value
 //! together with its R10000 cycle cost, which the interpreter charges at
 //! once and the bytecode VM adds to its pending total. Integer arithmetic

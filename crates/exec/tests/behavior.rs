@@ -445,3 +445,42 @@ fn clamped_affinity_members_merge_identically_in_every_cell() {
     }
     assert!(cells.windows(2).all(|w| w[0] == w[1]), "{cells:#?}");
 }
+
+/// A member that faults inside a serial-team region must not leave the
+/// machine with access-count migration epochs paused: the next run on the
+/// same `Machine` would never fire one in its serial sections. Report
+/// counters are machine totals, so the reference is not a fresh machine
+/// but a twin with the same history on which the caller resumed epochs
+/// by hand — which a correct exit path makes a no-op.
+#[test]
+fn faulting_serial_team_member_leaves_epochs_running() {
+    let faulty = "      program main\n      integer i\n      real*8 a(10)\nc$doacross local(i) shared(a)\n      do i = 1, 10\n        a(i + 100) = i\n      enddo\n      end\n";
+    // Serial first touch, parallel sweeps that pull the pages to their
+    // users, then serial sweeps whose access-count epochs pull them back.
+    let migrating = "      program main\n      integer i, rep\n      real*8 a(8192)\n      do i = 1, 8192\n        a(i) = 1.0\n      enddo\n      do rep = 1, 4\nc$doacross local(i) shared(a)\n      do i = 1, 8192\n        a(i) = a(i) + 1.0\n      enddo\n      enddo\n      do rep = 1, 4\n      do i = 1, 8192\n        a(i) = a(i) + 1.0\n      enddo\n      enddo\n      end\n";
+    let compile = |src: &str| {
+        compile_strings(&[("t.f", src)], &OptConfig::default())
+            .expect("compiles")
+            .program
+    };
+    let (faulty, migrating) = (compile(faulty), compile(migrating));
+    let mut cfg = MachineConfig::small_test(8);
+    // Small caches so the sweeps keep missing to memory.
+    cfg.l2 = dsm_machine::CacheConfig::new(2048, 64, 2);
+    cfg.l1 = dsm_machine::CacheConfig::new(512, 32, 2);
+    let opts = ExecOptions::new(8)
+        .serial_team(true)
+        .migration(dsm_machine::MigrationPolicy::threshold(4));
+    let second_run = |resume_by_hand: bool| {
+        let mut m = Machine::new(cfg.clone());
+        let err = run_outcome(&mut m, &faulty, &opts).unwrap_err();
+        assert!(matches!(err, ExecError::OutOfBounds { .. }), "{err}");
+        if resume_by_hand {
+            m.pause_epochs(false);
+        }
+        run_outcome(&mut m, &migrating, &opts).expect("runs").report
+    };
+    let (after_fault, resumed) = (second_run(false), second_run(true));
+    assert!(resumed.pages_migrated > 0, "the reference run must migrate");
+    assert_eq!(after_fault.digest_json(), resumed.digest_json());
+}

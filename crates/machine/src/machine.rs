@@ -16,16 +16,21 @@
 //! scheduler reads them with [`Machine::cycles`] and levels them with
 //! [`Machine::set_cycles`] at barriers.
 //!
-//! The machine is split into per-processor state ([`Processor`]: caches,
-//! TLB, counters, clock) and thread-safe shared state
-//! ([`crate::shared::SharedState`]: page table, directory, data store).
-//! [`Machine::team_shards`] hands each member of a parallel team a
-//! [`MachineShard`] — exclusive `&mut` access to its own processor plus
-//! shared access to everything else — so team members can be simulated on
-//! real host threads. In single-threaded use, [`Machine::access`] behaves
-//! exactly as before: cross-processor invalidations are posted to
-//! mailboxes and drained before the call returns, so their effect is
-//! synchronous.
+//! The machine is split into per-processor state (caches, TLB, counters,
+//! clock) and thread-safe shared state ([`crate::shared::SharedState`]:
+//! page table, directory, data store). A [`MachineShard`] — exclusive
+//! `&mut` access to one processor plus shared access to everything else —
+//! *is* the access pipeline: the five timed steps, the typed loads and
+//! stores and the bulk-run walker are its methods and exist nowhere else.
+//! [`Machine::team_shards`] hands each member of a parallel team its
+//! shard, so members can be simulated on real host threads. `Machine`'s
+//! own per-processor methods are each the shard operation of the same
+//! name wrapped in [`Machine::serial`]: run it, deliver every processor's
+//! mailbox (so cross-processor invalidations are synchronous in
+//! single-threaded use), and count its accesses toward the migration
+//! epoch. Bulk runs batch only with migration off; with it on they fall
+//! back to one `serial` step per element, so epochs fire on the same
+//! access they would in the plain loop.
 
 use std::sync::atomic::Ordering;
 
@@ -106,455 +111,6 @@ impl Processor {
             attr.note_access(self.cur_tag, kind, tlb_miss, level);
         }
     }
-}
-
-/// Purge one directory line (L2-line granularity) from a processor's caches
-/// and count the received invalidation.
-fn apply_line_invalidation(cfg: &MachineConfig, p: &mut Processor, dir_line: u64) {
-    let l2_line = cfg.l2.line_size as u64;
-    let l1_line = cfg.l1.line_size as u64;
-    let byte = dir_line * l2_line;
-    p.l2.invalidate_line(dir_line);
-    let mut off = 0;
-    while off < l2_line {
-        p.l1.invalidate_line((byte + off) >> l1_line.trailing_zeros());
-        off += l1_line;
-    }
-    p.counters.invalidations_received += 1;
-}
-
-/// Writer found its line clean: consult the directory for ownership and
-/// post invalidations to other sharers. Returns the extra cycles.
-fn coherence_write_core(
-    cfg: &MachineConfig,
-    shared: &SharedState,
-    proc: ProcId,
-    p: &mut Processor,
-    paddr: u64,
-) -> u64 {
-    let dir_line = paddr >> cfg.l2.line_size.trailing_zeros();
-    let coh = shared.dir.write(dir_line, proc);
-    let n = coh.invalidate.len() as u64;
-    if n == 0 {
-        return 0;
-    }
-    shared.post_invalidations(&coh.invalidate, dir_line);
-    p.counters.invalidations_sent += n;
-    if let Some(attr) = p.attr.as_deref_mut() {
-        attr.note_invalidations(p.cur_tag, n);
-    }
-    n * cfg.lat.invalidation
-}
-
-/// The five-step timed access pipeline (TLB → translation → L1 → L2 →
-/// memory + coherence), shared by [`Machine::access`] and
-/// [`MachineShard::access`]. Mutates only the issuing processor `p` and the
-/// thread-safe shared state; invalidations of *other* processors' caches
-/// are posted to their mailboxes. The cost is charged to `p` before
-/// returning.
-fn access_core(
-    cfg: &MachineConfig,
-    shared: &SharedState,
-    page_bits: u32,
-    proc: ProcId,
-    p: &mut Processor,
-    addr: VAddr,
-    kind: AccessKind,
-) -> u64 {
-    let vpage = addr >> page_bits;
-    let offset = addr & ((1 << page_bits) - 1);
-    let (mapping, tlb_miss, cost) = translate_core(cfg, shared, p, vpage, kind);
-    let paddr = (mapping.frame << page_bits) | offset;
-    if p.sample.is_some() {
-        return sampled_cache_stage(
-            cfg,
-            shared,
-            proc,
-            p,
-            paddr,
-            vpage,
-            mapping.node,
-            kind,
-            tlb_miss,
-            cost,
-        );
-    }
-    cache_core(
-        cfg,
-        shared,
-        proc,
-        p,
-        paddr,
-        vpage,
-        mapping.node,
-        kind,
-        tlb_miss,
-        cost,
-    )
-}
-
-/// Cache-stage dispatch when set sampling is active. Selected lines take
-/// the exact pipeline ([`cache_core`]) with transition bookkeeping for the
-/// estimator; unselected lines skip the cache/directory/memory stages and
-/// are charged translation + the guaranteed L1-hit latency, plus — on line
-/// transitions — the running extra-cycles-per-transition estimate derived
-/// from the sampled stream (see the [`crate::sample`] module docs). Data
-/// is never touched here, so captures stay bit-identical to exact mode.
-#[allow(clippy::too_many_arguments)]
-fn sampled_cache_stage(
-    cfg: &MachineConfig,
-    shared: &SharedState,
-    proc: ProcId,
-    p: &mut Processor,
-    paddr: u64,
-    vpage: u64,
-    home: NodeId,
-    kind: AccessKind,
-    tlb_miss: bool,
-    cost: u64,
-) -> u64 {
-    let line = paddr >> cfg.l1.line_size.trailing_zeros();
-    let (selected, same_line) = {
-        let sam = p.sample.as_deref_mut().expect("sampling state");
-        let selected = sam.sel.sampled(paddr);
-        let same = sam.last_line == Some(line);
-        sam.last_line = Some(line);
-        (selected, same)
-    };
-    if selected {
-        let total = cache_core(cfg, shared, proc, p, paddr, vpage, home, kind, tlb_miss, cost);
-        // Everything beyond translation and the L1-hit latency feeds the
-        // estimator's numerator; a same-line repeat normally contributes 0
-        // but a coherence upgrade or invalidation-induced miss folds its
-        // extra cost in too, so no sampled coherence cycles are lost.
-        let extra = (total - cost).saturating_sub(cfg.lat.l1_hit);
-        let sam = p.sample.as_deref_mut().expect("sampling state");
-        sam.sampled_extra_cycles += extra;
-        if !same_line {
-            sam.sampled_transitions += 1;
-        }
-        return total;
-    }
-    let sam = p.sample.as_deref_mut().expect("sampling state");
-    let mut total = cost + cfg.lat.l1_hit;
-    if same_line {
-        sam.skipped_hits += 1;
-    } else {
-        sam.skipped_transitions += 1;
-        let est = sam.due();
-        sam.est_cycles += est;
-        total += est;
-    }
-    p.note(kind, tlb_miss, FillLevel::L1);
-    p.counters.cycles += total;
-    total
-}
-
-/// Steps 1–2 of the pipeline: count the access, probe the TLB and
-/// translate the page (faulting it in under the placement policy).
-/// Returns the mapping, whether the TLB missed, and the cycles accrued so
-/// far (not yet charged to `p`).
-fn translate_core(
-    cfg: &MachineConfig,
-    shared: &SharedState,
-    p: &mut Processor,
-    vpage: u64,
-    kind: AccessKind,
-) -> (Mapping, bool, u64) {
-    match kind {
-        AccessKind::Read => p.counters.loads += 1,
-        AccessKind::Write => p.counters.stores += 1,
-    }
-    let mut cost = 0;
-    let tlb_miss = !p.tlb.access(vpage);
-    if tlb_miss {
-        p.counters.tlb_misses += 1;
-        cost += cfg.lat.tlb_miss;
-    }
-    let tr = shared.translate(vpage, p.node, cfg.policy);
-    if let Translate::Faulted(_) = tr {
-        p.counters.page_faults += 1;
-        cost += cfg.lat.page_fault;
-    }
-    (tr.mapping(), tlb_miss, cost)
-}
-
-/// Steps 3–5 of the pipeline (L1 → L2 → memory + coherence) for an
-/// already-translated access, starting from `cost` cycles accrued by
-/// translation. Charges the final total to `p` and returns it.
-#[allow(clippy::too_many_arguments)]
-fn cache_core(
-    cfg: &MachineConfig,
-    shared: &SharedState,
-    proc: ProcId,
-    p: &mut Processor,
-    paddr: u64,
-    vpage: u64,
-    home: NodeId,
-    kind: AccessKind,
-    tlb_miss: bool,
-    mut cost: u64,
-) -> u64 {
-    let write = kind == AccessKind::Write;
-    let lat = &cfg.lat;
-    let local = p.node;
-
-    // 3. L1.
-    cost += lat.l1_hit;
-    match p.l1.access(paddr, write) {
-        Probe::Hit { was_dirty } => {
-            if write && !was_dirty {
-                // Upgrade: may need to invalidate other sharers.
-                cost += coherence_write_core(cfg, shared, proc, p, paddr);
-            }
-            p.note(kind, tlb_miss, FillLevel::L1);
-            p.counters.cycles += cost;
-            return cost;
-        }
-        Probe::Miss { victim } => {
-            // L1 victims write back into L2; that transfer is part of
-            // the L2-hit path and is not charged separately. We must
-            // mark the line dirty in L2 so its eventual eviction is
-            // written back.
-            if let Some(v) = victim {
-                if v.dirty {
-                    let byte = v.tag << p.l1.config().line_size.trailing_zeros();
-                    p.l2.access(byte, true);
-                }
-            }
-            p.counters.l1_misses += 1;
-        }
-    }
-
-    // 4. L2.
-    cost += lat.l2_hit;
-    match p.l2.access(paddr, write) {
-        Probe::Hit { was_dirty } => {
-            if write && !was_dirty {
-                cost += coherence_write_core(cfg, shared, proc, p, paddr);
-            }
-            p.note(kind, tlb_miss, FillLevel::L2);
-            p.counters.cycles += cost;
-            return cost;
-        }
-        Probe::Miss { victim } => {
-            p.counters.l2_misses += 1;
-            if let Some(v) = victim {
-                // Inclusion: L1 lines of the evicted L2 line must go.
-                let l2_line_bytes = p.l2.config().line_size as u64;
-                let l1_line_bytes = p.l1.config().line_size as u64;
-                let byte = v.tag * l2_line_bytes;
-                let mut off = 0;
-                while off < l2_line_bytes {
-                    let l1line = (byte + off) >> l1_line_bytes.trailing_zeros();
-                    p.l1.invalidate_line(l1line);
-                    off += l1_line_bytes;
-                }
-                let dir_line = byte >> cfg.l2.line_size.trailing_zeros();
-                shared.dir.evict(dir_line, proc);
-                if v.dirty {
-                    p.counters.writebacks += 1;
-                    cost += lat.writeback;
-                }
-            }
-        }
-    }
-
-    // 5. Memory + coherence.
-    let dir_line = paddr >> cfg.l2.line_size.trailing_zeros();
-    let coh = if write {
-        shared.dir.write(dir_line, proc)
-    } else {
-        shared.dir.read(dir_line, proc)
-    };
-    let n_inval = coh.invalidate.len() as u64;
-    if n_inval > 0 {
-        shared.post_invalidations(&coh.invalidate, dir_line);
-        p.counters.invalidations_sent += n_inval;
-        cost += n_inval * lat.invalidation;
-    }
-    if coh.intervention {
-        p.counters.interventions += 1;
-    }
-    if let Some(sam) = p.sample.as_deref_mut() {
-        // Sampling routes only selected lines here, so this counts fills
-        // per *sampled* set — the between-set variance behind the
-        // confidence interval.
-        sam.count_fill(dir_line);
-    }
-    let distance = hops(local, home);
-    if distance == 0 {
-        p.counters.local_misses += 1;
-        cost += lat.local_mem;
-    } else {
-        p.counters.remote_misses += 1;
-        cost += lat.remote_base + lat.remote_per_hop * distance as u64;
-    }
-    if let Some(attr) = p.attr.as_deref_mut() {
-        let tag = p.cur_tag;
-        attr.note_access(
-            tag,
-            kind,
-            tlb_miss,
-            FillLevel::Mem {
-                local: distance == 0,
-                hops: distance,
-            },
-        );
-        attr.note_page_fill(tag, vpage, local, distance == 0);
-        // Write misses send invalidations too (a clean-hit writer goes
-        // through coherence_write_core, which attributes its own); without
-        // this the attributed invalidation total undercounts the machine's.
-        if n_inval > 0 {
-            attr.note_invalidations(tag, n_inval);
-        }
-    }
-    shared.node_served[home.0].fetch_add(1, Ordering::Relaxed);
-    if !cfg.migration.is_off() {
-        // Per-page reference counter for the migration daemon; lock-free,
-        // so shards on host threads sample concurrently.
-        shared.refs.record(vpage, local);
-    }
-    p.counters.cycles += cost;
-    cost
-}
-
-/// One page segment of a bulk [`AccessRun`], starting at element `start`.
-///
-/// The first element takes the full five-step pipeline. After it, while
-/// the run stays on the same page and no invalidation mail is pending
-/// anywhere, two exact shortcuts apply:
-///
-/// * **same L1 line as the previous element** — the previous access left
-///   the line resident and MRU (and, for writes, dirty), so the probe is
-///   a guaranteed hit with no coherence action: charge `l1_hit`, count
-///   the access, skip the probes;
-/// * **new line on the same page** — the page is still the MRU TLB entry
-///   and its mapping cannot have changed (remap and migration only run
-///   from `&mut Machine`, never concurrently with a run), so the TLB
-///   probe is a guaranteed hit and the cached translation is reused;
-///   only the cache/memory steps ([`cache_core`]) execute.
-///
-/// Re-probing would merely re-touch already-MRU recency state, so every
-/// observable outcome — counters, cycles, cache/directory/TLB contents —
-/// is element-for-element identical to the plain access loop. (The only
-/// divergence is `Tlb::stats`, which counts probes and is not part of any
-/// report.) The segment ends at a page boundary or as soon as mail is
-/// pending; the caller drains and re-enters, so bailing at any element
-/// boundary reproduces the per-element drain points. `data` runs after
-/// each element's accounting with `(shared, addr, index)` — the data
-/// movement of the run.
-///
-/// Returns `(next_element, cycles)`.
-#[allow(clippy::too_many_arguments)]
-fn run_segment(
-    cfg: &MachineConfig,
-    shared: &SharedState,
-    page_bits: u32,
-    proc: ProcId,
-    p: &mut Processor,
-    run: &AccessRun,
-    start: u64,
-    mut data: impl FnMut(&SharedState, VAddr, u64),
-) -> (u64, u64) {
-    let line_bits = cfg.l1.line_size.trailing_zeros();
-    let l1_hit = cfg.lat.l1_hit;
-    let mask = (1u64 << page_bits) - 1;
-    let kind = run.kind;
-    // Sampling: transitions dispatch through `sampled_cache_stage` (whose
-    // per-element bookkeeping matches the scalar path exactly); same-line
-    // repeats on an unselected line count as coalesced estimator hits.
-    let sel = p.sample.as_deref().map(|s| s.sel);
-    let mut cur_selected = true;
-    let mut i = start;
-    let addr = run.addr(i);
-    let vpage = addr >> page_bits;
-    let (mapping, tlb_miss, cost) = translate_core(cfg, shared, p, vpage, kind);
-    let frame_base = mapping.frame << page_bits;
-    let paddr = frame_base | (addr & mask);
-    let mut total = if let Some(sel) = sel {
-        cur_selected = sel.sampled(paddr);
-        sampled_cache_stage(
-            cfg,
-            shared,
-            proc,
-            p,
-            paddr,
-            vpage,
-            mapping.node,
-            kind,
-            tlb_miss,
-            cost,
-        )
-    } else {
-        cache_core(
-            cfg,
-            shared,
-            proc,
-            p,
-            paddr,
-            vpage,
-            mapping.node,
-            kind,
-            tlb_miss,
-            cost,
-        )
-    };
-    data(shared, addr, i);
-    let mut line = addr >> line_bits;
-    i += 1;
-    while i < run.count && shared.mail_pending() == 0 {
-        let a = run.addr(i);
-        if a >> page_bits != vpage {
-            break;
-        }
-        match kind {
-            AccessKind::Read => p.counters.loads += 1,
-            AccessKind::Write => p.counters.stores += 1,
-        }
-        if a >> line_bits == line {
-            p.counters.cycles += l1_hit;
-            p.note(kind, false, FillLevel::L1);
-            total += l1_hit;
-            if sel.is_some() && !cur_selected {
-                p.sample.as_deref_mut().expect("sampling state").skipped_hits += 1;
-            }
-        } else {
-            line = a >> line_bits;
-            let paddr = frame_base | (a & mask);
-            total += if let Some(sel) = sel {
-                cur_selected = sel.sampled(paddr);
-                sampled_cache_stage(
-                    cfg,
-                    shared,
-                    proc,
-                    p,
-                    paddr,
-                    vpage,
-                    mapping.node,
-                    kind,
-                    false,
-                    0,
-                )
-            } else {
-                cache_core(
-                    cfg,
-                    shared,
-                    proc,
-                    p,
-                    paddr,
-                    vpage,
-                    mapping.node,
-                    kind,
-                    false,
-                    0,
-                )
-            };
-        }
-        data(shared, a, i);
-        i += 1;
-    }
-    (i, total)
 }
 
 /// Running totals of explicit redistribution work (`c$redistribute`,
@@ -810,7 +366,7 @@ impl Machine {
     /// The round is priced for node-disjoint concurrency: the planner
     /// guarantees no node sources or sinks more than its fan bound per
     /// round, so the bulk copies overlap and the round costs its
-    /// *longest* hop-aware page transfer ([`CostModel::page_move`]) plus
+    /// *longest* hop-aware page transfer ([`crate::CostModel::page_move`]) plus
     /// a single coalesced TLB shootdown across the team, instead of the
     /// naive mover's per-page fault + shootdown. Returns the cycles
     /// charged.
@@ -863,33 +419,128 @@ impl Machine {
     }
 
     // ---------------------------------------------------------------
-    // Timed data access.
+    // Timed data access: shard operations, one at a time.
     // ---------------------------------------------------------------
 
-    /// Perform a timed access of the hierarchy; returns the cycle cost
-    /// (already charged to `proc`).
-    ///
-    /// Any invalidations of other processors' caches take effect before
-    /// this returns (the mailboxes are drained), so single-threaded use
-    /// sees fully synchronous coherence.
-    pub fn access(&mut self, proc: ProcId, addr: VAddr, kind: AccessKind) -> u64 {
-        let cost = access_core(
-            &self.cfg,
-            &self.shared,
-            self.page_bits,
+    /// `proc`'s shard of the machine.
+    #[inline]
+    fn shard(&mut self, proc: ProcId) -> MachineShard<'_> {
+        MachineShard {
+            cfg: &self.cfg,
+            shared: &self.shared,
+            page_bits: self.page_bits,
             proc,
-            &mut self.procs[proc.0],
-            addr,
-            kind,
-        );
+            p: &mut self.procs[proc.0],
+        }
+    }
+
+    /// Run one [`MachineShard`] operation as `proc` from serial code —
+    /// every per-processor method below is this around the shard method of
+    /// the same name. It is the only place that knows what serial mode
+    /// adds to a shard operation: afterwards every processor's mailbox is
+    /// delivered, so invalidations of other processors' caches take effect
+    /// before this returns (single-threaded use sees fully synchronous
+    /// coherence), and the accesses `op` performed count toward the
+    /// migration epoch ([`MachineConfig::migration_epoch`]) unless epochs
+    /// are paused. The epoch fires after `op`, so an `op` is one epoch
+    /// step however many accesses it makes.
+    #[inline(always)]
+    pub fn serial<R>(&mut self, proc: ProcId, op: impl FnOnce(&mut MachineShard<'_>) -> R) -> R {
+        let before = self.procs[proc.0].counters.accesses();
+        let r = op(&mut self.shard(proc));
         self.drain_mail();
         if !self.cfg.migration.is_off() && !self.epochs_paused {
-            self.epoch_accesses += 1;
-            if self.epoch_accesses >= self.cfg.migration_epoch {
+            let n = self.procs[proc.0].counters.accesses() - before;
+            self.epoch_accesses += n;
+            if n > 0 && self.epoch_accesses >= self.cfg.migration_epoch {
                 self.migration_epoch();
             }
         }
-        cost
+        r
+    }
+
+    /// A bulk [`AccessRun`] from serial code: `count` timed accesses of
+    /// uniform byte stride, each followed by `data(shared, addr, index)`,
+    /// observationally identical to the equivalent loop of
+    /// [`Machine::access`] calls. With migration off the run is one shard
+    /// operation through the page-segmented batch walker; with migration
+    /// on it falls back to that loop.
+    fn serial_run(
+        &mut self,
+        proc: ProcId,
+        run: &AccessRun,
+        mut data: impl FnMut(&SharedState, VAddr, u64),
+    ) -> u64 {
+        if self.cfg.migration.is_off() {
+            return self.serial(proc, |s| s.run_batched(run, data));
+        }
+        // Migration epochs fire on individual access counts; batching
+        // would move the epoch boundaries. Keep the per-element loop.
+        let mut total = 0;
+        for i in 0..run.count {
+            let addr = run.addr(i);
+            total += self.access(proc, addr, run.kind);
+            data(&self.shared, addr, i);
+        }
+        total
+    }
+
+    /// Perform a timed access of the hierarchy; returns the cycle cost
+    /// (already charged to `proc`).
+    pub fn access(&mut self, proc: ProcId, addr: VAddr, kind: AccessKind) -> u64 {
+        self.serial(proc, |s| s.access(addr, kind))
+    }
+
+    /// Timed load of an `f64`. Returns `(value, cycles)`.
+    ///
+    /// # Panics
+    ///
+    /// This and the other typed loads/stores panic if `addr` is outside
+    /// any allocated region.
+    pub fn read_f64(&mut self, proc: ProcId, addr: VAddr) -> (f64, u64) {
+        self.serial(proc, |s| s.read_f64(addr))
+    }
+
+    /// Timed store of an `f64`. Returns the cycle cost.
+    pub fn write_f64(&mut self, proc: ProcId, addr: VAddr, v: f64) -> u64 {
+        self.serial(proc, |s| s.write_f64(addr, v))
+    }
+
+    /// Timed load of an `i64`.
+    pub fn read_i64(&mut self, proc: ProcId, addr: VAddr) -> (i64, u64) {
+        self.serial(proc, |s| s.read_i64(addr))
+    }
+
+    /// Timed store of an `i64`.
+    pub fn write_i64(&mut self, proc: ProcId, addr: VAddr, v: i64) -> u64 {
+        self.serial(proc, |s| s.write_i64(addr, v))
+    }
+
+    /// Perform a bulk [`AccessRun`] without moving data. Returns the
+    /// summed cycle cost.
+    pub fn access_run(&mut self, proc: ProcId, run: &AccessRun) -> u64 {
+        self.serial_run(proc, run, |_, _, _| ())
+    }
+
+    /// Bulk timed store of `f64` values along an [`AccessRun`]; element
+    /// `i` of `vals` goes to the run's `i`-th address, in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vals` is shorter than the run or any address is outside
+    /// an allocated region.
+    pub fn write_run_f64(&mut self, proc: ProcId, run: &AccessRun, vals: &[f64]) -> u64 {
+        debug_assert_eq!(run.kind, AccessKind::Write);
+        self.serial_run(proc, run, |s, a, i| {
+            s.mem.store_u64(a, vals[i as usize].to_bits());
+        })
+    }
+
+    /// Bulk timed store of one raw 8-byte word to every element of an
+    /// [`AccessRun`]; see [`MachineShard::fill_run_u64`].
+    pub fn fill_run_u64(&mut self, proc: ProcId, run: &AccessRun, word: u64) -> u64 {
+        debug_assert_eq!(run.kind, AccessKind::Write);
+        self.serial_run(proc, run, |s, a, _| s.mem.store_u64(a, word))
     }
 
     /// Suspend (or resume) access-count migration epochs. The executor
@@ -901,15 +552,19 @@ impl Machine {
     }
 
     /// Deliver all pending cross-processor invalidations. Called after
-    /// every serial access and at parallel-team join points.
+    /// every serial operation and at parallel-team join points.
+    #[inline]
     pub fn drain_mail(&mut self) {
-        if self.shared.mail_pending() == 0 {
-            return;
+        if self.shared.mail_pending() != 0 {
+            self.deliver_all_mail();
         }
+    }
+
+    /// The slow half of [`Machine::drain_mail`], kept out of line so the
+    /// serial hot path inlines only the pending check.
+    fn deliver_all_mail(&mut self) {
         for i in 0..self.procs.len() {
-            for line in self.shared.take_mail(ProcId(i)) {
-                apply_line_invalidation(&self.cfg, &mut self.procs[i], line);
-            }
+            self.shard(ProcId(i)).deliver_mail();
         }
     }
 
@@ -1195,188 +850,6 @@ impl Machine {
             .collect()
     }
 
-    // ---------------------------------------------------------------
-    // Timed typed loads/stores over the flat backing store.
-    // ---------------------------------------------------------------
-
-    /// Timed load of an `f64`. Returns `(value, cycles)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` is outside any allocated region.
-    pub fn read_f64(&mut self, proc: ProcId, addr: VAddr) -> (f64, u64) {
-        let c = self.access(proc, addr, AccessKind::Read);
-        (self.peek_f64(addr), c)
-    }
-
-    /// Timed store of an `f64`. Returns the cycle cost.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` is outside any allocated region.
-    pub fn write_f64(&mut self, proc: ProcId, addr: VAddr, v: f64) -> u64 {
-        let c = self.access(proc, addr, AccessKind::Write);
-        self.poke_f64(addr, v);
-        c
-    }
-
-    /// Timed load of an `i64`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` is outside any allocated region.
-    pub fn read_i64(&mut self, proc: ProcId, addr: VAddr) -> (i64, u64) {
-        let c = self.access(proc, addr, AccessKind::Read);
-        (self.peek_i64(addr), c)
-    }
-
-    /// Timed store of an `i64`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` is outside any allocated region.
-    pub fn write_i64(&mut self, proc: ProcId, addr: VAddr, v: i64) -> u64 {
-        let c = self.access(proc, addr, AccessKind::Write);
-        self.poke_i64(addr, v);
-        c
-    }
-
-    /// Perform a bulk [`AccessRun`]: `count` timed accesses of uniform
-    /// byte stride, observationally identical to the equivalent loop of
-    /// [`Machine::access`] calls. With migration off the run goes through
-    /// the page-segmented batch walker ([`run_segment`]): the TLB probe
-    /// and page-table lookup are hoisted to once per page and same-line
-    /// repeats skip the cache probes, which is where the bytecode
-    /// engine's bulk throughput comes from. Returns the summed cycle
-    /// cost.
-    pub fn access_run(&mut self, proc: ProcId, run: &AccessRun) -> u64 {
-        if !self.cfg.migration.is_off() {
-            // Migration epochs fire on individual access counts; batching
-            // would move the epoch boundaries. Keep the per-element loop.
-            let mut total = 0;
-            for i in 0..run.count {
-                total += self.access(proc, run.addr(i), run.kind);
-            }
-            return total;
-        }
-        self.run_batched(proc, run, |_, _, _| ())
-    }
-
-    /// Page-segmented bulk walk (migration off): alternate
-    /// [`run_segment`] with full mail drains, reproducing the
-    /// drain-after-every-access schedule of the serial access path.
-    fn run_batched(
-        &mut self,
-        proc: ProcId,
-        run: &AccessRun,
-        mut data: impl FnMut(&SharedState, VAddr, u64),
-    ) -> u64 {
-        let mut total = 0;
-        let mut i = 0;
-        while i < run.count {
-            self.drain_mail();
-            let (next, cost) = run_segment(
-                &self.cfg,
-                &self.shared,
-                self.page_bits,
-                proc,
-                &mut self.procs[proc.0],
-                run,
-                i,
-                &mut data,
-            );
-            total += cost;
-            i = next;
-        }
-        self.drain_mail();
-        total
-    }
-
-    /// Bulk timed store of `f64` values along an [`AccessRun`]; element
-    /// `i` of `vals` goes to the run's `i`-th address, in order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vals` is shorter than the run or any address is outside
-    /// an allocated region.
-    pub fn write_run_f64(&mut self, proc: ProcId, run: &AccessRun, vals: &[f64]) -> u64 {
-        debug_assert_eq!(run.kind, AccessKind::Write);
-        if !self.cfg.migration.is_off() {
-            let mut total = 0;
-            for i in 0..run.count {
-                let addr = run.addr(i);
-                total += self.access(proc, addr, AccessKind::Write);
-                self.shared.mem.store_u64(addr, vals[i as usize].to_bits());
-            }
-            return total;
-        }
-        self.run_batched(proc, run, |s, a, i| {
-            s.mem.store_u64(a, vals[i as usize].to_bits());
-        })
-    }
-
-    /// Bulk timed store of `i64` values along an [`AccessRun`].
-    ///
-    /// # Panics
-    ///
-    /// As [`Machine::write_run_f64`].
-    pub fn write_run_i64(&mut self, proc: ProcId, run: &AccessRun, vals: &[i64]) -> u64 {
-        debug_assert_eq!(run.kind, AccessKind::Write);
-        if !self.cfg.migration.is_off() {
-            let mut total = 0;
-            for i in 0..run.count {
-                let addr = run.addr(i);
-                total += self.access(proc, addr, AccessKind::Write);
-                self.shared.mem.store_u64(addr, vals[i as usize] as u64);
-            }
-            return total;
-        }
-        self.run_batched(proc, run, |s, a, i| {
-            s.mem.store_u64(a, vals[i as usize] as u64);
-        })
-    }
-
-    /// Bulk timed store of one raw 8-byte word to every element of an
-    /// [`AccessRun`] (a loop-invariant fill).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any address is outside an allocated region.
-    pub fn fill_run_u64(&mut self, proc: ProcId, run: &AccessRun, word: u64) -> u64 {
-        debug_assert_eq!(run.kind, AccessKind::Write);
-        if !self.cfg.migration.is_off() {
-            let mut total = 0;
-            for i in 0..run.count {
-                let addr = run.addr(i);
-                total += self.access(proc, addr, AccessKind::Write);
-                self.shared.mem.store_u64(addr, word);
-            }
-            return total;
-        }
-        self.run_batched(proc, run, |s, a, _| s.mem.store_u64(a, word))
-    }
-
-    /// Bulk timed load along an [`AccessRun`], appending the raw 8-byte
-    /// words to `out` in run order. Returns the summed cycle cost.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any address is outside an allocated region.
-    pub fn read_run_u64(&mut self, proc: ProcId, run: &AccessRun, out: &mut Vec<u64>) -> u64 {
-        debug_assert_eq!(run.kind, AccessKind::Read);
-        out.reserve(run.count as usize);
-        if !self.cfg.migration.is_off() {
-            let mut total = 0;
-            for i in 0..run.count {
-                let addr = run.addr(i);
-                total += self.access(proc, addr, AccessKind::Read);
-                out.push(self.shared.mem.load_u64(addr));
-            }
-            return total;
-        }
-        self.run_batched(proc, run, |s, a, _| out.push(s.mem.load_u64(a)))
-    }
-
     /// Untimed read of the backing store (verification / debugging).
     ///
     /// # Panics
@@ -1419,7 +892,7 @@ impl Machine {
 
     /// Charge `cycles` of computation to `proc`.
     pub fn charge(&mut self, proc: ProcId, cycles: u64) {
-        self.procs[proc.0].counters.cycles += cycles;
+        self.shard(proc).charge(cycles);
     }
 
     /// Current cycle count of `proc`.
@@ -1479,12 +952,10 @@ impl Machine {
         self.procs.first().is_some_and(|p| p.attr.is_some())
     }
 
-    /// Stamp the tag applied to `proc`'s subsequent accesses. Cheap (two
-    /// word stores); callers typically guard it on their own profiling
-    /// flag anyway.
+    /// Stamp the tag applied to `proc`'s subsequent accesses.
     #[inline]
     pub fn set_tag(&mut self, proc: ProcId, tag: AccessTag) {
-        self.procs[proc.0].cur_tag = tag;
+        self.shard(proc).set_tag(tag);
     }
 
     /// Intern an array name, returning its stable symbol id for
@@ -1523,16 +994,18 @@ impl Machine {
     }
 }
 
-/// One team member's view of the machine during a parallel region:
-/// exclusive ownership of its own processor, shared (thread-safe) access to
-/// memory, the page table and the directory.
+/// One processor's view of the machine — and the access pipeline itself:
+/// exclusive ownership of its own processor's state (caches, TLB,
+/// counters, clock), shared (thread-safe) access to memory, the page
+/// table and the directory.
 ///
-/// A shard is `Send`, so each member can be simulated on its own host
-/// thread. All methods mirror the [`Machine`] equivalents but take no
-/// `ProcId` — a shard always acts as the processor it was split off for.
-/// Pending invalidations posted by other members are applied at the start
-/// of every [`MachineShard::access`]; the team must call
-/// [`Machine::drain_mail`] after joining to deliver any stragglers.
+/// A shard is `Send`, so each member of a parallel team can be simulated
+/// on its own host thread ([`Machine::team_shards`]). It always acts as
+/// the processor it was split off for. Invalidations posted by other
+/// processors are applied at the start of every [`MachineShard::access`];
+/// the team must call [`Machine::drain_mail`] after joining to deliver any
+/// stragglers. Serial code reaches the same methods one operation at a
+/// time through [`Machine::serial`].
 #[derive(Debug)]
 pub struct MachineShard<'m> {
     cfg: &'m MachineConfig,
@@ -1558,65 +1031,388 @@ impl MachineShard<'_> {
         self.cfg
     }
 
-    /// Timed access; see [`Machine::access`]. Drains this processor's
-    /// invalidation mailbox first, so remote writes ordered before this
-    /// access are honoured.
-    pub fn access(&mut self, addr: VAddr, kind: AccessKind) -> u64 {
-        for line in self.shared.take_mail(self.proc) {
-            apply_line_invalidation(self.cfg, self.p, line);
+    /// Apply the invalidations other processors posted to this one: purge
+    /// each directory line (L2-line granularity) from both caches and
+    /// count it as received.
+    #[inline]
+    fn deliver_mail(&mut self) {
+        let l2_line = self.cfg.l2.line_size as u64;
+        let l1_line = self.cfg.l1.line_size as u64;
+        for dir_line in self.shared.take_mail(self.proc) {
+            let byte = dir_line * l2_line;
+            self.p.l2.invalidate_line(dir_line);
+            let mut off = 0;
+            while off < l2_line {
+                self.p
+                    .l1
+                    .invalidate_line((byte + off) >> l1_line.trailing_zeros());
+                off += l1_line;
+            }
+            self.p.counters.invalidations_received += 1;
         }
-        access_core(
-            self.cfg,
-            self.shared,
-            self.page_bits,
-            self.proc,
-            self.p,
-            addr,
-            kind,
-        )
     }
 
-    /// Timed load of an `f64`; see [`Machine::read_f64`].
-    pub fn read_f64(&mut self, addr: VAddr) -> (f64, u64) {
-        let c = self.access(addr, AccessKind::Read);
-        (self.peek_f64(addr), c)
+    /// Timed access through the five-step pipeline (TLB → translation →
+    /// L1 → L2 → memory + coherence); returns the cycle cost, already
+    /// charged to this processor. Pending invalidations are delivered
+    /// first, so remote writes ordered before this access are honoured.
+    /// Mutates only this processor and the thread-safe shared state:
+    /// invalidations of *other* processors' caches are posted to their
+    /// mailboxes.
+    pub fn access(&mut self, addr: VAddr, kind: AccessKind) -> u64 {
+        self.deliver_mail();
+        let vpage = addr >> self.page_bits;
+        let offset = addr & ((1 << self.page_bits) - 1);
+        let (mapping, tlb_miss, cost) = self.translate(vpage, kind);
+        let paddr = (mapping.frame << self.page_bits) | offset;
+        self.cache_stage(paddr, vpage, mapping.node, kind, tlb_miss, cost)
     }
 
-    /// Timed store of an `f64`; see [`Machine::write_f64`].
-    pub fn write_f64(&mut self, addr: VAddr, v: f64) -> u64 {
-        let c = self.access(addr, AccessKind::Write);
-        self.poke_f64(addr, v);
-        c
+    /// Steps 1–2 of the pipeline: count the access, probe the TLB and
+    /// translate the page (faulting it in under the placement policy).
+    /// Returns the mapping, whether the TLB missed, and the cycles accrued
+    /// so far (not yet charged).
+    fn translate(&mut self, vpage: u64, kind: AccessKind) -> (Mapping, bool, u64) {
+        let p = &mut *self.p;
+        match kind {
+            AccessKind::Read => p.counters.loads += 1,
+            AccessKind::Write => p.counters.stores += 1,
+        }
+        let mut cost = 0;
+        let tlb_miss = !p.tlb.access(vpage);
+        if tlb_miss {
+            p.counters.tlb_misses += 1;
+            cost += self.cfg.lat.tlb_miss;
+        }
+        let tr = self.shared.translate(vpage, p.node, self.cfg.policy);
+        if let Translate::Faulted(_) = tr {
+            p.counters.page_faults += 1;
+            cost += self.cfg.lat.page_fault;
+        }
+        (tr.mapping(), tlb_miss, cost)
     }
 
-    /// Timed load of an `i64`; see [`Machine::read_i64`].
-    pub fn read_i64(&mut self, addr: VAddr) -> (i64, u64) {
-        let c = self.access(addr, AccessKind::Read);
-        (self.peek_i64(addr), c)
+    /// Steps 3–5 for an already-translated access, starting from `cost`
+    /// cycles accrued by translation: the exact pipeline, or the sampled
+    /// stage when set sampling is active. Charges the final total and
+    /// returns it.
+    fn cache_stage(
+        &mut self,
+        paddr: u64,
+        vpage: u64,
+        home: NodeId,
+        kind: AccessKind,
+        tlb_miss: bool,
+        cost: u64,
+    ) -> u64 {
+        if self.p.sample.is_some() {
+            self.sampled_cache_stage(paddr, vpage, home, kind, tlb_miss, cost)
+        } else {
+            self.cache_core(paddr, vpage, home, kind, tlb_miss, cost)
+        }
     }
 
-    /// Timed store of an `i64`; see [`Machine::write_i64`].
-    pub fn write_i64(&mut self, addr: VAddr, v: i64) -> u64 {
-        let c = self.access(addr, AccessKind::Write);
-        self.poke_i64(addr, v);
-        c
+    /// Cache-stage dispatch when set sampling is active. Selected lines
+    /// take the exact pipeline ([`Self::cache_core`]) with transition
+    /// bookkeeping for the estimator; unselected lines skip the
+    /// cache/directory/memory stages and are charged translation + the
+    /// guaranteed L1-hit latency, plus — on line transitions — the running
+    /// extra-cycles-per-transition estimate derived from the sampled
+    /// stream (see the [`crate::sample`] module docs). Data is never
+    /// touched here, so captures stay bit-identical to exact mode.
+    fn sampled_cache_stage(
+        &mut self,
+        paddr: u64,
+        vpage: u64,
+        home: NodeId,
+        kind: AccessKind,
+        tlb_miss: bool,
+        cost: u64,
+    ) -> u64 {
+        let l1_hit = self.cfg.lat.l1_hit;
+        let line = paddr >> self.cfg.l1.line_size.trailing_zeros();
+        let sam = self.p.sample.as_deref_mut().expect("sampling state");
+        let selected = sam.sel.sampled(paddr);
+        let same_line = sam.last_line == Some(line);
+        sam.last_line = Some(line);
+        if selected {
+            let total = self.cache_core(paddr, vpage, home, kind, tlb_miss, cost);
+            // Everything beyond translation and the L1-hit latency feeds the
+            // estimator's numerator; a same-line repeat normally contributes 0
+            // but a coherence upgrade or invalidation-induced miss folds its
+            // extra cost in too, so no sampled coherence cycles are lost.
+            let sam = self.p.sample.as_deref_mut().expect("sampling state");
+            sam.sampled_extra_cycles += (total - cost).saturating_sub(l1_hit);
+            if !same_line {
+                sam.sampled_transitions += 1;
+            }
+            return total;
+        }
+        let mut total = cost + l1_hit;
+        if same_line {
+            sam.skipped_hits += 1;
+        } else {
+            sam.skipped_transitions += 1;
+            let est = sam.due();
+            sam.est_cycles += est;
+            total += est;
+        }
+        self.p.note(kind, tlb_miss, FillLevel::L1);
+        self.p.counters.cycles += total;
+        total
     }
 
-    /// Bulk [`AccessRun`] for a team member; see [`Machine::access_run`].
-    /// The run goes through the page-segmented batch walker
-    /// ([`run_segment`]), which bails to a fresh segment the moment any
-    /// invalidation mail is pending, so a concurrent writer's
-    /// invalidation is honoured at the next element boundary exactly as
-    /// the per-element path honours it.
-    pub fn access_run(&mut self, run: &AccessRun) -> u64 {
-        self.run_batched(run, |_, _, _| ())
+    /// Writer found its line clean: consult the directory for ownership
+    /// and post invalidations to other sharers. Returns the extra cycles.
+    fn coherence_write(&mut self, paddr: u64) -> u64 {
+        let dir_line = paddr >> self.cfg.l2.line_size.trailing_zeros();
+        let coh = self.shared.dir.write(dir_line, self.proc);
+        let n = coh.invalidate.len() as u64;
+        if n == 0 {
+            return 0;
+        }
+        self.shared.post_invalidations(&coh.invalidate, dir_line);
+        self.p.counters.invalidations_sent += n;
+        if let Some(attr) = self.p.attr.as_deref_mut() {
+            attr.note_invalidations(self.p.cur_tag, n);
+        }
+        n * self.cfg.lat.invalidation
     }
 
-    /// Page-segmented bulk walk for a team member: drain this shard's
-    /// mailbox, run one [`run_segment`], repeat. Migration epochs never
-    /// fire in shard context (the executor pauses them for the team and
-    /// fires the daemon at the join), so no per-element epoch gate is
-    /// needed here.
+    /// Steps 3–5 of the exact pipeline (L1 → L2 → memory + coherence).
+    fn cache_core(
+        &mut self,
+        paddr: u64,
+        vpage: u64,
+        home: NodeId,
+        kind: AccessKind,
+        tlb_miss: bool,
+        mut cost: u64,
+    ) -> u64 {
+        let write = kind == AccessKind::Write;
+        let (cfg, shared, proc) = (self.cfg, self.shared, self.proc);
+        let lat = &cfg.lat;
+        let local = self.p.node;
+
+        // 3. L1.
+        cost += lat.l1_hit;
+        match self.p.l1.access(paddr, write) {
+            Probe::Hit { was_dirty } => {
+                if write && !was_dirty {
+                    // Upgrade: may need to invalidate other sharers.
+                    cost += self.coherence_write(paddr);
+                }
+                self.p.note(kind, tlb_miss, FillLevel::L1);
+                self.p.counters.cycles += cost;
+                return cost;
+            }
+            Probe::Miss { victim } => {
+                // L1 victims write back into L2; that transfer is part of
+                // the L2-hit path and is not charged separately. We must
+                // mark the line dirty in L2 so its eventual eviction is
+                // written back.
+                if let Some(v) = victim {
+                    if v.dirty {
+                        let byte = v.tag << cfg.l1.line_size.trailing_zeros();
+                        self.p.l2.access(byte, true);
+                    }
+                }
+                self.p.counters.l1_misses += 1;
+            }
+        }
+
+        // 4. L2.
+        cost += lat.l2_hit;
+        match self.p.l2.access(paddr, write) {
+            Probe::Hit { was_dirty } => {
+                if write && !was_dirty {
+                    cost += self.coherence_write(paddr);
+                }
+                self.p.note(kind, tlb_miss, FillLevel::L2);
+                self.p.counters.cycles += cost;
+                return cost;
+            }
+            Probe::Miss { victim } => {
+                self.p.counters.l2_misses += 1;
+                if let Some(v) = victim {
+                    // Inclusion: L1 lines of the evicted L2 line must go.
+                    let l2_line_bytes = cfg.l2.line_size as u64;
+                    let l1_line_bytes = cfg.l1.line_size as u64;
+                    let byte = v.tag * l2_line_bytes;
+                    let mut off = 0;
+                    while off < l2_line_bytes {
+                        let l1line = (byte + off) >> l1_line_bytes.trailing_zeros();
+                        self.p.l1.invalidate_line(l1line);
+                        off += l1_line_bytes;
+                    }
+                    let dir_line = byte >> cfg.l2.line_size.trailing_zeros();
+                    shared.dir.evict(dir_line, proc);
+                    if v.dirty {
+                        self.p.counters.writebacks += 1;
+                        cost += lat.writeback;
+                    }
+                }
+            }
+        }
+
+        // 5. Memory + coherence.
+        let p = &mut *self.p;
+        let dir_line = paddr >> cfg.l2.line_size.trailing_zeros();
+        let coh = if write {
+            shared.dir.write(dir_line, proc)
+        } else {
+            shared.dir.read(dir_line, proc)
+        };
+        let n_inval = coh.invalidate.len() as u64;
+        if n_inval > 0 {
+            shared.post_invalidations(&coh.invalidate, dir_line);
+            p.counters.invalidations_sent += n_inval;
+            cost += n_inval * lat.invalidation;
+        }
+        if coh.intervention {
+            p.counters.interventions += 1;
+        }
+        if let Some(sam) = p.sample.as_deref_mut() {
+            // Sampling routes only selected lines here, so this counts fills
+            // per *sampled* set — the between-set variance behind the
+            // confidence interval.
+            sam.count_fill(dir_line);
+        }
+        let distance = hops(local, home);
+        if distance == 0 {
+            p.counters.local_misses += 1;
+            cost += lat.local_mem;
+        } else {
+            p.counters.remote_misses += 1;
+            cost += lat.remote_base + lat.remote_per_hop * distance as u64;
+        }
+        if let Some(attr) = p.attr.as_deref_mut() {
+            let tag = p.cur_tag;
+            attr.note_access(
+                tag,
+                kind,
+                tlb_miss,
+                FillLevel::Mem {
+                    local: distance == 0,
+                    hops: distance,
+                },
+            );
+            attr.note_page_fill(tag, vpage, local, distance == 0);
+            // Write misses send invalidations too (a clean-hit writer goes
+            // through `coherence_write`, which attributes its own); without
+            // this the attributed invalidation total undercounts the machine's.
+            if n_inval > 0 {
+                attr.note_invalidations(tag, n_inval);
+            }
+        }
+        shared.node_served[home.0].fetch_add(1, Ordering::Relaxed);
+        if !cfg.migration.is_off() {
+            // Per-page reference counter for the migration daemon; lock-free,
+            // so shards on host threads sample concurrently.
+            shared.refs.record(vpage, local);
+        }
+        p.counters.cycles += cost;
+        cost
+    }
+
+    /// One page segment of a bulk [`AccessRun`], starting at element
+    /// `start`.
+    ///
+    /// The first element takes the full five-step pipeline. After it,
+    /// while the run stays on the same page and this processor has no
+    /// invalidation mail, two exact shortcuts apply:
+    ///
+    /// * **same L1 line as the previous element** — the previous access
+    ///   left the line resident and MRU (and, for writes, dirty), so the
+    ///   probe is a guaranteed hit with no coherence action: charge
+    ///   `l1_hit`, count the access, skip the probes;
+    /// * **new line on the same page** — the page is still the MRU TLB
+    ///   entry and its mapping cannot have changed (remap and migration
+    ///   only run from `&mut Machine`, never concurrently with a run), so
+    ///   the TLB probe is a guaranteed hit and the cached translation is
+    ///   reused; only the cache/memory steps ([`Self::cache_stage`])
+    ///   execute.
+    ///
+    /// Re-probing would merely re-touch already-MRU recency state, so
+    /// every observable outcome — counters, cycles, cache/directory/TLB
+    /// contents — is element-for-element identical to the plain access
+    /// loop. (The only divergence is `Tlb::stats`, which counts probes and
+    /// is not part of any report.) The segment ends at a page boundary or
+    /// as soon as this processor has mail; the caller delivers it and
+    /// re-enters, so bailing at any element boundary reproduces the
+    /// per-element delivery points. Mail this run posts to *other*
+    /// processors never ends a segment: nothing here reads their caches,
+    /// and applying an invalidation commutes with everything but its
+    /// target's own accesses. `data` runs after each element's accounting
+    /// with `(shared, addr, index)` — the data movement of the run.
+    ///
+    /// Returns `(next_element, cycles)`.
+    fn run_segment(
+        &mut self,
+        run: &AccessRun,
+        start: u64,
+        mut data: impl FnMut(&SharedState, VAddr, u64),
+    ) -> (u64, u64) {
+        let page_bits = self.page_bits;
+        let line_bits = self.cfg.l1.line_size.trailing_zeros();
+        let l1_hit = self.cfg.lat.l1_hit;
+        let mask = (1u64 << page_bits) - 1;
+        let kind = run.kind;
+        // Sampling: transitions dispatch through `sampled_cache_stage`
+        // (whose per-element bookkeeping matches the scalar path exactly);
+        // same-line repeats on an unselected line count as coalesced
+        // estimator hits.
+        let sel = self.p.sample.as_deref().map(|s| s.sel);
+        let mut i = start;
+        let addr = run.addr(i);
+        let vpage = addr >> page_bits;
+        let (mapping, tlb_miss, cost) = self.translate(vpage, kind);
+        let frame_base = mapping.frame << page_bits;
+        let paddr = frame_base | (addr & mask);
+        let mut cur_selected = sel.is_none_or(|s| s.sampled(paddr));
+        let mut total = self.cache_stage(paddr, vpage, mapping.node, kind, tlb_miss, cost);
+        data(self.shared, addr, i);
+        let mut line = addr >> line_bits;
+        i += 1;
+        while i < run.count && !self.shared.has_mail(self.proc) {
+            let a = run.addr(i);
+            if a >> page_bits != vpage {
+                break;
+            }
+            match kind {
+                AccessKind::Read => self.p.counters.loads += 1,
+                AccessKind::Write => self.p.counters.stores += 1,
+            }
+            if a >> line_bits == line {
+                self.p.counters.cycles += l1_hit;
+                self.p.note(kind, false, FillLevel::L1);
+                total += l1_hit;
+                if !cur_selected {
+                    self.p
+                        .sample
+                        .as_deref_mut()
+                        .expect("sampling state")
+                        .skipped_hits += 1;
+                }
+            } else {
+                line = a >> line_bits;
+                let paddr = frame_base | (a & mask);
+                cur_selected = sel.is_none_or(|s| s.sampled(paddr));
+                total += self.cache_stage(paddr, vpage, mapping.node, kind, false, 0);
+            }
+            data(self.shared, a, i);
+            i += 1;
+        }
+        (i, total)
+    }
+
+    /// Page-segmented bulk walk of an [`AccessRun`]: deliver this
+    /// processor's mail, run one [`Self::run_segment`], repeat —
+    /// observationally identical to the equivalent loop of
+    /// [`MachineShard::access`] calls, with the TLB probe and page-table
+    /// lookup hoisted to once per page and same-line repeats skipping the
+    /// cache probes, which is where the bytecode engine's bulk throughput
+    /// comes from. Returns the summed cycle cost.
     fn run_batched(
         &mut self,
         run: &AccessRun,
@@ -1625,78 +1421,60 @@ impl MachineShard<'_> {
         let mut total = 0;
         let mut i = 0;
         while i < run.count {
-            for line in self.shared.take_mail(self.proc) {
-                apply_line_invalidation(self.cfg, self.p, line);
-            }
-            let (next, cost) = run_segment(
-                self.cfg,
-                self.shared,
-                self.page_bits,
-                self.proc,
-                self.p,
-                run,
-                i,
-                &mut data,
-            );
+            self.deliver_mail();
+            let (next, cost) = self.run_segment(run, i, &mut data);
             total += cost;
             i = next;
         }
         total
     }
 
-    /// Bulk timed store of `f64` values; see [`Machine::write_run_f64`].
-    pub fn write_run_f64(&mut self, run: &AccessRun, vals: &[f64]) -> u64 {
-        debug_assert_eq!(run.kind, AccessKind::Write);
-        self.run_batched(run, |s, a, i| {
-            s.mem.store_u64(a, vals[i as usize].to_bits());
-        })
-    }
-
-    /// Bulk timed store of `i64` values; see [`Machine::write_run_i64`].
-    pub fn write_run_i64(&mut self, run: &AccessRun, vals: &[i64]) -> u64 {
-        debug_assert_eq!(run.kind, AccessKind::Write);
-        self.run_batched(run, |s, a, i| {
-            s.mem.store_u64(a, vals[i as usize] as u64);
-        })
-    }
-
-    /// Bulk timed fill of one raw word; see [`Machine::fill_run_u64`].
+    /// Bulk timed store of one raw 8-byte word to every element of an
+    /// [`AccessRun`] (a loop-invariant fill).
+    ///
+    /// # Panics
+    ///
+    /// Panics if any address is outside an allocated region.
     pub fn fill_run_u64(&mut self, run: &AccessRun, word: u64) -> u64 {
         debug_assert_eq!(run.kind, AccessKind::Write);
         self.run_batched(run, |s, a, _| s.mem.store_u64(a, word))
     }
 
-    /// Bulk timed load appending raw words to `out`; see
-    /// [`Machine::read_run_u64`].
-    pub fn read_run_u64(&mut self, run: &AccessRun, out: &mut Vec<u64>) -> u64 {
-        debug_assert_eq!(run.kind, AccessKind::Read);
-        out.reserve(run.count as usize);
-        self.run_batched(run, |s, a, _| out.push(s.mem.load_u64(a)))
+    /// Timed load of an `f64`. Returns `(value, cycles)`.
+    ///
+    /// # Panics
+    ///
+    /// This and the other typed loads/stores panic if `addr` is outside
+    /// any allocated region.
+    pub fn read_f64(&mut self, addr: VAddr) -> (f64, u64) {
+        let c = self.access(addr, AccessKind::Read);
+        (f64::from_bits(self.shared.mem.load_u64(addr)), c)
     }
 
-    /// Untimed read of the backing store.
-    pub fn peek_f64(&self, addr: VAddr) -> f64 {
-        f64::from_bits(self.shared.mem.load_u64(addr))
-    }
-
-    /// Untimed write of the backing store.
-    pub fn poke_f64(&mut self, addr: VAddr, v: f64) {
+    /// Timed store of an `f64`. Returns the cycle cost.
+    pub fn write_f64(&mut self, addr: VAddr, v: f64) -> u64 {
+        let c = self.access(addr, AccessKind::Write);
         self.shared.mem.store_u64(addr, v.to_bits());
+        c
     }
 
-    /// Untimed read of an `i64`.
-    pub fn peek_i64(&self, addr: VAddr) -> i64 {
-        self.shared.mem.load_u64(addr) as i64
+    /// Timed load of an `i64`.
+    pub fn read_i64(&mut self, addr: VAddr) -> (i64, u64) {
+        let c = self.access(addr, AccessKind::Read);
+        (self.shared.mem.load_u64(addr) as i64, c)
     }
 
-    /// Untimed write of an `i64`.
-    pub fn poke_i64(&mut self, addr: VAddr, v: i64) {
+    /// Timed store of an `i64`.
+    pub fn write_i64(&mut self, addr: VAddr, v: i64) -> u64 {
+        let c = self.access(addr, AccessKind::Write);
         self.shared.mem.store_u64(addr, v as u64);
+        c
     }
 
-    /// Stamp the tag applied to this shard's subsequent accesses; see
-    /// [`Machine::set_tag`]. Touches only the shard's own processor, so it
-    /// is safe (and lock-free) from the member's host thread.
+    /// Stamp the tag applied to this processor's subsequent accesses.
+    /// Cheap (two word stores) and touches only the shard's own processor,
+    /// so it is safe (and lock-free) from the member's host thread;
+    /// callers typically guard it on their own profiling flag anyway.
     #[inline]
     pub fn set_tag(&mut self, tag: AccessTag) {
         self.p.cur_tag = tag;
@@ -1787,10 +1565,7 @@ mod tests {
                     kind,
                 };
                 let bulk = match kind {
-                    AccessKind::Read => {
-                        let mut out = Vec::new();
-                        a.read_run_u64(ProcId(0), &run, &mut out)
-                    }
+                    AccessKind::Read => a.access_run(ProcId(0), &run),
                     AccessKind::Write => a.fill_run_u64(ProcId(0), &run, 42),
                 };
                 let mut looped = 0;
@@ -1825,14 +1600,6 @@ mod tests {
         for (i, v) in vals.iter().enumerate() {
             assert_eq!(m.peek_f64(base + 8 * i as u64), *v);
         }
-        let mut out = Vec::new();
-        let rd = AccessRun {
-            kind: AccessKind::Read,
-            ..run
-        };
-        m.read_run_u64(ProcId(0), &rd, &mut out);
-        assert_eq!(out.len(), 64);
-        assert_eq!(f64::from_bits(out[63]), 31.5);
     }
 
     #[test]

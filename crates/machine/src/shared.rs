@@ -228,10 +228,19 @@ pub struct SharedState {
     /// Per-page per-node reference counters feeding the migration
     /// daemon; grown (like `mem`) only from serial allocation code.
     pub(crate) refs: RefCounters,
-    /// Per-processor pending line invalidations (directory-line numbers).
-    mail: Vec<Mutex<Vec<u64>>>,
-    /// Total undelivered mailbox entries (fast empty check).
+    /// Per-processor invalidation mailboxes.
+    mail: Vec<Mailbox>,
+    /// Total undelivered mailbox entries (fast all-empty check).
     mail_count: AtomicUsize,
+}
+
+/// One processor's pending line invalidations (directory-line numbers).
+/// `pending` mirrors `lines.len()` — written only under the lock — so the
+/// owner polls for mail without taking it.
+#[derive(Debug, Default)]
+struct Mailbox {
+    lines: Mutex<Vec<u64>>,
+    pending: AtomicUsize,
 }
 
 impl SharedState {
@@ -242,7 +251,7 @@ impl SharedState {
             mem: WordMem::default(),
             node_served: (0..n_nodes).map(|_| AtomicU64::new(0)).collect(),
             refs: RefCounters::new(n_nodes),
-            mail: (0..nprocs).map(|_| Mutex::new(Vec::new())).collect(),
+            mail: (0..nprocs).map(|_| Mailbox::default()).collect(),
             mail_count: AtomicUsize::new(0),
         }
     }
@@ -268,17 +277,24 @@ impl SharedState {
     /// targets apply them when they next drain.
     pub(crate) fn post_invalidations(&self, targets: &[ProcId], dir_line: u64) {
         for &t in targets {
-            self.mail[t.0]
-                .lock()
-                .expect("mailbox poisoned")
-                .push(dir_line);
+            let mb = &self.mail[t.0];
+            let mut lines = mb.lines.lock().expect("mailbox poisoned");
+            lines.push(dir_line);
+            mb.pending.store(lines.len(), Ordering::Relaxed);
         }
         self.mail_count.fetch_add(targets.len(), Ordering::Relaxed);
     }
 
     /// Number of undelivered mailbox entries across all processors.
+    #[inline]
     pub(crate) fn mail_pending(&self) -> usize {
         self.mail_count.load(Ordering::Relaxed)
+    }
+
+    /// Whether `proc`'s own mailbox holds undelivered entries.
+    #[inline]
+    pub(crate) fn has_mail(&self, proc: ProcId) -> bool {
+        self.mail[proc.0].pending.load(Ordering::Relaxed) != 0
     }
 
     /// Deep-copy every piece of shared machine state into a
@@ -334,15 +350,16 @@ impl SharedState {
     }
 
     /// Take all pending invalidations for `proc` (empty when none).
+    #[inline]
     pub(crate) fn take_mail(&self, proc: ProcId) -> Vec<u64> {
-        if self.mail_count.load(Ordering::Relaxed) == 0 {
+        if !self.has_mail(proc) {
             return Vec::new();
         }
-        let mut mb = self.mail[proc.0].lock().expect("mailbox poisoned");
-        let taken = std::mem::take(&mut *mb);
-        if !taken.is_empty() {
-            self.mail_count.fetch_sub(taken.len(), Ordering::Relaxed);
-        }
+        let mb = &self.mail[proc.0];
+        let mut lines = mb.lines.lock().expect("mailbox poisoned");
+        let taken = std::mem::take(&mut *lines);
+        mb.pending.store(0, Ordering::Relaxed);
+        self.mail_count.fetch_sub(taken.len(), Ordering::Relaxed);
         taken
     }
 }

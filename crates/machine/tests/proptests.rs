@@ -350,3 +350,94 @@ proptest! {
         }
     }
 }
+
+use dsm_machine::AccessRun;
+
+/// Words in the region the serial-contract proptest shares: four pages.
+const WORDS: u64 = 512;
+
+proptest! {
+    /// The contract `Machine::serial` states: a per-processor operation on
+    /// the whole machine is the same operation on that processor's shard
+    /// followed by delivering every mailbox. Three machines take one
+    /// random history over processors that share lines — through the
+    /// `Machine` API, through one-member `team_shards` views followed by
+    /// `drain_mail`, and through `Machine` with every fill run unrolled
+    /// into single stores (bulk runs that invalidate other processors'
+    /// lines must stay element-for-element exact) — and must agree on
+    /// every cost, counter, page home and memory word, exact and at 1/2
+    /// sampling.
+    #[test]
+    fn whole_machine_ops_are_shard_ops_plus_delivery(
+        ops in prop::collection::vec(
+            (0usize..8, 0u8..3, 0u64..WORDS, -3i64..6, 1u64..48), 1..150),
+        nprocs in 4usize..9,
+        sampled in any::<bool>(),
+    ) {
+        let mut cfg = MachineConfig::small_test(nprocs);
+        if sampled {
+            cfg.sampling = SamplingConfig::new(2).with_seed(1);
+        }
+        let mut machines: Vec<Machine> = (0..3).map(|_| Machine::new(cfg.clone())).collect();
+        let base = machines
+            .iter_mut()
+            .map(|m| m.alloc_pages(WORDS as usize * 8))
+            .max()
+            .expect("three machines");
+        let nprocs = machines[0].nprocs();
+        for &(proc, op, word, stride, count) in &ops {
+            let p = ProcId(proc % nprocs);
+            let addr = base + 8 * word;
+            // Clip fill runs to the region.
+            let room = match stride {
+                0 => count,
+                s if s > 0 => (WORDS - 1 - word) / s as u64 + 1,
+                s => word / s.unsigned_abs() + 1,
+            };
+            let run = AccessRun {
+                base: addr,
+                stride: stride * 8,
+                count: count.min(room),
+                kind: AccessKind::Write,
+            };
+            let costs: Vec<u64> = machines
+                .iter_mut()
+                .enumerate()
+                .map(|(which, m)| match (which, op) {
+                    (0, 0) => m.read_i64(p, addr).1,
+                    (0, 1) => m.write_i64(p, addr, word as i64),
+                    (0, _) => m.fill_run_u64(p, &run, word),
+                    (1, _) => {
+                        let mut sh = m.team_shards(&[p]).pop().expect("one member");
+                        let cost = match op {
+                            0 => sh.read_i64(addr).1,
+                            1 => sh.write_i64(addr, word as i64),
+                            _ => sh.fill_run_u64(&run, word),
+                        };
+                        m.drain_mail();
+                        cost
+                    }
+                    (_, 0) => m.read_i64(p, addr).1,
+                    (_, 1) => m.write_i64(p, addr, word as i64),
+                    (_, _) => (0..run.count)
+                        .map(|i| m.write_i64(p, run.addr(i), word as i64))
+                        .sum(),
+                })
+                .collect();
+            prop_assert_eq!(costs[0], costs[1], "shard view diverged on {:?}", (p, op, run));
+            prop_assert_eq!(costs[0], costs[2], "unrolled run diverged on {:?}", (p, op, run));
+        }
+        let (whole, rest) = machines.split_first().expect("three machines");
+        for other in rest {
+            for p in (0..nprocs).map(ProcId) {
+                prop_assert_eq!(whole.counters(p), other.counters(p), "{} counters", p);
+            }
+            prop_assert_eq!(whole.pages_per_node(), other.pages_per_node());
+            prop_assert_eq!(whole.total_invalidations(), other.total_invalidations());
+            prop_assert_eq!(whole.sampling_summary(), other.sampling_summary());
+            for w in 0..WORDS {
+                prop_assert_eq!(whole.peek_i64(base + 8 * w), other.peek_i64(base + 8 * w));
+            }
+        }
+    }
+}

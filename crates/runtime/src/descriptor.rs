@@ -223,6 +223,35 @@ impl DistDescriptor {
         self.linearize_coords(&self.owner_coords(indices))
     }
 
+    /// The "last requester wins" page-owner rule of regular placement
+    /// (Section 8.2) and of both redistribution movers: the
+    /// highest-numbered grid processor owning any element whose
+    /// column-major linear index lies in `[first, last]`, clamped to the
+    /// array (0 for an empty range). Steps over the contiguous same-owner
+    /// runs of the fastest-varying dimension (a run's elements share every
+    /// index but the first, so they share an owner), which makes the scan
+    /// O(chunks-in-range) instead of O(elements-in-range).
+    pub fn last_owner_in(&self, first: u64, last: u64) -> usize {
+        let last = last.min(self.total_len() - 1);
+        let dim0 = &self.dims[0];
+        let mut owner = 0usize;
+        let mut idx: Vec<u64> = Vec::with_capacity(self.dims.len());
+        let mut e = first;
+        while e <= last {
+            idx.clear();
+            let mut rest = e;
+            for d in &self.dims {
+                idx.push(rest % d.extent);
+                rest /= d.extent;
+            }
+            owner = owner.max(self.owner_proc(&idx));
+            // Jump to the end of the current dim-0 run (clamped to the
+            // column boundary): every element in between shares this owner.
+            e += dim0.run_remaining(idx[0]).min(dim0.extent - idx[0]).max(1);
+        }
+        owner
+    }
+
     /// Element count of the portion owned by linearized processor `p`.
     pub fn portion_len(&self, p: usize) -> u64 {
         let coords = self.delinearize_proc(p);

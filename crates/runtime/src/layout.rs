@@ -198,25 +198,12 @@ impl RtArray {
         let mut off = 0;
         while off < total_bytes {
             let len = page.min(total_bytes - off);
-            let owner = self.page_last_owner(off, len);
+            let eb = self.elem_bytes;
+            let owner = self.desc.last_owner_in(off / eb, (off + page - 1) / eb);
             let node = node_of_grid_proc(m, owner);
             m.place_range(base + off, len as usize, node);
             off += page;
         }
-    }
-
-    /// Highest grid processor owning any element in `[off, off+len)`
-    /// bytes of the contiguous layout (the "last requester" of the page).
-    fn page_last_owner(&self, off: u64, len: u64) -> usize {
-        let first = off / self.elem_bytes;
-        let last = (off + len - 1) / self.elem_bytes;
-        let mut owner = 0;
-        let mut e = first;
-        while e <= last.min(self.desc.total_len().saturating_sub(1)) {
-            owner = owner.max(self.desc.owner_proc(&self.delinearize(e)));
-            e += 1;
-        }
-        owner
     }
 
     /// Dynamically redistribute a regular array (`c$redistribute`,
@@ -252,35 +239,10 @@ impl RtArray {
         let pages = m.remap_range(caller, base, total_bytes as usize, |page_idx| {
             // Same "last requester wins" rule as initial placement.
             let off = page_idx * page;
-            let first = off / elem_bytes;
-            let last = ((off + page - 1).min(total_bytes - 1)) / elem_bytes;
-            let mut owner = 0;
-            for e in first..=last.min(desc.total_len().saturating_sub(1)) {
-                let mut rest = e;
-                let mut idx = Vec::with_capacity(desc.dims.len());
-                for d in &desc.dims {
-                    idx.push(rest % d.extent);
-                    rest /= d.extent;
-                }
-                owner = owner.max(desc.owner_proc(&idx));
-            }
+            let owner = desc.last_owner_in(off / elem_bytes, (off + page - 1) / elem_bytes);
             NodeId(owner / procs_per_node)
         });
         Ok(pages)
-    }
-
-    /// Inverse of the global column-major linearization.
-    fn delinearize(&self, linear: u64) -> Vec<u64> {
-        let mut rest = linear.min(self.desc.total_len().saturating_sub(1));
-        self.desc
-            .dims
-            .iter()
-            .map(|d| {
-                let i = rest % d.extent;
-                rest /= d.extent;
-                i
-            })
-            .collect()
     }
 }
 

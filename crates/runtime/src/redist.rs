@@ -2,19 +2,18 @@
 //! rounds instead of walking pages home-by-home.
 //!
 //! The naive mover ([`RtArray::redistribute`]) visits every page of the
-//! array, recomputes its owner element-by-element and remaps it on the
-//! spot, charging a flat fault + shootdown price per page to the calling
-//! processor. This module replaces that loop with a three-step engine in
+//! array and remaps it on the spot, home or not, charging a flat fault +
+//! shootdown price per page to the calling processor. This module replaces that loop with a three-step engine in
 //! the spirit of Sudarsan & Ribbens' scheduled redistribution for
 //! resizable computations:
 //!
 //! 1. **Plan** — compute each page's new home directly from the target
-//!    descriptor, stepping by *chunk runs* (the contiguous same-owner
-//!    runs of the fastest-varying dimension) rather than per element, so
-//!    a block-cyclic(k) → block-cyclic(k′) conversion costs O(chunks)
-//!    per page, with no materialized intermediate copy. Only pages whose
-//!    home actually changes become moves (delta-only — the heart of
-//!    cheap team resize).
+//!    descriptor ([`DistDescriptor::last_owner_in`]), stepping by *chunk
+//!    runs* (the contiguous same-owner runs of the fastest-varying
+//!    dimension) rather than per element, so a block-cyclic(k) →
+//!    block-cyclic(k′) conversion costs O(chunks) per page, with no
+//!    materialized intermediate copy. Only pages whose home actually
+//!    changes become moves (delta-only — the heart of cheap team resize).
 //! 2. **Schedule** — pack the moves into rounds such that within a round
 //!    no node sources more than `fan` pages (fan-out) or sinks more than
 //!    `fan` pages (fan-in). Transfers inside a round are node-disjoint
@@ -76,38 +75,6 @@ impl RedistSchedule {
     }
 }
 
-/// The "last requester wins" page-owner rule shared with the naive
-/// mover: the highest-numbered grid processor owning any element of the
-/// page. Computed by stepping over the contiguous same-owner runs of
-/// the fastest-varying dimension (a run's elements share every index
-/// but the first, so they share an owner), which makes the scan
-/// O(chunks-in-page) instead of O(elements-in-page).
-fn page_last_owner_chunked(desc: &DistDescriptor, first: u64, last: u64) -> usize {
-    let total = desc.total_len();
-    if total == 0 {
-        return 0;
-    }
-    let last = last.min(total - 1);
-    let dim0 = &desc.dims[0];
-    let mut owner = 0usize;
-    let mut idx: Vec<u64> = Vec::with_capacity(desc.dims.len());
-    let mut e = first.min(last);
-    while e <= last {
-        idx.clear();
-        let mut rest = e;
-        for d in &desc.dims {
-            idx.push(rest % d.extent);
-            rest /= d.extent;
-        }
-        owner = owner.max(desc.owner_proc(&idx));
-        // Jump to the end of the current dim-0 run (clamped to the
-        // column boundary): every element in between shares this owner.
-        let step = dim0.run_remaining(idx[0]).min(dim0.extent - idx[0]).max(1);
-        e += step;
-    }
-    owner
-}
-
 /// Plan the delta moves for remapping the contiguous range
 /// `[base, base + total_bytes)` to the owners described by `desc`, then
 /// pack them into fan-bounded rounds.
@@ -131,10 +98,7 @@ pub fn plan_schedule(
     let mut off = 0u64;
     while off < total_bytes {
         pages_scanned += 1;
-        let len = page.min(total_bytes - off);
-        let first = off / elem_bytes;
-        let last = (off + len - 1) / elem_bytes;
-        let owner = page_last_owner_chunked(desc, first, last);
+        let owner = desc.last_owner_in(off / elem_bytes, (off + page - 1) / elem_bytes);
         let to = NodeId(owner / procs_per_node);
         let vpage = (base + off) / page;
         match m.home_of(base + off) {
@@ -299,41 +263,6 @@ mod tests {
             DistKind::Regular,
             p,
         )
-    }
-
-    #[test]
-    fn chunked_owner_matches_per_element_walk() {
-        for (extents, dists, p) in [
-            (vec![512u64], vec![Dist::Block], 4usize),
-            (vec![512], vec![Dist::Cyclic(7)], 4),
-            (vec![96, 40], vec![Dist::Block, Dist::Cyclic(3)], 8),
-            (vec![33, 33], vec![Dist::Star, Dist::Block], 4),
-        ] {
-            let desc = DistDescriptor::new(&extents, &Distribution::new(dists), p);
-            let total = desc.total_len();
-            for (first, last) in [(0, 127), (100, 300), (total - 5, total + 40)] {
-                let last_clamped = last.min(total - 1);
-                let mut expect = 0;
-                for e in first..=last_clamped {
-                    let mut rest = e;
-                    let idx: Vec<u64> = desc
-                        .dims
-                        .iter()
-                        .map(|d| {
-                            let i = rest % d.extent;
-                            rest /= d.extent;
-                            i
-                        })
-                        .collect();
-                    expect = expect.max(desc.owner_proc(&idx));
-                }
-                assert_eq!(
-                    page_last_owner_chunked(&desc, first, last),
-                    expect,
-                    "range {first}..={last}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -86,6 +86,40 @@ proptest! {
         prop_assert!(rem <= n - i);
     }
 
+    /// The chunk-run page-owner scan equals the per-element walk it
+    /// replaces — the highest owner of any element in the range, clamped
+    /// to the array — for any format, rank 1–3, and any `[first, last]`,
+    /// ranges past the end and empty ones included.
+    #[test]
+    fn last_owner_matches_per_element_walk(
+        extents in prop::collection::vec(1u64..24, 1..4),
+        dists in prop::collection::vec(arb_dist(), 3),
+        nprocs in 1usize..17,
+        first in 0u64..16000,
+        len in 0u64..600,
+    ) {
+        let dists = dists[..extents.len()].to_vec();
+        let desc = DistDescriptor::new(&extents, &Distribution::new(dists), nprocs);
+        let total = desc.total_len();
+        let first = first % (total + 8);
+        let last = first + len;
+        let mut expect = 0;
+        for e in first..=last.min(total - 1) {
+            let mut rest = e;
+            let idx: Vec<u64> = desc
+                .dims
+                .iter()
+                .map(|d| {
+                    let i = rest % d.extent;
+                    rest /= d.extent;
+                    i
+                })
+                .collect();
+            expect = expect.max(desc.owner_proc(&idx));
+        }
+        prop_assert_eq!(desc.last_owner_in(first, last), expect, "range {}..={}", first, last);
+    }
+
     /// Simple scheduling covers every iteration exactly once.
     #[test]
     fn simple_schedule_exact_cover(
