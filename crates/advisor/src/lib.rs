@@ -215,9 +215,14 @@ impl Advice {
 ///
 /// # Errors
 ///
-/// [`AdvisorError`] on parse failure, a broken baseline, or — when
-/// `cfg.verify` is on — no evaluated plan passing the oracle.
+/// [`AdvisorError`] on parse failure, a broken baseline (which includes a
+/// machine the simulator cannot build, such as more than 128
+/// processors), or — when `cfg.verify` is on — no evaluated plan passing
+/// the oracle.
 pub fn advise(sources: &[(String, String)], cfg: &AdvisorConfig) -> Result<Advice, AdvisorError> {
+    dsm_machine::MachineConfig::scaled_origin2000(cfg.nprocs, cfg.scale)
+        .validate()
+        .map_err(|e| AdvisorError::Baseline(format!("machine: {e}")))?;
     let an = analyze(sources).map_err(AdvisorError::Analyze)?;
     let outcome = search::search(&an, cfg).map_err(AdvisorError::Baseline)?;
     let captures: Vec<String> = an.arrays.iter().map(|a| a.name.clone()).collect();

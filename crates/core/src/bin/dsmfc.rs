@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! dsmfc [options] file.f [file2.f ...]
-//!   -p, --procs N       simulated processors (default 4)
+//!   -p, --procs N       simulated processors (default 4, at most 128)
 //!       --scale N       machine scale divisor vs a real Origin-2000 (default 64)
 //!   -O LEVEL            none | tile | hoist | full   (default full)
 //!       --dump-ir       print the transformed IR and exit

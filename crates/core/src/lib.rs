@@ -231,12 +231,13 @@ impl CompiledProgram {
     /// # Errors
     ///
     /// Returns runtime failures (out-of-bounds, failed argument checks,
-    /// illegal redistribution) as [`DsmError::Exec`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `opts.nprocs` exceeds the machine's processor count.
+    /// illegal redistribution) as [`DsmError::Exec`]; a `cfg` that fails
+    /// [`MachineConfig::validate`] (more than `MAX_PROCS` processors, an
+    /// illegal geometry) or an `opts.nprocs` the machine cannot host is
+    /// [`ExecError::Options`], never a panic.
     pub fn run(&self, cfg: &MachineConfig, opts: &ExecOptions) -> Result<RunOutcome, DsmError> {
+        cfg.validate()
+            .map_err(|e| DsmError::Exec(ExecError::Options(format!("machine: {e}"))))?;
         let mut m = Machine::new(cfg.clone());
         self.run_on(&mut m, opts)
     }
@@ -251,10 +252,6 @@ impl CompiledProgram {
     /// # Errors
     ///
     /// Returns runtime failures as [`DsmError::Exec`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `opts.nprocs` exceeds the machine's processor count.
     pub fn run_on(&self, machine: &mut Machine, opts: &ExecOptions) -> Result<RunOutcome, DsmError> {
         dsm_exec::run_outcome(machine, &self.compiled.program, opts).map_err(DsmError::from)
     }

@@ -56,6 +56,24 @@ fn zero_procs_exits_1_with_options_code() {
     }
 }
 
+/// More processors than the directory's sharer set holds (the paper's
+/// 128) is the same stable options error, not a panic in a debug build
+/// or processor 128 + k aliased onto k in a release one.
+#[test]
+fn more_than_128_procs_exits_1_with_options_code() {
+    let quickstart = quickstart();
+    let ok = dsmfc(&["-p", "128", "--scale", "512", quickstart.to_str().unwrap()]);
+    assert_eq!(ok.status.code(), Some(0));
+    for procs in ["129", "200"] {
+        let out = dsmfc(&["-p", procs, "--scale", "512", quickstart.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(1), "-p {procs}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("256 processors"), "-p {procs}: {err}");
+        assert!(err.contains("exec.options"), "-p {procs}: {err}");
+        assert!(!err.contains("panicked"), "-p {procs}: {err}");
+    }
+}
+
 /// Integer overflow wraps — `i64::MIN / -1` included — instead of
 /// unwinding the simulator, identically in both engines (and, run under
 /// `cargo test --release` in CI, in both build profiles).

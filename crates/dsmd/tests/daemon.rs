@@ -295,6 +295,34 @@ fn errors_carry_stable_codes_and_discard_the_machine() {
     handle.join();
 }
 
+/// 129 processors do not fit the directory's sharer set: the request is
+/// refused at decode (cold and pooled alike) and the daemon keeps serving.
+#[test]
+fn more_than_128_processors_is_a_bad_request() {
+    let (handle, socket) = start("maxprocs", 1, 4);
+    let mut c = Client::connect(&socket);
+    for cold in [false, true] {
+        let reply = c.roundtrip(&run_request_json(
+            &sources(),
+            &OptConfig::default(),
+            &MachineSpec {
+                procs: 129,
+                ..spec()
+            },
+            &ExecOptions::new(129).to_json(),
+            0,
+            None,
+            cold,
+        ));
+        assert_eq!(code_of(&reply), "daemon.bad-request", "cold={cold}");
+    }
+    assert_eq!(handle.state().pool.stats().created, 0);
+    let opts = ExecOptions::new(4).serial_team(true).capture(&["a"]);
+    assert_eq!(remote_run(&mut c, &opts, false).0, local_run(&opts).0);
+    handle.shutdown();
+    handle.join();
+}
+
 #[test]
 fn expired_wall_budget_is_refused_at_dequeue() {
     let (handle, socket) = start("deadline", 1, 8);

@@ -134,25 +134,27 @@ impl AddrPlan {
                 (a, 0)
             }
             PlanKind::Resh(r) => {
-                // Linearized owner: fold grid axes highest-first
-                // (mirrors `DistDescriptor::linearize_coords`).
-                let mut proc = 0u64;
-                for gi in (0..r.dist_dims.len()).rev() {
-                    let di = r.dist_dims[gi];
-                    proc = proc * r.grid[gi] + r.dims[di].desc.owner(idx0[di]);
-                }
-                // Column-major offset within the owner's portion
-                // (mirrors `DistDescriptor::local_linear`).
+                // Column-major offset within the owner's portion (mirrors
+                // `DistDescriptor::local_linear`); one `locate` per
+                // distributed dimension also yields its owner coordinate.
+                let mut coord = [0u64; MAX_RANK];
                 let mut off = 0u64;
                 for di in (0..r.dims.len()).rev() {
                     let d = &r.dims[di];
                     let (li, ext) = if d.distributed {
-                        let c = d.desc.owner(idx0[di]);
-                        (d.desc.local_offset(idx0[di]), d.pext[c as usize])
+                        let (c, li) = d.desc.locate(idx0[di]);
+                        coord[di] = c;
+                        (li, d.pext[c as usize])
                     } else {
                         (idx0[di], d.desc.extent)
                     };
                     off = off * ext + li;
+                }
+                // Linearized owner: fold grid axes highest-first
+                // (mirrors `DistDescriptor::linearize_coords`).
+                let mut proc = 0u64;
+                for gi in (0..r.dist_dims.len()).rev() {
+                    proc = proc * r.grid[gi] + coord[r.dist_dims[gi]];
                 }
                 (r.portions[proc as usize] + off * 8, proc as usize)
             }
@@ -236,17 +238,45 @@ mod tests {
     fn plans_match_rtarray_addressing() {
         let mut m = Machine::new(MachineConfig::small_test(4));
         let mut pools = PoolSet::new(4, 1 << 16);
-        for (dist, kind) in [
-            (None, DistKind::None),
+        // Extents the processor grid does not divide, so trailing
+        // portions are short.
+        for (extents, dist, kind) in [
+            (&[13, 9][..], None, DistKind::None),
             (
+                &[13, 9],
                 Some(Distribution::new(vec![Dist::Block, Dist::Star])),
                 DistKind::Reshaped,
             ),
             (
+                &[13, 9],
                 Some(Distribution::new(vec![Dist::Cyclic(3), Dist::Block])),
                 DistKind::Reshaped,
             ),
             (
+                &[13, 9],
+                Some(Distribution::new(vec![Dist::Cyclic(3), Dist::Cyclic(2)])),
+                DistKind::Reshaped,
+            ),
+            (
+                &[5, 7, 9],
+                Some(Distribution::new(vec![
+                    Dist::Star,
+                    Dist::Cyclic(2),
+                    Dist::Block,
+                ])),
+                DistKind::Reshaped,
+            ),
+            (
+                &[7, 5, 6],
+                Some(Distribution::new(vec![
+                    Dist::Block,
+                    Dist::Block,
+                    Dist::Cyclic(1),
+                ])),
+                DistKind::Reshaped,
+            ),
+            (
+                &[13, 9],
                 Some(Distribution::new(vec![Dist::Block, Dist::Block])),
                 DistKind::Regular,
             ),
@@ -255,7 +285,7 @@ mod tests {
                 &mut m,
                 &mut pools,
                 "a",
-                &[13, 9],
+                extents,
                 dist.as_ref(),
                 kind,
                 4,

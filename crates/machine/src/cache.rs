@@ -9,6 +9,12 @@
 //! Lines are indexed by **physical** address, which is what makes OS page
 //! colouring matter: two virtual pages that receive conflicting physical
 //! frames will thrash a set even if their virtual addresses are far apart.
+//!
+//! All ways of all sets sit in one flat array, set after set, so a probe
+//! is an index computation and a scan of `assoc` adjacent entries. A way
+//! is empty while its LRU stamp is 0 (stamps start at 1): "first empty
+//! way, else least recently used" is one `min` over the set, and a
+//! whole-cache pass (`invalidate_page`, `resident`) is one linear walk.
 
 /// Geometry of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,14 +74,27 @@ impl CacheConfig {
     }
 }
 
-/// One resident line.
+/// One way of a set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Line {
     /// Physical line address (address >> line_bits).
     tag: u64,
     dirty: bool,
-    /// LRU timestamp; larger = more recently used.
+    /// LRU timestamp; larger = more recently used, 0 = the way is empty
+    /// (ticks start at 1).
     lru: u64,
+}
+
+const EMPTY: Line = Line {
+    tag: 0,
+    dirty: false,
+    lru: 0,
+};
+
+impl Line {
+    fn holds(&self, line: u64) -> bool {
+        self.lru != 0 && self.tag == line
+    }
 }
 
 /// An evicted line.
@@ -110,12 +129,13 @@ pub enum Probe {
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    sets: Vec<Vec<Line>>,
+    /// Every way of every set in one allocation: set `s` is
+    /// `ways[s * assoc..(s + 1) * assoc]`, so a probe is one indexed read,
+    /// not a pointer chase per set.
+    ways: Vec<Line>,
     line_bits: u32,
     set_mask: u64,
     tick: u64,
-    hits: u64,
-    misses: u64,
 }
 
 impl Cache {
@@ -129,12 +149,10 @@ impl Cache {
         let n_sets = cfg.n_sets();
         Cache {
             cfg,
-            sets: vec![Vec::with_capacity(cfg.assoc); n_sets],
+            ways: vec![EMPTY; n_sets * cfg.assoc],
             line_bits: cfg.line_size.trailing_zeros(),
             set_mask: (n_sets - 1) as u64,
             tick: 0,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -149,65 +167,58 @@ impl Cache {
         paddr >> self.line_bits
     }
 
+    /// The ways of the set `line` maps to.
     #[inline]
-    fn set_of(&self, line: u64) -> usize {
-        (line & self.set_mask) as usize
+    fn set_of(&self, line: u64) -> std::ops::Range<usize> {
+        let first = (line & self.set_mask) as usize * self.cfg.assoc;
+        first..first + self.cfg.assoc
     }
 
     /// Probe (and on miss, fill) the line containing `paddr`.
     /// `write` marks the line dirty on hit or after fill.
+    #[inline]
     pub fn access(&mut self, paddr: u64, write: bool) -> Probe {
         let line = self.line_of(paddr);
         self.tick += 1;
         let tick = self.tick;
-        let set_idx = self.set_of(line);
-        let set = &mut self.sets[set_idx];
-        if let Some(l) = set.iter_mut().find(|l| l.tag == line) {
+        let set = self.set_of(line);
+        let set = &mut self.ways[set];
+        if let Some(l) = set.iter_mut().find(|l| l.holds(line)) {
             l.lru = tick;
             let was_dirty = l.dirty;
             l.dirty |= write;
-            self.hits += 1;
             return Probe::Hit { was_dirty };
         }
-        self.misses += 1;
-        let mut victim = None;
-        if set.len() == self.cfg.assoc {
-            // Evict the LRU way.
-            let (victim_idx, _) = set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, l)| l.lru)
-                .expect("non-empty set");
-            let v = set.swap_remove(victim_idx);
-            victim = Some(Victim {
-                tag: v.tag,
-                dirty: v.dirty,
-            });
-        }
-        set.push(Line {
+        // The first empty way (`lru == 0`), else the least recently used.
+        let way = set.iter_mut().min_by_key(|l| l.lru).expect("non-empty set");
+        let victim = (way.lru != 0).then_some(Victim {
+            tag: way.tag,
+            dirty: way.dirty,
+        });
+        *way = Line {
             tag: line,
             dirty: write,
             lru: tick,
-        });
+        };
         Probe::Miss { victim }
     }
 
     /// True if the line containing `paddr` is resident (no state change).
     pub fn contains(&self, paddr: u64) -> bool {
         let line = self.line_of(paddr);
-        self.sets[self.set_of(line)].iter().any(|l| l.tag == line)
+        self.ways[self.set_of(line)].iter().any(|l| l.holds(line))
     }
 
     /// Remove the line containing physical line address `line` if resident
     /// (a coherence invalidation). Returns `true` if a line was dropped.
     pub fn invalidate_line(&mut self, line: u64) -> bool {
-        let set_idx = self.set_of(line);
-        let set = &mut self.sets[set_idx];
-        if let Some(pos) = set.iter().position(|l| l.tag == line) {
-            set.swap_remove(pos);
-            true
-        } else {
-            false
+        let set = self.set_of(line);
+        match self.ways[set].iter_mut().find(|l| l.holds(line)) {
+            Some(l) => {
+                *l = EMPTY;
+                true
+            }
+            None => false,
         }
     }
 
@@ -216,26 +227,18 @@ impl Cache {
     pub fn invalidate_page(&mut self, ppage: u64, page_bits: u32) -> usize {
         let shift = page_bits - self.line_bits;
         let mut dropped = 0;
-        for set in &mut self.sets {
-            set.retain(|l| {
-                let keep = (l.tag >> shift) != ppage;
-                if !keep {
-                    dropped += 1;
-                }
-                keep
-            });
+        for l in &mut self.ways {
+            if l.lru != 0 && (l.tag >> shift) == ppage {
+                *l = EMPTY;
+                dropped += 1;
+            }
         }
         dropped
     }
 
-    /// (hits, misses) since construction.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
     /// Number of resident lines.
     pub fn resident(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.ways.iter().filter(|l| l.lru != 0).count()
     }
 }
 
@@ -342,15 +345,5 @@ mod tests {
         assert!(CacheConfig::new(300, 32, 2).validate().is_err());
         // 3 sets: not a power of two
         assert!(CacheConfig::new(192, 32, 2).validate().is_err());
-    }
-
-    #[test]
-    fn stats_count_hits_and_misses() {
-        let mut c = tiny();
-        c.access(0x0, false);
-        c.access(0x0, false);
-        c.access(0x20, true);
-        let (h, m) = c.stats();
-        assert_eq!((h, m), (1, 2));
     }
 }

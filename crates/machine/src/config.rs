@@ -7,6 +7,7 @@
 //! floating-point divide.
 
 use crate::cache::CacheConfig;
+use crate::directory::MAX_PROCS;
 use crate::migrate::MigrationPolicy;
 use crate::pagetable::PagePolicy;
 use crate::sample::SamplingConfig;
@@ -256,8 +257,8 @@ impl MachineConfig {
     /// # Errors
     ///
     /// Returns a human-readable description of the first violated
-    /// constraint (non-power-of-two node count, page smaller than an L2
-    /// line, zero frames, …).
+    /// constraint (non-power-of-two node count, more than [`MAX_PROCS`]
+    /// processors, page smaller than an L2 line, zero frames, …).
     pub fn validate(&self) -> Result<(), String> {
         if !self.n_nodes.is_power_of_two() {
             return Err(format!(
@@ -267,6 +268,12 @@ impl MachineConfig {
         }
         if self.procs_per_node == 0 {
             return Err("procs_per_node must be at least 1".into());
+        }
+        if self.nprocs() > MAX_PROCS {
+            return Err(format!(
+                "{} processors exceed the {MAX_PROCS} a directory entry tracks",
+                self.nprocs()
+            ));
         }
         if !self.page_size.is_power_of_two() {
             return Err(format!(
@@ -355,6 +362,15 @@ mod tests {
         let mut c = MachineConfig::small_test(4);
         c.frames_per_node = 0;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validate_bounds_the_processor_count() {
+        assert!(MachineConfig::origin2000(MAX_PROCS).validate().is_ok());
+        // 129 rounds up to 128 nodes of 2.
+        let err = MachineConfig::origin2000(MAX_PROCS + 1).validate();
+        assert!(err.unwrap_err().contains("256 processors"));
+        assert!(MachineConfig::small_test(200).validate().is_err());
     }
 
     #[test]

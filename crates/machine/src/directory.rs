@@ -3,14 +3,45 @@
 //! Each Origin-2000 hub maintains a directory over the memory it homes,
 //! tracking which processors cache each line and invalidating them on
 //! writes (Section 2 of the paper).  We keep a machine-wide directory keyed
-//! by physical line address with a sharer bitmap (up to 128 processors),
+//! by physical line address with a sharer bitmap (up to [`MAX_PROCS`]),
 //! sufficient to charge writers for invalidations and to count coherence
 //! traffic — the effect behind cache-line false sharing in the
 //! `(block,block)` convolution.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::ProcId;
+
+/// Hasher for line numbers: one multiply by the 64-bit golden ratio, high
+/// half folded onto the low (the table takes its bucket from the low bits,
+/// which a bare product would leave to the line's own low bits — equal
+/// for every line of one directory shard). Keyed SipHash buys nothing:
+/// the keys are the simulated program's own lines, and contriving
+/// collisions would only slow that program's already-bounded run.
+#[derive(Debug, Clone, Copy, Default)]
+struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("line numbers hash through write_u64");
+    }
+
+    #[inline]
+    fn write_u64(&mut self, line: u64) {
+        let h = line.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Most processors a machine may have ([`crate::MachineConfig::validate`]):
+/// one bit each in a line's sharer set — the paper's Origin-2000.
+pub const MAX_PROCS: usize = u128::BITS as usize;
 
 /// Sharing state of one line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -24,7 +55,7 @@ pub struct LineState {
 /// Machine-wide coherence directory (MSI-style).
 #[derive(Debug, Clone, Default)]
 pub struct Directory {
-    lines: HashMap<u64, LineState>,
+    lines: HashMap<u64, LineState, BuildHasherDefault<LineHasher>>,
     invalidations: u64,
 }
 
@@ -36,6 +67,16 @@ pub struct CoherenceResult {
     /// A dirty copy had to be fetched from another cache (cache-to-cache
     /// intervention rather than a memory read).
     pub intervention: bool,
+}
+
+/// The processors whose bits are set in a sharer set, ascending.
+fn procs_of(mut sharers: u128) -> Vec<ProcId> {
+    let mut out = Vec::new();
+    while sharers != 0 {
+        out.push(ProcId(sharers.trailing_zeros() as usize));
+        sharers &= sharers - 1;
+    }
+    out
 }
 
 impl Directory {
@@ -71,12 +112,7 @@ impl Directory {
         let others = st.sharers & !me;
         if others != 0 {
             res.intervention = st.exclusive;
-            let mut bits = others;
-            while bits != 0 {
-                let i = bits.trailing_zeros() as usize;
-                res.invalidate.push(ProcId(i));
-                bits &= bits - 1;
-            }
+            res.invalidate = procs_of(others);
             self.invalidations += res.invalidate.len() as u64;
         }
         st.sharers = me;
@@ -103,16 +139,9 @@ impl Directory {
 
     /// Current sharer set of a line (empty if uncached).
     pub fn sharers(&self, line: u64) -> Vec<ProcId> {
-        let mut out = Vec::new();
-        if let Some(st) = self.lines.get(&line) {
-            let mut bits = st.sharers;
-            while bits != 0 {
-                let i = bits.trailing_zeros() as usize;
-                out.push(ProcId(i));
-                bits &= bits - 1;
-            }
-        }
-        out
+        self.lines
+            .get(&line)
+            .map_or_else(Vec::new, |st| procs_of(st.sharers))
     }
 
     /// Total invalidation messages sent since construction.

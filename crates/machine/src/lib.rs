@@ -61,7 +61,7 @@ pub use cache::{Cache, CacheConfig};
 pub use config::{LatencyConfig, MachineConfig, OpCosts};
 pub use cost::CostModel;
 pub use counters::CounterSet;
-pub use directory::Directory;
+pub use directory::{Directory, MAX_PROCS};
 pub use machine::{AccessKind, AccessRun, Machine, MachineShard, MachineSnapshot, RedistStats, VAddr};
 pub use migrate::{MigrationPolicy, MigrationStats, RefCounters};
 pub use pagetable::{PagePolicy, PageTable};

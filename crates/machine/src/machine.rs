@@ -377,12 +377,7 @@ impl Machine {
         let cm = self.cfg.cost_model();
         let mut longest = 0u64;
         for &(vpage, from, to) in moves {
-            self.shared
-                .pt
-                .write()
-                .expect("page table poisoned")
-                .pin(vpage);
-            self.remap_page(vpage, to);
+            self.place_page(vpage, to);
             longest = longest.max(cm.page_move(from, to));
         }
         // Coalesced shootdown: every processor flushes its stale
@@ -401,21 +396,13 @@ impl Machine {
 
     /// Home node of the page containing `addr`, if mapped.
     pub fn home_of(&self, addr: VAddr) -> Option<NodeId> {
-        self.shared
-            .pt
-            .read()
-            .expect("page table poisoned")
-            .lookup(addr >> self.page_bits)
-            .map(|m| m.node)
+        let vpage = addr >> self.page_bits;
+        self.shared.page_table().lookup(vpage).map(|m| m.node)
     }
 
     /// Pages currently resident on each node (placement histogram).
     pub fn pages_per_node(&self) -> Vec<usize> {
-        self.shared
-            .pt
-            .read()
-            .expect("page table poisoned")
-            .pages_per_node()
+        self.shared.page_table().pages_per_node()
     }
 
     // ---------------------------------------------------------------
@@ -721,7 +708,7 @@ impl Machine {
         let pages = self.shared.refs.pages();
         let mut moves: Vec<(u64, NodeId, NodeId)> = Vec::new();
         {
-            let pt = self.shared.pt.read().expect("page table poisoned");
+            let pt = self.shared.page_table();
             for vpage in 0..pages {
                 let Some(mapping) = pt.lookup(vpage) else {
                     continue;
@@ -799,11 +786,7 @@ impl Machine {
     /// Whether `vpage` is pinned against reactive migration (explicit
     /// placement and redistribution both pin).
     pub fn page_pinned(&self, vpage: u64) -> bool {
-        self.shared
-            .pt
-            .read()
-            .expect("page table poisoned")
-            .is_pinned(vpage)
+        self.shared.page_table().is_pinned(vpage)
     }
 
     /// Migration count per virtual page, ascending by page (feeds the
@@ -830,12 +813,7 @@ impl Machine {
 
     /// Current physical frame of a virtual page, if mapped.
     pub fn frame_of(&self, vpage: u64) -> Option<u64> {
-        self.shared
-            .pt
-            .read()
-            .expect("page table poisoned")
-            .lookup(vpage)
-            .map(|m| m.frame)
+        self.shared.page_table().lookup(vpage).map(|m| m.frame)
     }
 
     /// Misses serviced by each node's memory since construction. A
@@ -1036,19 +1014,18 @@ impl MachineShard<'_> {
     /// count it as received.
     #[inline]
     fn deliver_mail(&mut self) {
-        let l2_line = self.cfg.l2.line_size as u64;
-        let l1_line = self.cfg.l1.line_size as u64;
         for dir_line in self.shared.take_mail(self.proc) {
-            let byte = dir_line * l2_line;
             self.p.l2.invalidate_line(dir_line);
-            let mut off = 0;
-            while off < l2_line {
-                self.p
-                    .l1
-                    .invalidate_line((byte + off) >> l1_line.trailing_zeros());
-                off += l1_line;
-            }
+            self.purge_l1(dir_line);
             self.p.counters.invalidations_received += 1;
+        }
+    }
+
+    /// Inclusion: drop the L1 lines inside L2 line `dir_line`.
+    fn purge_l1(&mut self, dir_line: u64) {
+        let (l1, l2) = (self.cfg.l1.line_size as u64, self.cfg.l2.line_size as u64);
+        for byte in (dir_line * l2..(dir_line + 1) * l2).step_by(l1 as usize) {
+            self.p.l1.invalidate_line(byte >> l1.trailing_zeros());
         }
     }
 
@@ -1068,28 +1045,36 @@ impl MachineShard<'_> {
         self.cache_stage(paddr, vpage, mapping.node, kind, tlb_miss, cost)
     }
 
-    /// Steps 1–2 of the pipeline: count the access, probe the TLB and
-    /// translate the page (faulting it in under the placement policy).
-    /// Returns the mapping, whether the TLB missed, and the cycles accrued
-    /// so far (not yet charged).
+    /// Steps 1–2 of the pipeline: count the access, probe the TLB and — on
+    /// a miss only; a hit carries the translation and touches no shared
+    /// state — walk the page table (faulting the page in under the
+    /// placement policy) and refill. Returns the mapping, whether the TLB
+    /// missed, and the cycles accrued so far (not yet charged).
+    #[inline]
     fn translate(&mut self, vpage: u64, kind: AccessKind) -> (Mapping, bool, u64) {
         let p = &mut *self.p;
         match kind {
             AccessKind::Read => p.counters.loads += 1,
             AccessKind::Write => p.counters.stores += 1,
         }
-        let mut cost = 0;
-        let tlb_miss = !p.tlb.access(vpage);
-        if tlb_miss {
-            p.counters.tlb_misses += 1;
-            cost += self.cfg.lat.tlb_miss;
+        if let Some(m) = p.tlb.lookup(vpage) {
+            debug_assert_eq!(
+                Some(m),
+                self.shared.page_table().lookup(vpage),
+                "stale translation for page {vpage} in {}'s TLB",
+                self.proc
+            );
+            return (m, false, 0);
         }
+        p.counters.tlb_misses += 1;
+        let mut cost = self.cfg.lat.tlb_miss;
         let tr = self.shared.translate(vpage, p.node, self.cfg.policy);
         if let Translate::Faulted(_) = tr {
             p.counters.page_faults += 1;
             cost += self.cfg.lat.page_fault;
         }
-        (tr.mapping(), tlb_miss, cost)
+        p.tlb.fill(vpage, tr.mapping());
+        (tr.mapping(), true, cost)
     }
 
     /// Steps 3–5 for an already-translated access, starting from `cost`
@@ -1235,18 +1220,8 @@ impl MachineShard<'_> {
             Probe::Miss { victim } => {
                 self.p.counters.l2_misses += 1;
                 if let Some(v) = victim {
-                    // Inclusion: L1 lines of the evicted L2 line must go.
-                    let l2_line_bytes = cfg.l2.line_size as u64;
-                    let l1_line_bytes = cfg.l1.line_size as u64;
-                    let byte = v.tag * l2_line_bytes;
-                    let mut off = 0;
-                    while off < l2_line_bytes {
-                        let l1line = (byte + off) >> l1_line_bytes.trailing_zeros();
-                        self.p.l1.invalidate_line(l1line);
-                        off += l1_line_bytes;
-                    }
-                    let dir_line = byte >> cfg.l2.line_size.trailing_zeros();
-                    shared.dir.evict(dir_line, proc);
+                    self.purge_l1(v.tag);
+                    shared.dir.evict(v.tag, proc);
                     if v.dirty {
                         self.p.counters.writebacks += 1;
                         cost += lat.writeback;
@@ -1336,15 +1311,14 @@ impl MachineShard<'_> {
     /// Re-probing would merely re-touch already-MRU recency state, so
     /// every observable outcome — counters, cycles, cache/directory/TLB
     /// contents — is element-for-element identical to the plain access
-    /// loop. (The only divergence is `Tlb::stats`, which counts probes and
-    /// is not part of any report.) The segment ends at a page boundary or
-    /// as soon as this processor has mail; the caller delivers it and
-    /// re-enters, so bailing at any element boundary reproduces the
-    /// per-element delivery points. Mail this run posts to *other*
-    /// processors never ends a segment: nothing here reads their caches,
-    /// and applying an invalidation commutes with everything but its
-    /// target's own accesses. `data` runs after each element's accounting
-    /// with `(shared, addr, index)` — the data movement of the run.
+    /// loop. The segment ends at a page boundary or as soon as this
+    /// processor has mail; the caller delivers it and re-enters, so
+    /// bailing at any element boundary reproduces the per-element
+    /// delivery points. Mail this run posts to *other* processors never
+    /// ends a segment: nothing here reads their caches, and applying an
+    /// invalidation commutes with everything but its target's own
+    /// accesses. `data` runs after each element's accounting with
+    /// `(shared, addr, index)` — the data movement of the run.
     ///
     /// Returns `(next_element, cycles)`.
     fn run_segment(

@@ -12,10 +12,13 @@
 //!
 //! Locking discipline (also documented in `docs/SIMULATOR.md`):
 //!
-//! * [`PageTable`] is read-mostly: translations are immutable once a page
-//!   is placed, so lookups take the read lock; only a first-touch fault or
-//!   an explicit placement takes the write lock (with a double-check under
-//!   the lock, so concurrent faults of one page agree on its home).
+//! * [`PageTable`] is consulted on a TLB miss only: a TLB entry carries the
+//!   page's translation, which cannot go stale — remaps need `&mut Machine`
+//!   (no team is running) and all go through `Machine::retire_frame`,
+//!   which drops the page from every TLB. The miss path takes the read
+//!   lock; only a first-touch fault or an explicit placement takes the
+//!   write lock (with a double-check under the lock, so concurrent faults
+//!   of one page agree on its home).
 //! * The [`Directory`] is sharded by line address across
 //!   [`DIR_SHARDS`] mutexes; two members only contend when they touch
 //!   lines that hash to the same shard.
@@ -30,7 +33,7 @@
 //!   drains all mailboxes at serial points.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, RwLock};
+use std::sync::{Mutex, RwLock, RwLockReadGuard};
 
 use crate::directory::{CoherenceResult, Directory};
 use crate::migrate::RefCounters;
@@ -256,14 +259,20 @@ impl SharedState {
         }
     }
 
-    /// Translate `vpage`, faulting it in under `policy` if unmapped.
+    /// The page table, read-locked.
+    pub(crate) fn page_table(&self) -> RwLockReadGuard<'_, PageTable> {
+        self.pt.read().expect("page table poisoned")
+    }
+
+    /// Translate `vpage` after a TLB miss, faulting it in under `policy` if
+    /// unmapped.
     ///
     /// Read-mostly: the common case takes only the read lock. A fault takes
     /// the write lock; `PageTable::translate` re-checks the mapping under
     /// it, so two processors racing to first-touch one page agree on a
     /// single home node and only one of them observes the fault.
     pub(crate) fn translate(&self, vpage: u64, local: NodeId, policy: PagePolicy) -> Translate {
-        if let Some(m) = self.pt.read().expect("page table poisoned").lookup(vpage) {
+        if let Some(m) = self.page_table().lookup(vpage) {
             return Translate::Mapped(m);
         }
         self.pt
@@ -310,7 +319,7 @@ impl SharedState {
     pub(crate) fn snapshot(&self) -> SharedSnapshot {
         assert_eq!(self.mail_pending(), 0, "snapshot with undelivered mail");
         SharedSnapshot {
-            pt: self.pt.read().expect("page table poisoned").clone(),
+            pt: self.page_table().clone(),
             dir: self.dir.snapshot(),
             mem: self.mem.snapshot_words(),
             node_served: self

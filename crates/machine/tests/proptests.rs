@@ -1,9 +1,19 @@
 //! Property-based tests of the machine substrate's invariants.
 
+use dsm_machine::cache::{Probe, Victim};
+use dsm_machine::pagetable::Mapping;
 use dsm_machine::{
     AccessKind, Cache, CacheConfig, Machine, MachineConfig, MigrationPolicy, NodeId, ProcId, Tlb,
 };
 use proptest::prelude::*;
+
+/// A translation that names its page and which fill of that page it is.
+fn mapping_of(vpage: u64, fill: u64) -> Mapping {
+    Mapping {
+        node: NodeId(vpage as usize % 4),
+        frame: vpage * 1000 + fill,
+    }
+}
 
 proptest! {
     /// A cache never holds more lines than its capacity, and an access
@@ -15,7 +25,7 @@ proptest! {
         let mut c = Cache::new(CacheConfig::new(1024, 32, 2));
         for &a in &addrs {
             c.access(a, a % 3 == 0);
-            let hit = matches!(c.access(a, false), dsm_machine::cache::Probe::Hit { .. });
+            let hit = matches!(c.access(a, false), Probe::Hit { .. });
             prop_assert!(hit);
             prop_assert!(c.resident() <= 32);
         }
@@ -34,13 +44,16 @@ proptest! {
         prop_assert!(c.contains(a));
     }
 
-    /// TLB entries never exceed capacity and repeated pages hit.
+    /// TLB entries never exceed capacity and repeated pages hit, with the
+    /// translation they were filled with.
     #[test]
     fn tlb_bounded_and_hits(pages in prop::collection::vec(0u64..128, 1..300)) {
         let mut t = Tlb::new(16);
         for &p in &pages {
-            t.access(p);
-            prop_assert!(t.access(p), "immediate re-access must hit");
+            if t.lookup(p).is_none() {
+                t.fill(p, mapping_of(p, 0));
+            }
+            prop_assert_eq!(t.lookup(p), Some(mapping_of(p, 0)), "immediate re-access must hit");
             prop_assert!(t.len() <= 16);
         }
     }
@@ -437,6 +450,267 @@ proptest! {
             prop_assert_eq!(whole.sampling_summary(), other.sampling_summary());
             for w in 0..WORDS {
                 prop_assert_eq!(whole.peek_i64(base + 8 * w), other.peek_i64(base + 8 * w));
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Reference models. `Cache` was a `Vec` of resident lines per set and
+// `Tlb` a list of page tags found by scanning; the flat way array and the
+// hinted, translation-carrying TLB replaced them for speed only. The old
+// structures live on here, as the oracles the new ones must match move
+// for move.
+// ---------------------------------------------------------------------
+
+/// `(tag, dirty, lru)` per resident line, one growable `Vec` per set.
+struct RefCache {
+    sets: Vec<Vec<(u64, bool, u64)>>,
+    assoc: usize,
+    line_bits: u32,
+    tick: u64,
+}
+
+impl RefCache {
+    fn new(cfg: CacheConfig) -> Self {
+        RefCache {
+            sets: vec![Vec::new(); cfg.n_sets()],
+            assoc: cfg.assoc,
+            line_bits: cfg.line_size.trailing_zeros(),
+            tick: 0,
+        }
+    }
+
+    fn set_of(&self, line: u64) -> usize {
+        line as usize & (self.sets.len() - 1)
+    }
+
+    fn access(&mut self, paddr: u64, write: bool) -> Probe {
+        let line = paddr >> self.line_bits;
+        self.tick += 1;
+        let (tick, assoc, set) = (self.tick, self.assoc, self.set_of(line));
+        let set = &mut self.sets[set];
+        if let Some(l) = set.iter_mut().find(|l| l.0 == line) {
+            let was_dirty = l.1;
+            *l = (line, was_dirty | write, tick);
+            return Probe::Hit { was_dirty };
+        }
+        let mut victim = None;
+        if set.len() == assoc {
+            let lru = (0..assoc).min_by_key(|&i| set[i].2).expect("non-empty set");
+            let (tag, dirty, _) = set.swap_remove(lru);
+            victim = Some(Victim { tag, dirty });
+        }
+        set.push((line, write, tick));
+        Probe::Miss { victim }
+    }
+
+    fn contains(&self, paddr: u64) -> bool {
+        let line = paddr >> self.line_bits;
+        self.sets[self.set_of(line)].iter().any(|l| l.0 == line)
+    }
+
+    fn invalidate_line(&mut self, line: u64) -> bool {
+        let set = self.set_of(line);
+        let before = self.sets[set].len();
+        self.sets[set].retain(|l| l.0 != line);
+        self.sets[set].len() < before
+    }
+
+    fn invalidate_page(&mut self, ppage: u64, page_bits: u32) -> usize {
+        let shift = page_bits - self.line_bits;
+        let before = self.resident();
+        for set in &mut self.sets {
+            set.retain(|l| l.0 >> shift != ppage);
+        }
+        before - self.resident()
+    }
+
+    fn resident(&self) -> usize {
+        self.sets.iter().map(Vec::len).sum()
+    }
+}
+
+/// `(vpage, lru)` tags, found by scanning; no translations, no hints.
+struct RefTlb {
+    entries: Vec<(u64, u64)>,
+    capacity: usize,
+    tick: u64,
+}
+
+impl RefTlb {
+    fn access(&mut self, vpage: u64) -> bool {
+        self.tick += 1;
+        if let Some(e) = self.entries.iter_mut().find(|e| e.0 == vpage) {
+            e.1 = self.tick;
+            return true;
+        }
+        if self.entries.len() == self.capacity {
+            let lru = (0..self.capacity)
+                .min_by_key(|&i| self.entries[i].1)
+                .expect("non-empty TLB");
+            self.entries.swap_remove(lru);
+        }
+        self.entries.push((vpage, self.tick));
+        false
+    }
+}
+
+/// Pages of the remap proptest's arena.
+const PAGES: u64 = 12;
+
+proptest! {
+    /// Random histories of probes and invalidations leave the flat cache
+    /// and the per-set reference in the same state after every step: same
+    /// `Probe` (hit and prior dirty bit, or miss and the victim's tag and
+    /// dirty bit), same drop counts, same residency — over direct-mapped,
+    /// two- and four-way geometries.
+    #[test]
+    fn flat_cache_matches_per_set_reference(
+        geometry in 0usize..4,
+        ops in prop::collection::vec((0u8..8, 0u64..4096, any::<bool>()), 1..400),
+    ) {
+        const PAGE_BITS: u32 = 8;
+        let cfg = [
+            CacheConfig::new(128, 32, 1),
+            CacheConfig::new(256, 32, 2),
+            CacheConfig::new(512, 32, 4),
+            CacheConfig::new(1024, 64, 2),
+        ][geometry];
+        let (mut flat, mut reference) = (Cache::new(cfg), RefCache::new(cfg));
+        for &(op, addr, write) in &ops {
+            match op {
+                0..=5 => prop_assert_eq!(
+                    flat.access(addr, write), reference.access(addr, write), "access {:#x}", addr),
+                6 => {
+                    let line = flat.line_of(addr);
+                    prop_assert_eq!(
+                        flat.invalidate_line(line), reference.invalidate_line(line), "line {}", line);
+                }
+                _ => {
+                    let ppage = addr >> PAGE_BITS;
+                    prop_assert_eq!(
+                        flat.invalidate_page(ppage, PAGE_BITS),
+                        reference.invalidate_page(ppage, PAGE_BITS),
+                        "page {}", ppage);
+                }
+            }
+            prop_assert_eq!(flat.contains(addr), reference.contains(addr));
+            prop_assert_eq!(flat.resident(), reference.resident());
+        }
+        for addr in (0..4096).step_by(32) {
+            prop_assert_eq!(flat.contains(addr), reference.contains(addr), "line at {:#x}", addr);
+        }
+    }
+
+    /// Random histories of probes, shootdowns and flushes hit and miss on
+    /// the hinted TLB exactly as on the scan-only reference (so the same
+    /// entry was evicted every time), a hit returns the translation of the
+    /// page's latest fill, and the two stay the same size — over pages that
+    /// collide on a position hint (equal modulo 256), a one-entry TLB and
+    /// sizes that are not powers of two.
+    #[test]
+    fn hinted_tlb_matches_scan_reference(
+        capacity in prop_oneof![Just(1usize), Just(2), Just(3), Just(7), Just(8), Just(64)],
+        ops in prop::collection::vec((0u8..16, 0u64..6, 0u64..24), 1..600),
+    ) {
+        let mut tlb = Tlb::new(capacity);
+        let mut reference = RefTlb { entries: Vec::new(), capacity, tick: 0 };
+        let mut fills = std::collections::HashMap::new();
+        for (step, &(op, low, high)) in ops.iter().enumerate() {
+            let vpage = low + 256 * high;
+            match op {
+                0..=12 => {
+                    let hit = reference.access(vpage);
+                    match tlb.lookup(vpage) {
+                        Some(m) => {
+                            prop_assert!(hit, "step {}: page {} hit, reference missed", step, vpage);
+                            prop_assert_eq!(Some(&m), fills.get(&vpage));
+                        }
+                        None => {
+                            prop_assert!(!hit, "step {}: page {} missed, reference hit", step, vpage);
+                            let m = mapping_of(vpage, step as u64);
+                            tlb.fill(vpage, m);
+                            fills.insert(vpage, m);
+                        }
+                    }
+                }
+                13 | 14 => {
+                    tlb.invalidate(vpage);
+                    reference.entries.retain(|e| e.0 != vpage);
+                }
+                _ => {
+                    tlb.flush();
+                    reference.entries.clear();
+                }
+            }
+            prop_assert_eq!(tlb.len(), reference.entries.len());
+            prop_assert_eq!(tlb.is_empty(), reference.entries.is_empty());
+        }
+    }
+
+    /// A TLB hit never consults the page table, so every path that changes
+    /// a page's mapping must shoot it out of every TLB. Accesses from 4–8
+    /// processors interleave with explicit placement, range remaps and
+    /// migration-daemon epochs; after each of those, the next access of
+    /// every page whose mapping changed, from every processor, must miss
+    /// the TLB and fill from memory classified local or remote by the
+    /// *new* home. (In a debug build every TLB hit along the way is also
+    /// checked against the page table by `MachineShard`'s own assertion.)
+    #[test]
+    fn remapped_pages_miss_every_tlb_and_fill_from_the_new_home(
+        ops in prop::collection::vec(
+            (0u8..10, 0usize..8, 0u64..PAGES, 0u64..128, any::<bool>(), 0usize..4), 1..160),
+        nprocs in 4usize..9,
+    ) {
+        let mut cfg = MachineConfig::small_test(nprocs);
+        cfg.migration = MigrationPolicy::threshold(2);
+        // Epochs fire only where the history says, never under the checks.
+        cfg.migration_epoch = u64::MAX;
+        let page = cfg.page_size as u64;
+        let mut m = Machine::new(cfg);
+        let base = m.alloc_pages((PAGES * page) as usize);
+        let (nprocs, n_nodes) = (m.nprocs(), m.config().n_nodes);
+        let mappings = |m: &Machine| -> Vec<(Option<u64>, Option<NodeId>)> {
+            (0..PAGES)
+                .map(|pg| (m.frame_of(base / page + pg), m.home_of(base + pg * page)))
+                .collect()
+        };
+        for &(op, proc, pg, word, write, node) in &ops {
+            let proc = ProcId(proc % nprocs);
+            let before = mappings(&m);
+            match op {
+                0..=6 => {
+                    let kind = if write { AccessKind::Write } else { AccessKind::Read };
+                    m.access(proc, base + pg * page + 8 * word, kind);
+                    continue;
+                }
+                7 => {
+                    m.place_page(base / page + pg, NodeId(node % n_nodes));
+                }
+                8 => {
+                    let len = (1 + word % 3).min(PAGES - pg) * page;
+                    m.remap_range(proc, base + pg * page, len as usize, |i| {
+                        NodeId((node + i as usize) % n_nodes)
+                    });
+                }
+                _ => m.migration_epoch(),
+            }
+            let after = mappings(&m);
+            for pg in (0..PAGES).filter(|&pg| before[pg as usize] != after[pg as usize]) {
+                let home = after[pg as usize].1.expect("a changed mapping is a mapping");
+                for q in (0..nprocs).map(ProcId) {
+                    let c0 = *m.counters(q);
+                    m.access(q, base + pg * page + 8 * word, AccessKind::Read);
+                    let c1 = m.counters(q);
+                    prop_assert_eq!(c1.tlb_misses, c0.tlb_misses + 1, "{} kept page {}", q, pg);
+                    prop_assert_eq!(c1.page_faults, c0.page_faults);
+                    let local = u64::from(m.node_of(q) == home);
+                    prop_assert_eq!(
+                        (c1.local_misses - c0.local_misses, c1.remote_misses - c0.remote_misses),
+                        (local, 1 - local),
+                        "{} filled page {} (home {:?}) from the wrong place", q, pg, home);
+                }
             }
         }
     }

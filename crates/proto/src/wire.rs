@@ -11,6 +11,7 @@ use dsm_compile::OptConfig;
 use dsm_exec::{ExecOptions, RunReport};
 use dsm_machine::{
     CounterSet, MachineConfig, MigrationPolicy, PagePolicy, SamplingConfig, SamplingSummary,
+    MAX_PROCS,
 };
 
 use crate::json::{parse, write_json_str, Value};
@@ -69,13 +70,18 @@ impl MachineSpec {
     ///
     /// # Errors
     ///
-    /// Returns a description of the missing or malformed member.
+    /// Returns a description of the missing or malformed member, or of a
+    /// processor count past [`MAX_PROCS`] (which no machine can be built
+    /// with).
     pub fn from_value(v: &Value) -> Result<Self, String> {
         Ok(MachineSpec {
             procs: v
                 .get("procs")
                 .and_then(Value::as_usize)
-                .ok_or("machine.procs must be a positive integer")?,
+                .filter(|&p| p <= MAX_PROCS)
+                .ok_or_else(|| {
+                    format!("machine.procs must be a positive integer, at most {MAX_PROCS}")
+                })?,
             scale: v
                 .get("scale")
                 .and_then(Value::as_usize)
@@ -586,6 +592,20 @@ mod tests {
         let opt = OptConfig::tile_peel_only();
         assert_eq!(opt_from_value(&parse(&opt_to_json(&opt)).unwrap()), opt);
         assert_eq!(opt_from_value(&Value::Null), OptConfig::default());
+    }
+
+    /// A spec past the directory's sharer bitmap is refused at decode, so
+    /// the daemon answers `daemon.bad-request` instead of building it.
+    #[test]
+    fn machine_spec_refuses_more_than_max_procs() {
+        let spec = |procs: usize| {
+            MachineSpec::from_value(
+                &parse(&MachineSpec::origin2000(procs, 64, false).to_json()).unwrap(),
+            )
+        };
+        assert!(spec(MAX_PROCS).unwrap().to_config().validate().is_ok());
+        let err = spec(MAX_PROCS + 1).unwrap_err();
+        assert!(err.contains("at most 128"), "{err}");
     }
 
     #[test]

@@ -27,22 +27,35 @@ pub struct DimDesc {
 }
 
 impl DimDesc {
+    /// Owner coordinate (0-based) of 0-based index `i` and `i`'s offset
+    /// within that owner's portion — the two answers of Table 1, from one
+    /// division for `block` and two for `cyclic(k)`. Every reshaped
+    /// reference resolves through here, so the offset is derived from the
+    /// owner instead of dividing again.
+    #[inline]
+    pub fn locate(&self, i: u64) -> (u64, u64) {
+        match self.dist {
+            Dist::Star => (0, i),
+            Dist::Block => {
+                let owner = (i / self.chunk).min(self.nprocs - 1);
+                (owner, i - owner * self.chunk)
+            }
+            Dist::Cyclic(k) => {
+                let chunk = i / k;
+                let round = chunk / self.nprocs;
+                (chunk - round * self.nprocs, round * k + (i - chunk * k))
+            }
+        }
+    }
+
     /// Processor coordinate (0-based) owning 0-based index `i`.
     pub fn owner(&self, i: u64) -> u64 {
-        match self.dist {
-            Dist::Star => 0,
-            Dist::Block => (i / self.chunk).min(self.nprocs - 1),
-            Dist::Cyclic(k) => (i / k) % self.nprocs,
-        }
+        self.locate(i).0
     }
 
     /// Offset of 0-based index `i` within its owner's portion.
     pub fn local_offset(&self, i: u64) -> u64 {
-        match self.dist {
-            Dist::Star => i,
-            Dist::Block => i - self.owner(i) * self.chunk,
-            Dist::Cyclic(k) => (i / (k * self.nprocs)) * k + i % k,
-        }
+        self.locate(i).1
     }
 
     /// Number of elements owned by processor coordinate `p` along this

@@ -56,6 +56,25 @@ proptest! {
         }
     }
 
+    /// `DimDesc::locate` — one division for `block`, the owner reused for
+    /// the offset — answers Table 1 of the paper: `block` owner `i / b`
+    /// at offset `i mod b`; `cyclic(k)` owner `(i / k) mod P` at offset
+    /// `(i / (k·P))·k + i mod k`; `*` owner 0 at offset `i`.
+    #[test]
+    fn locate_is_table_one(extent in 1u64..200, dist in arb_dist(), nprocs in 1usize..17) {
+        let dim = DistDescriptor::new(&[extent], &Distribution::new(vec![dist]), nprocs).dims[0];
+        let (b, p) = (dim.chunk, dim.nprocs);
+        for i in 0..extent {
+            let table_one = match dist {
+                Dist::Block => (i / b, i % b),
+                Dist::Cyclic(k) => ((i / k) % p, (i / (k * p)) * k + i % k),
+                Dist::Star => (0, i),
+            };
+            prop_assert_eq!(dim.locate(i), table_one, "{:?} index {}", dim, i);
+            prop_assert_eq!((dim.owner(i), dim.local_offset(i)), table_one);
+        }
+    }
+
     /// Owner coordinates are always inside the processor grid.
     #[test]
     fn owners_within_grid(
