@@ -42,7 +42,7 @@
 //! ```
 
 use dsm_core::{
-    advise, AdvisorConfig, DsmError, Engine, ExecOptions, MachineConfig, MachineSpec,
+    advise, AdvisorConfig, DsmError, Engine, ExecError, ExecOptions, MachineConfig, MachineSpec,
     MigrationPolicy, OptConfig, PagePolicy, RedistMode, RunReport, SamplingConfig,
 };
 
@@ -451,6 +451,16 @@ fn run_on_daemon(o: &Options, socket: &str, sources: &[(String, String)]) {
 
 fn main() {
     let o = parse_args();
+    // No machine can be scaled by zero (`scaled_origin2000` asserts):
+    // the same options error as a processor count no machine can host.
+    if o.scale == 0 {
+        let e = DsmError::Exec(ExecError::Options(
+            "machine: --scale must be a positive integer".into(),
+        ));
+        eprintln!("{e}");
+        eprintln!("dsmfc: error code {}", e.code());
+        std::process::exit(1);
+    }
     let mut sources = match dsm_core::load_sources(&o.files).map_err(DsmError::Io) {
         Ok(s) => s,
         Err(e) => {

@@ -56,6 +56,24 @@ fn zero_procs_exits_1_with_options_code() {
     }
 }
 
+/// `--scale 0` is the same stable options error (it was an assert in
+/// `MachineConfig::scaled_origin2000`, with a backtrace).
+#[test]
+fn zero_scale_exits_1_with_options_code() {
+    let quickstart = quickstart();
+    for extra in [&[][..], &["--auto"], &["--dump-ir"]] {
+        let mut args = vec!["--scale", "0"];
+        args.extend_from_slice(extra);
+        args.push(quickstart.to_str().unwrap());
+        let out = dsmfc(&args);
+        assert_eq!(out.status.code(), Some(1), "{extra:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("--scale must be a positive integer"), "{extra:?}: {err}");
+        assert!(err.contains("dsmfc: error code exec.options"), "{extra:?}: {err}");
+        assert!(!err.contains("panicked"), "{extra:?}: {err}");
+    }
+}
+
 /// More processors than the directory's sharer set holds (the paper's
 /// 128) is the same stable options error, not a panic in a debug build
 /// or processor 128 + k aliased onto k in a release one.

@@ -323,6 +323,38 @@ fn more_than_128_processors_is_a_bad_request() {
     handle.join();
 }
 
+/// A zero scale divisor (or zero processors) used to reach
+/// `scaled_origin2000`'s assert inside a worker and kill it; it is
+/// refused at decode, cold and pooled alike, no machine is built, and
+/// the one worker keeps serving.
+#[test]
+fn zero_scale_or_procs_is_a_bad_request() {
+    let (handle, socket) = start("zeroscale", 1, 4);
+    let mut c = Client::connect(&socket);
+    let origin = MachineSpec::origin2000(8, 0, false);
+    let zero_scale = MachineSpec { scale: 0, ..spec() };
+    let zero_procs = MachineSpec { procs: 0, ..spec() };
+    for machine in [origin, zero_scale, zero_procs] {
+        for cold in [false, true] {
+            let reply = c.roundtrip(&run_request_json(
+                &sources(),
+                &OptConfig::default(),
+                &machine,
+                &ExecOptions::new(4).to_json(),
+                0,
+                None,
+                cold,
+            ));
+            assert_eq!(code_of(&reply), "daemon.bad-request", "{machine:?} cold={cold}");
+        }
+    }
+    assert_eq!(handle.state().pool.stats().created, 0);
+    let opts = ExecOptions::new(4).serial_team(true).capture(&["a"]);
+    assert_eq!(remote_run(&mut c, &opts, false).0, local_run(&opts).0);
+    handle.shutdown();
+    handle.join();
+}
+
 #[test]
 fn expired_wall_budget_is_refused_at_dequeue() {
     let (handle, socket) = start("deadline", 1, 8);

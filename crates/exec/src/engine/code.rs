@@ -31,11 +31,24 @@ use crate::value::Costs;
 pub(crate) type Reg = u16;
 
 /// A slice of the per-subroutine register pool (operand lists).
-#[derive(Debug, Clone, Copy)]
+///
+/// `start` doubles as the reference **site** of the `Load`/`Store`/bulk
+/// side/element actual the list belongs to: lists never overlap, so it
+/// is unique per site within the subroutine, and the VM keys the site's
+/// tile hint by it (see [`SubCode::hint_base`]).
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct ListRef {
     pub start: u32,
     pub len: u16,
 }
+
+// `ProgramCode::compile` lowers every subroutine of the program on every
+// run, called or not, so on `dsmd`'s 60 KB bodies the op stream's size is
+// request latency: a 24-byte `Op` (a `site: u32` on `Load`/`Store`) alone
+// took the `daemon_mix` benchmark from 3.2 to 2.2 kreq/s and its tail
+// from 1.7 to 3.7 ms.  New per-op state goes in a side table, or is keyed
+// by something the op already carries.
+const _: () = assert!(std::mem::size_of::<Op>() == 16);
 
 /// One opcode.
 #[derive(Debug, Clone, Copy)]
@@ -61,6 +74,16 @@ pub(crate) enum Op {
     Un { op: UnOp, dst: Reg, src: Reg },
     /// Binary operator (cost from operand types, as the interpreter).
     Bin { op: BinOp, dst: Reg, a: Reg, b: Reg },
+    /// `dst = a op k`: [`Op::Bin`] whose right operand is the integer
+    /// literal `k` — the same `bin_op` call (value, cost, error) with one
+    /// dispatch fewer than `ConstI` + `Bin`.
+    BinRI { op: BinOp, dst: Reg, a: Reg, k: i64 },
+    /// `dst = a op k`, real literal.
+    BinRF { op: BinOp, dst: Reg, a: Reg, k: f64 },
+    /// `dst = k op b`: integer literal on the left.
+    BinIR { op: BinOp, dst: Reg, k: i64, b: Reg },
+    /// `dst = k op b`, real literal.
+    BinFR { op: BinOp, dst: Reg, k: f64, b: Reg },
     /// Intrinsic call over an operand list.
     Intr { intr: Intrinsic, dst: Reg, args: ListRef },
     /// Runtime distribution query (`NProcs` / `BlockSize`).
@@ -73,9 +96,9 @@ pub(crate) enum Op {
     /// Segment prologue: add the aggregated static cycle cost of the
     /// following straight-line statements and count their steps.
     Charge { cycles: u64, steps: u32 },
-    /// Array element load: bounds-check the index registers, resolve the
-    /// address through the interned plan, charge the [`AddrMode`]
-    /// overhead, perform the access.
+    /// Array element load: locate the index registers through the
+    /// interned plan and this site's tile hint (bounds check included),
+    /// charge the [`AddrMode`] overhead, perform the access.
     Load {
         dst: Reg,
         array: u16,
@@ -168,7 +191,7 @@ pub(crate) enum ArgCode {
         caller: u16,
         callee: u16,
         idx_pc: u32,
-        idx_regs: Vec<Reg>,
+        idx: ListRef,
         caller_reshaped: bool,
     },
 }
@@ -214,6 +237,8 @@ pub(crate) struct BulkRef {
     pub mode: AddrMode,
     pub is_f: bool,
     pub idx: Vec<AffTerm>,
+    /// Reference site (a reserved pool position, see [`ListRef`]).
+    pub site: u32,
 }
 
 /// What a bulk loop writes.
@@ -252,6 +277,9 @@ pub(crate) struct SubCode<'p> {
     pub sub: &'p Subroutine,
     pub ops: Vec<Op>,
     pub pool: Vec<Reg>,
+    /// Position of this subroutine's site 0 in the VM's hint table (the
+    /// pool lengths of the subroutines before it).
+    pub hint_base: usize,
     pub n_regs: usize,
     pub par_loops: Vec<ParLoop<'p>>,
     pub calls: Vec<CallCode<'p>>,
@@ -265,6 +293,9 @@ pub(crate) struct SubCode<'p> {
 #[derive(Debug)]
 pub(crate) struct ProgramCode<'p> {
     pub subs: Vec<SubCode<'p>>,
+    /// Hint-table length: one entry per pool position of every
+    /// subroutine.
+    pub n_sites: usize,
 }
 
 impl<'p> ProgramCode<'p> {
@@ -273,13 +304,17 @@ impl<'p> ProgramCode<'p> {
     /// changes it mid-run, so team-dependent values stay dynamic).
     pub fn compile(program: &'p Program, cfg: &MachineConfig) -> ProgramCode<'p> {
         let costs = Costs::from_config(cfg);
-        let code = ProgramCode {
-            subs: program
-                .subs
-                .iter()
-                .map(|s| SubCompiler::compile(s, program, costs))
-                .collect(),
-        };
+        let mut n_sites = 0;
+        let subs = program
+            .subs
+            .iter()
+            .map(|s| {
+                let sc = SubCompiler::compile(s, program, costs, n_sites);
+                n_sites += sc.pool.len();
+                sc
+            })
+            .collect();
+        let code = ProgramCode { subs, n_sites };
         if std::env::var_os("DSM_DUMP_OPS").is_some() {
             for sc in &code.subs {
                 eprintln!("=== {} (n_regs {}) ===", sc.sub.name, sc.n_regs);
@@ -342,7 +377,12 @@ struct SubCompiler<'p> {
 }
 
 impl<'p> SubCompiler<'p> {
-    fn compile(sub: &'p Subroutine, program: &'p Program, costs: Costs) -> SubCode<'p> {
+    fn compile(
+        sub: &'p Subroutine,
+        program: &'p Program,
+        costs: Costs,
+        hint_base: usize,
+    ) -> SubCode<'p> {
         // Pre-pass: every serial loop anywhere in the subroutine gets
         // four persistent registers (bounds survive across its body).
         let mut serial_loops = 0u32;
@@ -385,6 +425,7 @@ impl<'p> SubCompiler<'p> {
             sub,
             ops: c.ops,
             pool: c.pool,
+            hint_base,
             n_regs,
             par_loops: c.par_loops,
             calls: c.calls,
@@ -425,6 +466,12 @@ impl<'p> SubCompiler<'p> {
             start,
             len: regs.len() as u16,
         }
+    }
+
+    /// Reserve a pool position as the site of a reference that has no
+    /// operand list (a bulk side's indices are affine terms).
+    fn site(&mut self) -> u32 {
+        self.list(&[0]).start
     }
 
     /// Fixed cycle cost of a statement that compiles to no ops of its
@@ -627,72 +674,74 @@ impl<'p> SubCompiler<'p> {
         }
     }
 
+    /// Emit the op `f` builds around a fresh result temporary.
+    fn emit_to(&mut self, f: impl FnOnce(Reg) -> Op) -> Reg {
+        let dst = self.tmp();
+        self.emit(f(dst));
+        dst
+    }
+
     fn expr(&mut self, e: &'p Expr) -> Reg {
         match e {
-            Expr::IConst(v) => {
-                let dst = self.tmp();
-                self.emit(Op::ConstI { dst, v: *v });
-                dst
-            }
-            Expr::FConst(v) => {
-                let dst = self.tmp();
-                self.emit(Op::ConstF { dst, v: *v });
-                dst
-            }
+            Expr::IConst(v) => self.emit_to(|dst| Op::ConstI { dst, v: *v }),
+            Expr::FConst(v) => self.emit_to(|dst| Op::ConstF { dst, v: *v }),
             Expr::Var(v) => v.0 as Reg,
-            Expr::Rt(rt) => {
-                let dst = self.tmp();
-                match rt {
-                    RtExpr::NumThreads => {
-                        self.emit(Op::NumThreads { dst });
-                    }
-                    RtExpr::NProcs { array, dim } => {
-                        self.emit(Op::RtDim {
-                            dst,
-                            array: array.0 as u16,
-                            dim: *dim as u16,
-                            block: false,
-                        });
-                    }
-                    RtExpr::BlockSize { array, dim } => {
-                        self.emit(Op::RtDim {
-                            dst,
-                            array: array.0 as u16,
-                            dim: *dim as u16,
-                            block: true,
-                        });
-                    }
-                }
-                dst
-            }
+            Expr::Rt(rt) => self.emit_to(|dst| match rt {
+                RtExpr::NumThreads => Op::NumThreads { dst },
+                RtExpr::NProcs { array, dim } => Op::RtDim {
+                    dst,
+                    array: array.0 as u16,
+                    dim: *dim as u16,
+                    block: false,
+                },
+                RtExpr::BlockSize { array, dim } => Op::RtDim {
+                    dst,
+                    array: array.0 as u16,
+                    dim: *dim as u16,
+                    block: true,
+                },
+            }),
             Expr::Unary(op, x) => {
                 let src = self.expr(x);
-                let dst = self.tmp();
-                self.emit(Op::Un { op: *op, dst, src });
-                dst
+                self.emit_to(|dst| Op::Un { op: *op, dst, src })
             }
+            // A literal operand rides in the op (tried on the right
+            // first). Literals cost nothing and have no side effect, so
+            // the other operand evaluates exactly as it did beside a
+            // `ConstI`/`ConstF`.
             Expr::Binary(op, a, b) => {
-                let ra = self.expr(a);
-                let rb = self.expr(b);
-                let dst = self.tmp();
-                self.emit(Op::Bin {
-                    op: *op,
-                    dst,
-                    a: ra,
-                    b: rb,
-                });
-                dst
+                let op = *op;
+                match (&**a, &**b) {
+                    (_, &Expr::IConst(k)) => {
+                        let a = self.expr(a);
+                        self.emit_to(|dst| Op::BinRI { op, dst, a, k })
+                    }
+                    (_, &Expr::FConst(k)) => {
+                        let a = self.expr(a);
+                        self.emit_to(|dst| Op::BinRF { op, dst, a, k })
+                    }
+                    (&Expr::IConst(k), _) => {
+                        let b = self.expr(b);
+                        self.emit_to(|dst| Op::BinIR { op, dst, k, b })
+                    }
+                    (&Expr::FConst(k), _) => {
+                        let b = self.expr(b);
+                        self.emit_to(|dst| Op::BinFR { op, dst, k, b })
+                    }
+                    _ => {
+                        let a = self.expr(a);
+                        let b = self.expr(b);
+                        self.emit_to(|dst| Op::Bin { op, dst, a, b })
+                    }
+                }
             }
             Expr::Call(intr, args) => {
-                let regs: Vec<Reg> = args.iter().map(|a| self.expr(a)).collect();
-                let args = self.list(&regs);
-                let dst = self.tmp();
-                self.emit(Op::Intr {
+                let args = self.expr_list(args);
+                self.emit_to(|dst| Op::Intr {
                     intr: *intr,
                     dst,
                     args,
-                });
-                dst
+                })
             }
             Expr::Load {
                 array,
@@ -700,15 +749,14 @@ impl<'p> SubCompiler<'p> {
                 mode,
             } => {
                 let idx = self.expr_list(indices);
-                let dst = self.tmp();
-                self.emit(Op::Load {
+                let is_f = self.sub.arrays[array.0].ty == ScalarTy::Real;
+                self.emit_to(|dst| Op::Load {
                     dst,
                     array: array.0 as u16,
                     idx,
                     mode: *mode,
-                    is_f: self.sub.arrays[array.0].ty == ScalarTy::Real,
-                });
-                dst
+                    is_f,
+                })
             }
         }
     }
@@ -765,7 +813,7 @@ impl<'p> SubCompiler<'p> {
                         caller: actual_id.0 as u16,
                         callee: a.0 as u16,
                         idx_pc: 0,
-                        idx_regs: Vec::new(),
+                        idx: ListRef::default(),
                         caller_reshaped: self.sub.arrays[actual_id.0].dist_kind
                             == DistKind::Reshaped,
                     });
@@ -854,6 +902,7 @@ impl<'p> SubCompiler<'p> {
             mode: *mode,
             is_f: dst_is_f,
             idx: dst_idx,
+            site: self.site(),
         };
         if let Expr::Load {
             array: sa,
@@ -886,6 +935,7 @@ impl<'p> SubCompiler<'p> {
                         mode: *smode,
                         is_f: dst_is_f,
                         idx: src_idx,
+                        site: self.site(),
                     },
                 },
             });
@@ -955,19 +1005,16 @@ impl<'p> SubCompiler<'p> {
             Deferred::ExprList { exprs, slot } => {
                 let pc = self.here();
                 self.next_tmp = 0;
-                let regs: Vec<Reg> = exprs.iter().map(|e| self.expr(e)).collect();
+                let regs = self.expr_list(exprs);
                 self.emit(Op::Halt);
                 let Slot::CallElem { call, arg } = slot else {
                     unreachable!()
                 };
-                let ArgCode::Elem {
-                    idx_pc, idx_regs, ..
-                } = &mut self.calls[call].args[arg]
-                else {
+                let ArgCode::Elem { idx_pc, idx, .. } = &mut self.calls[call].args[arg] else {
                     unreachable!()
                 };
                 *idx_pc = pc;
-                *idx_regs = regs;
+                *idx = regs;
             }
         }
     }
@@ -988,4 +1035,70 @@ fn affine_cost(e: &Expr, costs: &Costs) -> Option<u64> {
         }
         _ => return None,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dsm_compile::{compile_strings, OptConfig};
+
+    fn compiled(src: &str) -> Program {
+        compile_strings(&[("t.f", src)], &OptConfig::none())
+            .expect("compiles")
+            .program
+    }
+
+    #[test]
+    fn literal_operands_ride_in_the_op() {
+        let program = compiled("      program main\n      integer i\n      real*8 a(9), x\n      i = 3\n      x = 1.5\n      a(i - 1) = 0.5 * a(i) / 4 + (2 - i) * x\n      end\n");
+        let code = ProgramCode::compile(&program, &MachineConfig::small_test(1));
+        let ops = &code.subs[program.main].ops;
+        let count = |pred: fn(&Op) -> bool| ops.iter().filter(|op| pred(op)).count();
+        assert_eq!(count(|op| matches!(op, Op::BinRI { .. })), 2, "i - 1, … / 4");
+        assert_eq!(count(|op| matches!(op, Op::BinFR { .. })), 1, "0.5 * …");
+        assert_eq!(count(|op| matches!(op, Op::BinIR { .. })), 1, "2 - i");
+        assert_eq!(count(|op| matches!(op, Op::Bin { .. })), 2, "… * x, … + …");
+        // The only literals left are the two scalar initialisers.
+        assert_eq!(count(|op| matches!(op, Op::ConstI { .. })), 1);
+        assert_eq!(count(|op| matches!(op, Op::ConstF { .. })), 1);
+    }
+
+    /// Every `Load`, `Store`, bulk side and element actual of a program
+    /// owns one hint-table entry.
+    #[test]
+    fn reference_sites_are_unique() {
+        let program = compiled("      program main\n      integer i\n      real*8 a(9), b(9)\n      do i = 1, 9\n        a(i) = 1.0\n      enddo\n      do i = 1, 9\n        b(i) = a(i)\n      enddo\n      call s(a(3), b)\n      a(1) = max(a(2), b(2)) + a(2)\n      end\n      subroutine s(x, y)\n      real*8 x(2), y(9)\n      x(1) = y(1) + x(2)\n      end\n");
+        let code = ProgramCode::compile(&program, &MachineConfig::small_test(1));
+        let mut sites = Vec::new();
+        for sc in &code.subs {
+            let mut local = Vec::new();
+            for op in &sc.ops {
+                if let Op::Load { idx, .. } | Op::Store { idx, .. } = op {
+                    local.push(idx.start);
+                }
+            }
+            for b in &sc.bulks {
+                local.push(b.dst.site);
+                if let BulkKind::Copy { src } = &b.kind {
+                    local.push(src.site);
+                }
+            }
+            for arg in sc.calls.iter().flat_map(|c| &c.args) {
+                if let ArgCode::Elem { idx, .. } = arg {
+                    local.push(idx.start);
+                }
+            }
+            assert!(local.iter().all(|&s| (s as usize) < sc.pool.len()));
+            sites.extend(local.iter().map(|&s| sc.hint_base + s as usize));
+        }
+        // Main: the fill's bulk side and its generic-loop store, the
+        // copy's two bulk sides and its generic store and load, `a(3)`,
+        // the last statement's store and three loads; `s`: three.
+        let n = sites.len();
+        assert_eq!(n, 14);
+        sites.sort_unstable();
+        sites.dedup();
+        assert_eq!(sites.len(), n, "two sites share a hint");
+        assert!(sites.iter().all(|&s| s < code.n_sites));
+    }
 }

@@ -10,8 +10,11 @@
 //!   reach the machine in one `charge` call at the next synchronization
 //!   point (cycle charges are purely additive, and nothing between flush
 //!   points reads the clock — migration epochs trigger on access counts);
-//! * element addresses resolve through interned [`AddrPlan`]s — pure
-//!   arithmetic, no per-access allocation;
+//! * element addresses resolve through interned [`AddrPlan`]s and a
+//!   per-site **tile hint** ([`AddrPlan::locate`]): a reference that
+//!   stays inside the processor portion it touched last — every
+//!   reference of a tiled loop — costs a compare and a multiply-add per
+//!   dimension, bounds check included;
 //! * eligible serial loops run as bulk transfers: a loop-invariant fill
 //!   over a contiguous destination becomes one [`AccessRun`] handed to
 //!   the machine in a single call, and affine fills/copies elsewhere run
@@ -20,7 +23,7 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use dsm_ir::{AddrMode, Program};
+use dsm_ir::{AddrMode, BinOp, Program};
 use dsm_machine::{AccessKind, AccessRun, AccessTag, ProcId};
 
 use crate::report::RunOutcome;
@@ -29,9 +32,9 @@ use crate::value::{bin_op, intrinsic, un_op, Frame, Value};
 use crate::{ExecError, ExecOptions};
 
 use super::code::{
-    AffVar, ArgCode, BulkCode, BulkKind, BulkRef, Op, ParLoop, ProgramCode, SubCode,
+    AffVar, ArgCode, BulkCode, BulkKind, BulkRef, ListRef, Op, ParLoop, ProgramCode, Reg, SubCode,
 };
-use super::plan::{PlanCache, PlanKind, MAX_RANK};
+use super::plan::{AddrPlan, PlanCache, PlanKind, MAX_RANK};
 
 /// Run `program` as compiled bytecode (the [`crate::Engine::Bytecode`]
 /// path behind [`crate::run_outcome`]).
@@ -47,6 +50,7 @@ pub(crate) fn run_bytecode(
     let eng = Bytecode {
         code: &code,
         plans: Arc::new(PlanCache::new()),
+        hints: vec![0; code.n_sites],
         pending: 0,
     };
     team::run(machine, program, opts, eng, frame, |vm, frame, ctx| {
@@ -64,6 +68,12 @@ struct Bytecode<'a, 'p> {
     /// cache read-only (their bodies never bind or redistribute), so only
     /// the top level — sole owner between regions — ever mutates it.
     plans: Arc<PlanCache>,
+    /// The tile each reference site found its element in last, indexed
+    /// `SubCode::hint_base + site`. Private per engine — a member
+    /// starts from a copy of its parent's — and only ever a guess that
+    /// `AddrPlan::locate` validates, so nothing that changes the plan
+    /// under a site (redistribute, resize, call rebinding) resets it.
+    hints: Vec<u8>,
     /// Deferred arithmetic cycle charges (flushed to the machine before
     /// every clock read and at run end — charges are additive, so the
     /// final counters equal the interpreter's immediate-charge totals).
@@ -118,6 +128,7 @@ impl<'a, 'p> team::Engine for Bytecode<'a, 'p> {
         Bytecode {
             code: self.code,
             plans: Arc::clone(&self.plans),
+            hints: self.hints.clone(),
             pending: 0,
         }
     }
@@ -145,6 +156,17 @@ fn needs_slot(mode: AddrMode) -> bool {
             | AddrMode::ReshapedTiled
             | AddrMode::ReshapedSharedDiv
     )
+}
+
+/// The integer values of the index registers in operand list `idx`.
+#[inline]
+fn index_values(sc: &SubCode<'_>, idx: ListRef, frame: &Frame) -> [i64; MAX_RANK] {
+    let regs = &sc.pool[idx.start as usize..][..idx.len as usize];
+    let mut vals = [0i64; MAX_RANK];
+    for (v, &r) in vals.iter_mut().zip(regs) {
+        *v = frame.scalars[r as usize].as_i();
+    }
+    vals
 }
 
 impl Bytecode<'_, '_> {
@@ -179,6 +201,22 @@ impl<'a, 'p> RunState<'_, Bytecode<'a, 'p>> {
             AddrMode::ReshapedRawFp => n_dist * (c.fp_emulated_div + c.int_alu) + 2 * c.int_alu,
             AddrMode::ReshapedTiled | AddrMode::ReshapedSharedDiv => 2 * c.int_alu,
         }
+    }
+
+    /// One binary operator: value, cycle charge and error of `bin_op`.
+    #[inline(always)]
+    fn bin(
+        &mut self,
+        op: BinOp,
+        dst: Reg,
+        a: Value,
+        b: Value,
+        frame: &mut Frame,
+    ) -> Result<(), ExecError> {
+        let (v, cost) = bin_op(op, a, b, &self.costs)?;
+        self.eng.pending += cost;
+        frame.scalars[dst as usize] = v;
+        Ok(())
     }
 
     /// Execute from `entry` until the block's `Halt`.
@@ -230,11 +268,20 @@ impl<'a, 'p> RunState<'_, Bytecode<'a, 'p>> {
                     frame.scalars[dst as usize] = v;
                 }
                 Op::Bin { op, dst, a, b } => {
-                    let va = frame.scalars[a as usize];
-                    let vb = frame.scalars[b as usize];
-                    let (v, cost) = bin_op(op, va, vb, &self.costs)?;
-                    self.eng.pending += cost;
-                    frame.scalars[dst as usize] = v;
+                    let (a, b) = (frame.scalars[a as usize], frame.scalars[b as usize]);
+                    self.bin(op, dst, a, b, frame)?;
+                }
+                Op::BinRI { op, dst, a, k } => {
+                    self.bin(op, dst, frame.scalars[a as usize], Value::I(k), frame)?;
+                }
+                Op::BinRF { op, dst, a, k } => {
+                    self.bin(op, dst, frame.scalars[a as usize], Value::F(k), frame)?;
+                }
+                Op::BinIR { op, dst, k, b } => {
+                    self.bin(op, dst, Value::I(k), frame.scalars[b as usize], frame)?;
+                }
+                Op::BinFR { op, dst, k, b } => {
+                    self.bin(op, dst, Value::F(k), frame.scalars[b as usize], frame)?;
                 }
                 Op::Intr { intr, dst, args } => {
                     let regs = &sc.pool[args.start as usize..][..args.len as usize];
@@ -377,59 +424,41 @@ impl<'a, 'p> RunState<'_, Bytecode<'a, 'p>> {
     // Addressing.
     // -----------------------------------------------------------------
 
-    /// Resolve a register list into an element address: bounds checks,
-    /// profile tag, addressing-mode charge, portion-pointer load.
+    /// The plan and tile hint of reference `site` of `sc`, bound to
+    /// instance `inst`.
+    #[inline]
+    fn site(&mut self, sc: &SubCode<'_>, site: u32, inst: usize) -> (&AddrPlan, &mut u8) {
+        let eng = &mut self.eng;
+        (
+            eng.plans.get(inst),
+            &mut eng.hints[sc.hint_base + site as usize],
+        )
+    }
+
+    /// Resolve the register list `idx` — which is also the reference
+    /// site — into an element address: the interned-plan equivalent of
+    /// the interpreter's `index_values` + `element_addr` (bounds check,
+    /// profile tag, addressing-mode charge, portion-pointer load).
     #[inline]
     fn elem_addr(
         &mut self,
         sc: &'a SubCode<'p>,
         array: u16,
-        idx: super::code::ListRef,
+        idx: ListRef,
         mode: AddrMode,
         frame: &Frame,
         ctx: &Ctx,
     ) -> Result<u64, ExecError> {
-        let regs = &sc.pool[idx.start as usize..][..idx.len as usize];
-        let mut vals = [0i64; MAX_RANK];
-        for (i, &r) in regs.iter().enumerate() {
-            vals[i] = frame.scalars[r as usize].as_i();
-        }
-        self.addr_checked(sc, array, &vals[..regs.len()], mode, frame, ctx)
-    }
-
-    /// The interned-plan equivalent of the interpreter's
-    /// `index_values` + `element_addr`.
-    fn addr_checked(
-        &mut self,
-        sc: &'a SubCode<'p>,
-        array: u16,
-        vals: &[i64],
-        mode: AddrMode,
-        frame: &Frame,
-        ctx: &Ctx,
-    ) -> Result<u64, ExecError> {
-        let inst = frame.arrays[array as usize];
-        let (addr, slot, sym, cost) = {
-            let plan = self.eng.plans.get(inst);
-            let mut idx0 = [0u64; MAX_RANK];
-            for (d, &v) in vals.iter().enumerate() {
-                if v < 1 || v as u64 > plan.extents[d] {
-                    return Err(ExecError::OutOfBounds {
-                        array: sc.sub.arrays[array as usize].name.clone(),
-                        indices: vals.to_vec(),
-                        extents: plan.extents.clone(),
-                    });
-                }
-                idx0[d] = (v - 1) as u64;
-            }
-            let (addr, owner) = plan.resolve(&idx0[..vals.len()]);
-            let slot = if needs_slot(mode) {
-                plan.slot_addr(owner)
-            } else {
-                None
-            };
-            (addr, slot, plan.sym, self.mode_cost(mode, plan.n_dist))
+        let vals = &index_values(sc, idx, frame)[..idx.len as usize];
+        let (plan, hint) = self.site(sc, idx.start, frame.arrays[array as usize]);
+        let Some((addr, slot)) = plan.locate(vals, hint) else {
+            return Err(ExecError::OutOfBounds {
+                array: sc.sub.arrays[array as usize].name.clone(),
+                indices: vals.to_vec(),
+                extents: plan.extents.clone(),
+            });
         };
+        let (sym, n_dist) = (plan.sym, plan.n_dist);
         if self.opts.profile {
             let tag = AccessTag {
                 sym,
@@ -437,8 +466,8 @@ impl<'a, 'p> RunState<'_, Bytecode<'a, 'p>> {
             };
             self.mach.on(ctx.proc, |sh| sh.set_tag(tag));
         }
-        self.eng.pending += cost;
-        if let Some(slot) = slot {
+        self.eng.pending += self.mode_cost(mode, n_dist);
+        if let (true, Some(slot)) = (needs_slot(mode), slot) {
             self.mach
                 .on(ctx.proc, |sh| sh.access(slot, AccessKind::Read));
         }
@@ -513,7 +542,7 @@ impl<'a, 'p> RunState<'_, Bytecode<'a, 'p>> {
                     (
                         plan.n_dist,
                         plan.sym,
-                        matches!(plan.kind, PlanKind::Contig { .. }),
+                        matches!(plan.kind, PlanKind::Contig),
                     )
                 };
                 self.eng.pending +=
@@ -542,7 +571,7 @@ impl<'a, 'p> RunState<'_, Bytecode<'a, 'p>> {
                     // change along the run.
                     for k in 0..niters {
                         let i = lb + k * step;
-                        let (addr, slot) = self.bulk_addr(&b.dst, dinst, i, frame);
+                        let (addr, slot) = self.bulk_addr(sc, &b.dst, dinst, i, frame);
                         if let Some(s) = slot {
                             self.mach.on(ctx.proc, |sh| sh.access(s, AccessKind::Read));
                         }
@@ -572,7 +601,7 @@ impl<'a, 'p> RunState<'_, Bytecode<'a, 'p>> {
                 // pointer slot, dst element.
                 for k in 0..niters {
                     let i = lb + k * step;
-                    let (saddr, sslot) = self.bulk_addr(src, sinst, i, frame);
+                    let (saddr, sslot) = self.bulk_addr(sc, src, sinst, i, frame);
                     if profile {
                         let tag = AccessTag {
                             sym: ssym,
@@ -588,7 +617,7 @@ impl<'a, 'p> RunState<'_, Bytecode<'a, 'p>> {
                     } else {
                         self.mach.on(ctx.proc, |sh| sh.read_i64(saddr)).0 as u64
                     };
-                    let (daddr, dslot) = self.bulk_addr(&b.dst, dinst, i, frame);
+                    let (daddr, dslot) = self.bulk_addr(sc, &b.dst, dinst, i, frame);
                     if profile {
                         let tag = AccessTag {
                             sym: dsym,
@@ -650,46 +679,32 @@ impl<'a, 'p> RunState<'_, Bytecode<'a, 'p>> {
     /// Address and portion-pointer slot of one side's element at
     /// iteration value `i` (indices already prechecked in-bounds).
     #[inline]
-    fn bulk_addr(&self, r: &BulkRef, inst: usize, i: i64, frame: &Frame) -> (u64, Option<u64>) {
-        let plan = self.eng.plans.get(inst);
-        let mut idx0 = [0u64; MAX_RANK];
-        for (d, t) in r.idx.iter().enumerate() {
-            let v = match t.var {
+    fn bulk_addr(
+        &mut self,
+        sc: &SubCode<'_>,
+        r: &BulkRef,
+        inst: usize,
+        i: i64,
+        frame: &Frame,
+    ) -> (u64, Option<u64>) {
+        let mut vals = [0i64; MAX_RANK];
+        for (v, t) in vals.iter_mut().zip(&r.idx) {
+            *v = match t.var {
                 AffVar::Loop => t.scale * i + t.offset,
                 AffVar::Reg(rg) => t.scale * frame.scalars[rg as usize].as_i() + t.offset,
                 AffVar::None => t.offset,
             };
-            idx0[d] = (v - 1) as u64;
         }
-        let (addr, owner) = plan.resolve(&idx0[..r.idx.len()]);
-        let slot = if needs_slot(r.mode) {
-            plan.slot_addr(owner)
-        } else {
-            None
-        };
-        (addr, slot)
+        let (plan, hint) = self.site(sc, r.site, inst);
+        let (addr, slot) = plan
+            .locate(&vals[..r.idx.len()], hint)
+            .expect("bulk run prechecked in bounds");
+        (addr, slot.filter(|_| needs_slot(r.mode)))
     }
 
     // -----------------------------------------------------------------
     // Calls.
     // -----------------------------------------------------------------
-
-    /// Run a call argument's index block and read its result registers.
-    fn eval_indices(
-        &mut self,
-        sc: &'a SubCode<'p>,
-        pc: u32,
-        regs: &[super::code::Reg],
-        frame: &mut Frame,
-        ctx: &mut Ctx,
-    ) -> Result<[i64; MAX_RANK], ExecError> {
-        self.run_block(sc, pc, frame, ctx)?;
-        let mut vals = [0i64; MAX_RANK];
-        for (v, &r) in vals.iter_mut().zip(regs) {
-            *v = frame.scalars[r as usize].as_i();
-        }
-        Ok(vals)
-    }
 
     /// The `CallSub` opcode.
     fn exec_call(
@@ -738,25 +753,18 @@ impl<'a, 'p> RunState<'_, Bytecode<'a, 'p>> {
                     caller,
                     callee: formal,
                     idx_pc,
-                    idx_regs,
+                    idx,
                     caller_reshaped,
                 } => {
-                    let rank = idx_regs.len();
-                    let vals = self.eval_indices(sc, *idx_pc, idx_regs, frame, ctx)?;
-                    let addr = self.addr_checked(
-                        sc,
-                        *caller,
-                        &vals[..rank],
-                        AddrMode::Direct,
-                        frame,
-                        ctx,
-                    )?;
+                    let rank = idx.len as usize;
+                    self.run_block(sc, *idx_pc, frame, ctx)?;
+                    let addr = self.elem_addr(sc, *caller, *idx, AddrMode::Direct, frame, ctx)?;
                     // The checker wants the element's indices; the
                     // interpreter evaluates them a second time, charging
                     // a second time.
                     let idx0 = if self.checks_actual(*caller_reshaped) {
-                        let again = self.eval_indices(sc, *idx_pc, idx_regs, frame, ctx)?;
-                        Some(again.map(|v| (v - 1) as u64))
+                        self.run_block(sc, *idx_pc, frame, ctx)?;
+                        Some(index_values(sc, *idx, frame).map(|v| (v - 1) as u64))
                     } else {
                         None
                     };
@@ -797,10 +805,9 @@ impl<'a, 'p> RunState<'_, Bytecode<'a, 'p>> {
         frame: &Frame,
     ) -> (u64, i64) {
         let plan = self.eng.plans.get(inst);
-        let PlanKind::Contig { base, strides } = &plan.kind else {
-            unreachable!("run geometry of a reshaped plan")
-        };
-        let mut addr = *base as i64;
+        debug_assert!(matches!(plan.kind, PlanKind::Contig));
+        let tile = &plan.tiles[0];
+        let mut addr = tile.base as i64;
         let mut run_stride = 0i64;
         for (d, t) in r.idx.iter().enumerate() {
             let v0 = match t.var {
@@ -808,9 +815,9 @@ impl<'a, 'p> RunState<'_, Bytecode<'a, 'p>> {
                 AffVar::Reg(rg) => t.scale * frame.scalars[rg as usize].as_i() + t.offset,
                 AffVar::None => t.offset,
             };
-            addr += (v0 - 1) * strides[d] as i64;
+            addr += (v0 - 1) * tile.dims[d].stride as i64;
             if matches!(t.var, AffVar::Loop) {
-                run_stride += t.scale * step * strides[d] as i64;
+                run_stride += t.scale * step * tile.dims[d].stride as i64;
             }
         }
         (addr as u64, run_stride)

@@ -240,15 +240,17 @@ mod tests {
         ExecError::BadCall(msg.into())
     }
 
-    /// Every binary operator on 7 ∘ 2 as int∘int, int∘real and real∘real:
-    /// the value, and the cost the operand types select.
+    /// Every binary operator on 7 ∘ 2 as int∘int, int∘real, real∘int and
+    /// real∘real (a literal operand of either type on either side of a
+    /// variable of either type): the value, and the cost the operand
+    /// types select.
     #[test]
     fn binary_operators_by_operand_type() {
         use BinOp::*;
         let c = costs();
         let pow = c.fp_div + c.fp_alu;
-        let arith = |i: i64, ci: u64, f: f64, cf: u64| [(I(i), ci), (F(f), cf), (F(f), cf)];
-        let same = |v: i64, cost: u64| [(I(v), cost); 3];
+        let arith = |i: i64, ci: u64, f: f64, cf: u64| [(I(i), ci), (F(f), cf), (F(f), cf), (F(f), cf)];
+        let same = |v: i64, cost: u64| [(I(v), cost); 4];
         let table = [
             (Add, arith(9, c.int_alu, 9.0, c.fp_alu)),
             (Sub, arith(5, c.int_alu, 5.0, c.fp_alu)),
@@ -266,7 +268,12 @@ mod tests {
             (And, same(1, c.int_alu)),
             (Or, same(1, c.int_alu)),
         ];
-        let operands = [(I(7), I(2)), (I(7), F(2.0)), (F(7.0), F(2.0))];
+        let operands = [
+            (I(7), I(2)),
+            (I(7), F(2.0)),
+            (F(7.0), I(2)),
+            (F(7.0), F(2.0)),
+        ];
         for (op, want) in table {
             for ((a, b), want) in operands.into_iter().zip(want) {
                 assert_eq!(bin_op(op, a, b, &c), Ok(want), "{a:?} {op:?} {b:?}");

@@ -484,3 +484,230 @@ fn faulting_serial_team_member_leaves_epochs_running() {
     assert!(resumed.pages_migrated > 0, "the reference run must migrate");
     assert_eq!(after_fault.digest_json(), resumed.digest_json());
 }
+
+// ---------------------------------------------------------------------
+// Bytecode against the interpreter: literal operands and tile hints.
+// ---------------------------------------------------------------------
+
+/// One engine × team-mode run of a program on a fresh machine.
+#[derive(PartialEq)]
+struct Cell {
+    /// Captured arrays, as bits.
+    captures: Vec<Vec<u64>>,
+    /// Loads and stores per processor.
+    traffic: Vec<(u64, u64)>,
+    /// `RunReport::digest_json`: cycles and every counter.
+    digest: String,
+}
+
+fn cell(
+    program: &dsm_ir::Program,
+    nprocs: usize,
+    opts: &ExecOptions,
+    engine: Engine,
+    serial: bool,
+) -> Result<Cell, ExecError> {
+    let mut m = Machine::new(MachineConfig::small_test(nprocs));
+    let opts = opts.clone().engine(engine).serial_team(serial);
+    let o = run_outcome(&mut m, program, &opts)?;
+    let bits = |c: &Vec<f64>| c.iter().map(|x| x.to_bits()).collect();
+    Ok(Cell {
+        captures: o.captures.iter().map(bits).collect(),
+        traffic: o.report.per_proc.iter().map(|c| (c.loads, c.stores)).collect(),
+        digest: o.report.digest_json(),
+    })
+}
+
+/// All four cells agree with the serial-team interpreter: on the error,
+/// or on the captures and every processor's loads and stores — and, on
+/// one host thread, where every number is pinned (docs/SIMULATOR.md), on
+/// the whole report digest. Returns the captures.
+fn cells_agree(
+    program: &dsm_ir::Program,
+    nprocs: usize,
+    opts: &ExecOptions,
+) -> Result<Vec<Vec<f64>>, ExecError> {
+    let reference = cell(program, nprocs, opts, Engine::Interp, true);
+    for (engine, serial) in [
+        (Engine::Bytecode, true),
+        (Engine::Bytecode, false),
+        (Engine::Interp, false),
+    ] {
+        let at = format!("{engine} serial_team={serial}");
+        match (cell(program, nprocs, opts, engine, serial), &reference) {
+            (Ok(got), Ok(want)) => {
+                assert!(got.captures == want.captures, "{at}: captures differ");
+                assert_eq!(got.traffic, want.traffic, "{at}");
+                if serial {
+                    assert_eq!(got.digest, want.digest, "{at}");
+                }
+            }
+            (Err(got), Err(want)) => assert_eq!(&got, want, "{at}"),
+            (got, _) => panic!(
+                "{at}: {:?}, the reference {:?}",
+                got.map(|_| ()),
+                reference.as_ref().map(|_| ())
+            ),
+        }
+    }
+    let floats = |c: &Vec<u64>| c.iter().map(|&b| f64::from_bits(b)).collect();
+    Ok(reference?.captures.iter().map(floats).collect())
+}
+
+/// Every `BinOp` with a literal on the right and on the left, integer and
+/// real, against variables of both types: the literal-carrying ops the
+/// bytecode compiler emits compute the interpreter's value at the
+/// interpreter's cost (the cycle total tells `int_div` from `fp_div`, so
+/// a wrong promotion shows even where the stored value is the same).
+#[test]
+fn literal_operands_match_the_interpreter() {
+    use dsm_ir::{BinOp::*, Expr, Stmt};
+    let ops = [Add, Sub, Mul, Div, Rem, Pow, Lt, Le, Gt, Ge, Eq, Ne, And, Or];
+    let skeleton = "      program main\n      integer n, m, z, big\n      real*8 x, y, r(200)\n      n = 7\n      m = 2\n      z = 0\n      big = 70\n      x = 7.0\n      y = 2.0\n      r(1) = 0.0\n      end\n";
+    let compiled = compile_strings(&[("t.f", skeleton)], &OptConfig::none()).expect("compiles");
+    let main = compiled.program.main;
+    let sub = &compiled.program.subs[main];
+    let var = |name: &str| Expr::Var(sub.scalar_named(name).expect("declared"));
+    let r = sub.array_named("r").expect("declared");
+    let (i, f) = (Expr::IConst, Expr::FConst);
+    let with_body = |exprs: Vec<Expr>| {
+        let mut program = compiled.program.clone();
+        let body = &mut program.subs[main].body;
+        body.pop();
+        for (k, value) in exprs.into_iter().enumerate() {
+            body.push(Stmt::Assign {
+                array: r,
+                indices: vec![Expr::IConst(k as i64 + 1)],
+                value,
+                mode: dsm_ir::AddrMode::Direct,
+            });
+        }
+        program
+    };
+    let bin = |op, a: &Expr, b: &Expr| Expr::Binary(op, Box::new(a.clone()), Box::new(b.clone()));
+    let opts = ExecOptions::new(1).capture(&["r"]);
+
+    let mut exprs = Vec::new();
+    for op in ops {
+        for v in [var("n"), var("x")] {
+            for lit in [i(2), f(2.0)] {
+                exprs.push(bin(op, &v, &lit));
+            }
+        }
+        for lit in [i(7), f(7.0)] {
+            for v in [var("m"), var("y")] {
+                exprs.push(bin(op, &lit, &v));
+            }
+        }
+        // Both sides literal: the right one rides, the left is a `Const`.
+        exprs.push(bin(op, &i(7), &f(2.0)));
+    }
+    // `**` leaves the integers on a negative exponent and clamps a huge
+    // one; `mod` is non-negative; real division by zero is IEEE.
+    exprs.extend([
+        bin(Pow, &var("m"), &i(-1)),
+        bin(Pow, &i(2), &bin(Sub, &i(0), &var("n"))),
+        bin(Pow, &var("m"), &i(70)),
+        bin(Pow, &i(2), &var("big")),
+        bin(Rem, &bin(Sub, &i(0), &var("n")), &i(3)),
+        bin(Rem, &i(-7), &var("m")),
+        bin(Div, &var("x"), &i(0)),
+        bin(Div, &f(1.0), &var("z")),
+    ]);
+    let n_table = ops.len() * 9;
+    let caps = cells_agree(&with_body(exprs), 1, &opts).expect("runs");
+    // Spot values, so that agreeing on nonsense cannot pass: the `Div`
+    // and `Pow` rows, and the edge cases.
+    let row = |op| {
+        let at = ops.iter().position(|o| *o == op).expect("in the table") * 9;
+        &caps[0][at..at + 9]
+    };
+    assert_eq!(row(Div), [3.0, 3.5, 3.5, 3.5, 3.0, 3.5, 3.5, 3.5, 3.5]);
+    assert_eq!(row(Pow), [49.0; 9]);
+    assert_eq!(row(Rem), [1.0; 9]);
+    let min = i64::MIN as f64;
+    assert_eq!(
+        caps[0][n_table..n_table + 8],
+        [0.5, 2f64.powi(-7), min, min, 2.0, 1.0, f64::INFINITY, f64::INFINITY]
+    );
+
+    // Integer zero divisors are errors — the same one from every cell,
+    // whichever side the literal is on.
+    for (expr, msg) in [
+        (bin(Div, &var("n"), &i(0)), "division by zero"),
+        (bin(Div, &i(7), &var("z")), "division by zero"),
+        (bin(Rem, &var("n"), &i(0)), "mod by zero"),
+        (bin(Rem, &var("x"), &f(0.5)), "mod by zero"),
+        (bin(Rem, &i(7), &var("z")), "mod by zero"),
+        (bin(Rem, &f(7.0), &var("z")), "mod by zero"),
+    ] {
+        let err = cells_agree(&with_body(vec![expr.clone()]), 1, &opts).unwrap_err();
+        assert!(err.to_string().ends_with(msg), "{expr:?}: {err}");
+    }
+}
+
+fn compiled(src: &str) -> dsm_ir::Program {
+    compile_strings(&[("t.f", src)], &OptConfig::default())
+        .expect("compiles")
+        .program
+}
+
+/// One reference site sweeps an array whose plan is rebuilt under it: by
+/// `c$redistribute`, by `c$resize_team` mid-run and by `resize_to` before
+/// the first statement. A tile hint is only a guess, so no rebuild has
+/// anything to invalidate — every cell agrees with the interpreter.
+#[test]
+fn a_site_keeps_working_across_redistribute_and_resize() {
+    let src = "      program main\n      integer i, j, rep\n      real*8 a(64, 8)\nc$distribute a(block, *)\n      do rep = 1, 4\nc$doacross local(i, j) affinity(i) = data(a(i, 1))\n        do i = 1, 64\n          do j = 1, 8\n            a(i, j) = a(i, j) + i*rep + j\n          enddo\n        enddo\n        if (rep .eq. 1) then\nc$redistribute a(cyclic(4), *)\n        endif\n        if (rep .eq. 2) then\nc$resize_team(2)\n        endif\n        if (rep .eq. 3) then\nc$redistribute a(*, block)\n        endif\n      enddo\n      end\n";
+    let program = compiled(src);
+    let expect: Vec<f64> = (0..64 * 8)
+        .map(|e| f64::from((e % 64 + 1) * 10 + 4 * (e / 64 + 1)))
+        .collect();
+    for opts in [ExecOptions::new(4), ExecOptions::new(4).resize_to(3)] {
+        let caps = cells_agree(&program, 4, &opts.capture(&["a"])).expect("runs");
+        assert_eq!(caps[0], expect);
+    }
+}
+
+/// One subroutine, so one reference site, bound in turn to two reshaped
+/// actuals: each call starts on the hint the other array's sweep left
+/// (its last tile) and must find its own array's first tile.
+#[test]
+fn a_site_serves_two_actuals() {
+    let src = "      program main\n      real*8 a(8, 12), b(8, 12)\nc$distribute_reshape a(*, block)\nc$distribute_reshape b(*, block)\n      call bump(a, 1)\n      call bump(b, 2)\n      call bump(a, 3)\n      call bump(b, 4)\n      end\n      subroutine bump(x, k)\n      integer i, j, k\n      real*8 x(8, 12)\nc$doacross local(i, j) affinity(j) = data(x(1, j))\n      do j = 1, 12\n        do i = 1, 8\n          x(i, j) = x(i, j) + k*(i + 100*j)\n        enddo\n      enddo\n      do j = 12, 1, -1\n        x(1, j) = x(1, j) + 0.5\n      enddo\n      end\n";
+    let program = compiled(src);
+    let caps = cells_agree(&program, 4, &ExecOptions::new(4).capture(&["a", "b"])).expect("runs");
+    for (cap, k) in caps.iter().zip([4.0, 6.0]) {
+        for (e, v) in cap.iter().enumerate() {
+            let (i, j) = ((e % 8 + 1) as f64, (e / 8 + 1) as f64);
+            let edge = if e % 8 == 0 { 1.0 } else { 0.0 };
+            assert_eq!(*v, k * (i + 100.0 * j) + edge, "element {e}");
+        }
+    }
+}
+
+/// A sweep that leaves the array part-way: the tile test on the hinted
+/// tile is the only bounds check a hit performs, so the access that
+/// leaves the last tile — upward, downward, in either dimension, from a
+/// bulk loop — must still raise the interpreter's error, payload and all.
+#[test]
+fn a_tiled_site_running_out_of_bounds_reports_the_interpreters_error() {
+    let head = "      program main\n      integer i, j\n      real*8 a(8, 12)\nc$distribute_reshape a(block, block)\n";
+    for (sweep, indices) in [
+        ("      do j = 1, 13\n        do i = 1, 8\n          a(i, j) = i + j\n        enddo\n      enddo\n", [1, 13]),
+        ("      do j = 1, 12\n        do i = 1, 9\n          a(i, j) = i + j\n        enddo\n      enddo\n", [9, 1]),
+        ("      do j = 12, 0, -1\n        do i = 8, 1, -1\n          a(i, j) = a(i, j) + 1.0\n        enddo\n      enddo\n", [8, 0]),
+        ("      do i = 8, -3, -1\n        a(i, 5) = 1.0\n      enddo\n", [0, 5]),
+        ("      j = 4\n      do i = 1, 8\n        a(i, 3*j + 1) = 1.0\n      enddo\n", [1, 13]),
+        ("c$doacross local(i, j) shared(a)\n      do j = 13, 13\n        do i = 1, 8\n          a(i, j) = i + j\n        enddo\n      enddo\n", [1, 13]),
+    ] {
+        let program = compiled(&format!("{head}{sweep}      end\n"));
+        let err = cells_agree(&program, 4, &ExecOptions::new(4).capture(&["a"])).unwrap_err();
+        let want = ExecError::OutOfBounds {
+            array: "a".into(),
+            indices: indices.to_vec(),
+            extents: vec![8, 12],
+        };
+        assert_eq!(err, want, "{sweep}");
+    }
+}

@@ -71,20 +71,22 @@ impl MachineSpec {
     /// # Errors
     ///
     /// Returns a description of the missing or malformed member, or of a
-    /// processor count past [`MAX_PROCS`] (which no machine can be built
-    /// with).
+    /// zero `procs` or `scale` or a processor count past [`MAX_PROCS`]
+    /// (none of which a machine can be built with: `to_config` would
+    /// panic in the worker).
     pub fn from_value(v: &Value) -> Result<Self, String> {
         Ok(MachineSpec {
             procs: v
                 .get("procs")
                 .and_then(Value::as_usize)
-                .filter(|&p| p <= MAX_PROCS)
+                .filter(|p| (1..=MAX_PROCS).contains(p))
                 .ok_or_else(|| {
                     format!("machine.procs must be a positive integer, at most {MAX_PROCS}")
                 })?,
             scale: v
                 .get("scale")
                 .and_then(Value::as_usize)
+                .filter(|&s| s > 0)
                 .ok_or("machine.scale must be a positive integer")?,
             round_robin: v
                 .get("round_robin")
@@ -606,6 +608,33 @@ mod tests {
         assert!(spec(MAX_PROCS).unwrap().to_config().validate().is_ok());
         let err = spec(MAX_PROCS + 1).unwrap_err();
         assert!(err.contains("at most 128"), "{err}");
+    }
+
+    /// "Positive" means positive: a zero scale divisor (an assert in
+    /// `scaled_origin2000`, so a dead worker) or zero processors never
+    /// decode, with or without `small_test`.
+    #[test]
+    fn machine_spec_refuses_zero_scale_and_zero_procs() {
+        for small_test in [false, true] {
+            let decode = |procs, scale| {
+                let spec = MachineSpec {
+                    procs,
+                    scale,
+                    round_robin: false,
+                    small_test,
+                };
+                MachineSpec::from_value(&parse(&spec.to_json()).unwrap())
+            };
+            assert!(decode(8, 1).is_ok());
+            let err = decode(8, 0).unwrap_err();
+            assert_eq!(err, "machine.scale must be a positive integer");
+            let err = decode(0, 64).unwrap_err();
+            assert!(err.starts_with("machine.procs must be a positive integer"), "{err}");
+        }
+        let line = "{\"op\":\"run\",\"sources\":[{\"name\":\"t.f\",\"text\":\"\"}],\
+                    \"machine\":{\"procs\":8,\"scale\":0},\"options\":null}";
+        let err = parse_request(line).unwrap_err();
+        assert!(err.contains("machine.scale"), "{err}");
     }
 
     #[test]
