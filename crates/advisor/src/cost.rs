@@ -3,6 +3,7 @@
 //! has to *rank* candidates well enough that obviously-bad plans never
 //! reach the simulator, not predict cycles.
 
+use dsm_exec::profile::block_covers_page;
 use dsm_machine::CostModel;
 
 use crate::analyze::Analysis;
@@ -93,8 +94,8 @@ fn expressible(d: &PlanDist, slot: usize, dims: &[i64], cm: &CostModel) -> bool 
         return false;
     }
     let stride: u64 = dims[..slot].iter().map(|&d| d.max(1) as u64).product();
-    let chunk = (dims[slot].max(1) as u64).div_ceil(cm.n_nodes as u64);
-    stride * chunk * ELEM_BYTES >= cm.page_size as u64
+    let extent = dims[slot].max(1) as u64;
+    block_covers_page(extent, stride, cm.n_nodes, cm.page_size as u64 / ELEM_BYTES)
 }
 
 #[cfg(test)]

@@ -250,14 +250,19 @@ impl Plan {
 
     /// Hand-rolled JSON object (the workspace carries no serde).
     pub fn to_json(&self, an: &Analysis) -> String {
+        let q = |name: &str| {
+            let mut lit = String::new();
+            dsm_exec::wire::push_json_str(&mut lit, name);
+            lit
+        };
         let mut s = String::from("{\n    \"distributes\": [");
         for (i, d) in self.dists.iter().enumerate() {
             if i > 0 {
                 s.push(',');
             }
             s.push_str(&format!(
-                "\n      {{\"array\": \"{}\", \"items\": [{}], \"reshape\": {}, \"onto\": [{}]}}",
-                d.array,
+                "\n      {{\"array\": {}, \"items\": [{}], \"reshape\": {}, \"onto\": [{}]}}",
+                q(&d.array),
                 d.items
                     .iter()
                     .map(|i| i.json())
@@ -278,7 +283,7 @@ impl Plan {
             }
             let site = &an.sites[l.site];
             let aff = match &l.affinity {
-                Some((arr, slot)) => format!("{{\"array\": \"{arr}\", \"slot\": {slot}}}"),
+                Some((arr, slot)) => format!("{{\"array\": {}, \"slot\": {slot}}}", q(arr)),
                 None => "null".into(),
             };
             let sched = match &l.sched {
@@ -288,9 +293,12 @@ impl Plan {
                 None => "null".into(),
             };
             s.push_str(&format!(
-                "\n      {{\"file\": \"{}\", \"line\": {}, \"var\": \"{}\", \
+                "\n      {{\"file\": {}, \"line\": {}, \"var\": {}, \
                  \"affinity\": {aff}, \"nest\": {}, \"sched\": {sched}}}",
-                an.stripped[site.file].0, site.line, site.var, l.nest
+                q(&an.stripped[site.file].0),
+                site.line,
+                q(&site.var),
+                l.nest
             ));
         }
         s.push_str("\n    ],\n    \"redistributes\": [");
@@ -299,8 +307,8 @@ impl Plan {
                 s.push(',');
             }
             s.push_str(&format!(
-                "\n      {{\"array\": \"{}\", \"before_line\": {}, \"items\": [{}]}}",
-                r.array,
+                "\n      {{\"array\": {}, \"before_line\": {}, \"items\": [{}]}}",
+                q(&r.array),
                 r.before_line,
                 r.items
                     .iter()

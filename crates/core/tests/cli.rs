@@ -74,6 +74,31 @@ fn zero_scale_exits_1_with_options_code() {
     }
 }
 
+/// An array of rank > `MAX_RANK` (8) is a located compile error in both
+/// engines — it used to run under `--engine interp` and panic the
+/// bytecode VM; rank 8 keeps working.
+#[test]
+fn rank_above_max_rank_exits_1_with_compile_code() {
+    let program = |rank: usize| {
+        let ones = vec!["1"; rank].join(",");
+        let twos = vec!["2"; rank].join(",");
+        format!("      program main\n      real*8 a({twos})\n      a({ones}) = 1.0\n      end\n")
+    };
+    let rank9 = write_fixture("cli_rank9.f", &program(9));
+    let rank8 = write_fixture("cli_rank8.f", &program(8));
+    for engine in ["bytecode", "interp"] {
+        let out = dsmfc(&["--engine", engine, rank9.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(1), "{engine}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("array `a` has rank 9, the maximum is 8"), "{engine}: {err}");
+        assert!(err.contains("cli_rank9.f:2"), "{engine}: {err}");
+        assert!(err.contains("dsmfc: error code compile"), "{engine}: {err}");
+        assert!(!err.contains("panicked"), "{engine}: {err}");
+        let ok = dsmfc(&["--engine", engine, rank8.to_str().unwrap()]);
+        assert_eq!(ok.status.code(), Some(0), "{engine}: rank 8 runs");
+    }
+}
+
 /// More processors than the directory's sharer set holds (the paper's
 /// 128) is the same stable options error, not a panic in a debug build
 /// or processor 128 + k aliased onto k in a release one.

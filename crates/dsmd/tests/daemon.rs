@@ -14,8 +14,8 @@ use dsm_core::{
 };
 use dsm_daemon::{serve, DaemonConfig, DaemonHandle};
 use dsm_proto::{
-    compile_request_json, digest_from_report_value, outcome_from_value, parse, run_request_json,
-    MachineSpec, Value,
+    advise_request_json, compile_request_json, digest_from_report_value, outcome_from_value, parse,
+    run_request_json, MachineSpec, Value,
 };
 
 const PROGRAM: &str = "      program main
@@ -349,6 +349,43 @@ fn zero_scale_or_procs_is_a_bad_request() {
         }
     }
     assert_eq!(handle.state().pool.stats().created, 0);
+    let opts = ExecOptions::new(4).serial_team(true).capture(&["a"]);
+    assert_eq!(remote_run(&mut c, &opts, false).0, local_run(&opts).0);
+    handle.shutdown();
+    handle.join();
+}
+
+/// A rank-9 array used to run under the interpreter and panic the
+/// bytecode VM's `elem_addr` — a dead worker. Sema refuses it, so `run`
+/// (both engines) gets a `compile` reply, `advise` an `advise` one
+/// naming the rank, and the one worker serves the next request.
+#[test]
+fn rank_above_max_rank_is_a_compile_error() {
+    let (handle, socket) = start("rank9", 1, 4);
+    let mut c = Client::connect(&socket);
+    let rank9 = vec![(
+        "t.f".to_string(),
+        "      program main\n      real*8 a(2,2,2,2,2,2,2,2,2)\n      a(1,1,1,1,1,1,1,1,1) = 1.0\n      end\n"
+            .to_string(),
+    )];
+    for engine in [Engine::Bytecode, Engine::Interp] {
+        let opts = ExecOptions::new(4).engine(engine).to_json();
+        let reply = c.roundtrip(&run_request_json(
+            &rank9,
+            &OptConfig::default(),
+            &spec(),
+            &opts,
+            0,
+            None,
+            false,
+        ));
+        assert_eq!(code_of(&reply), "compile", "{engine:?}");
+    }
+    // The advisor wraps every failure of its own in the `advise` code.
+    let reply = c.roundtrip(&advise_request_json(&rank9, 4, 512, 4));
+    assert_eq!(code_of(&reply), "advise");
+    let message = reply.get("error").and_then(Value::as_str).unwrap_or_default();
+    assert!(message.contains("rank 9, the maximum is 8"), "{message}");
     let opts = ExecOptions::new(4).serial_team(true).capture(&["a"]);
     assert_eq!(remote_run(&mut c, &opts, false).0, local_run(&opts).0);
     handle.shutdown();

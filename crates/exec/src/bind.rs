@@ -8,6 +8,8 @@
 //! association, and the paper's portion-passing rule for reshaped
 //! arrays).
 
+use std::sync::Arc;
+
 use dsm_ir::{ArrayDecl, DistKind, Extent, Program, Storage, Subroutine};
 use dsm_machine::{Machine, VAddr};
 use dsm_runtime::{ArrayLayout, DistDescriptor, PoolSet, RtArray};
@@ -127,7 +129,7 @@ impl Binder {
                         }
                     });
                     if let Some(base) = partner_base {
-                        let desc = DistDescriptor::undistributed(&extents);
+                        let desc = Arc::new(DistDescriptor::undistributed(&extents));
                         self.arena.push(RtArray {
                             name: decl.name.clone(),
                             sym: m.intern_symbol(&decl.name),
@@ -155,7 +157,7 @@ impl Binder {
                         let arr = RtArray {
                             name: decl.name.clone(),
                             sym: m.intern_symbol(&decl.name),
-                            desc: DistDescriptor::undistributed(&extents),
+                            desc: Arc::new(DistDescriptor::undistributed(&extents)),
                             kind: DistKind::None,
                             layout: ArrayLayout::Contiguous { base },
                             elem_bytes: 8,
@@ -165,7 +167,11 @@ impl Binder {
                         if decl.dist_kind == dsm_ir::DistKind::Regular {
                             if let Some(dist) = &decl.dist {
                                 let placed = RtArray {
-                                    desc: DistDescriptor::new(&extents, dist, self.nprocs),
+                                    desc: Arc::new(DistDescriptor::new(
+                                        &extents,
+                                        dist,
+                                        self.nprocs,
+                                    )),
                                     kind: dsm_ir::DistKind::Regular,
                                     ..arr.clone()
                                 };
@@ -202,7 +208,7 @@ impl Binder {
             .iter()
             .map(|e| Self::extent_value(e, frame))
             .collect();
-        let desc = DistDescriptor::undistributed(&extents);
+        let desc = Arc::new(DistDescriptor::undistributed(&extents));
         let name = format!("{}@view", decl.name);
         let sym = m.intern_symbol(&name);
         self.arena.push(RtArray {

@@ -24,7 +24,7 @@ use dsm_ir::{
 };
 use dsm_machine::MachineConfig;
 
-use super::plan::MAX_RANK;
+use dsm_runtime::MAX_RANK;
 use crate::value::Costs;
 
 /// Register index into the extended frame.

@@ -1,23 +1,28 @@
 //! Interned address plans.
 //!
-//! The interpreter recomputes every element address from the runtime
-//! descriptor — allocating owner-coordinate and local-offset vectors on
-//! each reshaped access.  The engine interns one [`AddrPlan`] per live
-//! array instance instead, and answers a reference in two tiers:
+//! The engine interns one [`AddrPlan`] per live array instance and
+//! answers a reference in two tiers, two formulations of the same
+//! geometry that check each other:
 //!
-//! * **Tiles** (the paper's Section 7, applied to the host): inside one
-//!   grid processor's portion the address is `base + Σ (idx − lo) ·
-//!   stride`, so a plan carries one [`Tile`] per grid processor (exactly
-//!   one for a contiguous array) and [`AddrPlan::locate`] tests the
-//!   reference site's hinted tile first.  The per-dimension test
-//!   `(idx − 1 − lo) as u64 < len` *is* the bounds check — every tile
-//!   lies inside the declared extents — so a hit costs a compare and a
-//!   multiply-add per dimension: no division, no table walk.
-//! * **Resolve** (the miss path, and the only path of a plan with a
-//!   `cyclic(k)` dimension, which carries no tiles): bounds check, then
-//!   one [`DimDesc::locate`] per distributed dimension through flattened
-//!   grid/portion tables — allocation-free, and the value every hit is
+//! * **Tiles** (the paper's Section 7, applied to the host): a [`Tile`]
+//!   is one of the runtime's index boxes ([`DistDescriptor::boxes`])
+//!   plus where it is stored — inside one grid processor's box the
+//!   address is `base + Σ (idx − lo) · stride`. A plan carries one tile
+//!   per grid processor (exactly one for a contiguous array) and
+//!   [`AddrPlan::locate`] tests the reference site's hinted tile first.
+//!   The per-dimension test `(idx − 1 − lo) as u64 < len` *is* the bounds
+//!   check — every box lies inside the declared extents — so a hit costs
+//!   a compare and a multiply-add per dimension: no division.
+//! * **Table 1** (the miss path, and the only path of a plan with a
+//!   `cyclic(k)` dimension, whose processors own many boxes and which
+//!   therefore carries no tiles): bounds check, then
+//!   [`DistDescriptor::locate`] and the owner's portion base — what the
+//!   interpreter's [`RtArray::addr_of`] does, and the value every hit is
 //!   `debug_assert`ed against.
+//!
+//! The plan holds the array's descriptor by `Arc`, not a copy: a
+//! redistribution installs a new descriptor in the `RtArray`, so a plan
+//! that was not rebuilt is detectably stale ([`AddrPlan::is_for`]).
 //!
 //! A hint is a guess validated on use: any byte is a correct starting
 //! hint for any plan, so nothing that swaps the plan under a site
@@ -25,50 +30,12 @@
 //! has to invalidate anything.  The plans reproduce
 //! [`dsm_runtime::RtArray::addr_of`] bit-for-bit.
 
+use std::sync::Arc;
+
 use dsm_ir::Dist;
-use dsm_runtime::{ArrayLayout, DimDesc, RtArray};
+use dsm_runtime::{ArrayLayout, DistDescriptor, IndexBox, RtArray, MAX_RANK};
 
 use crate::bind::Binder;
-
-/// Maximum supported array rank (Fortran allows 7).
-pub(crate) const MAX_RANK: usize = 8;
-
-/// Per-dimension geometry of a reshaped plan.
-#[derive(Debug, Clone)]
-pub(crate) struct DimPlan {
-    /// The resolved dimension descriptor (owner / local-offset math).
-    pub desc: DimDesc,
-    /// Whether this dimension is distributed.
-    pub distributed: bool,
-    /// `portion_extent(c)` for every grid coordinate `c` of this
-    /// dimension (all `1`s when undistributed).
-    pub pext: Box<[u64]>,
-}
-
-/// Layout-specific part of a plan.
-#[derive(Debug, Clone)]
-pub(crate) enum PlanKind {
-    /// Column-major storage: the plan's single tile is the whole array.
-    Contig,
-    /// Figure-3 processor-array storage.
-    Resh(Box<ReshPlan>),
-}
-
-/// Flattened reshaped-layout tables.
-#[derive(Debug, Clone)]
-pub(crate) struct ReshPlan {
-    /// Portion-pointer table base address.
-    pub ptr_table: u64,
-    /// Portion base address per linearized grid processor.
-    pub portions: Vec<u64>,
-    /// Grid extent per distributed dimension.
-    pub grid: Vec<u64>,
-    /// Dimension index of each grid axis (the descriptor's
-    /// `distributed` list).
-    pub dist_dims: Vec<usize>,
-    /// All dimensions, declaration order.
-    pub dims: Vec<DimPlan>,
-}
 
 /// One dimension of a [`Tile`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -94,16 +61,11 @@ pub(crate) struct Tile {
 }
 
 impl Tile {
-    /// The column-major box of `(lo, len)` per dimension stored at `base`.
-    fn new(
-        base: u64,
-        slot: Option<u64>,
-        elem_bytes: u64,
-        boxes: impl Iterator<Item = (u64, u64)>,
-    ) -> Tile {
+    /// Index box `b` stored column-major at `base`.
+    fn new(base: u64, slot: Option<u64>, elem_bytes: u64, b: &IndexBox) -> Tile {
         let mut dims = [TileDim::default(); MAX_RANK];
         let mut stride = elem_bytes;
-        for (d, (lo, len)) in dims.iter_mut().zip(boxes) {
+        for (d, (&lo, &len)) in dims.iter_mut().zip(b.lo.iter().zip(&b.len)) {
             *d = TileDim { lo, len, stride };
             stride *= len;
         }
@@ -116,16 +78,17 @@ impl Tile {
 pub(crate) struct AddrPlan {
     /// Interned machine symbol (access-tag attribution).
     pub sym: u32,
-    /// Declared extent per dimension (bounds checks).
-    pub extents: Vec<u64>,
+    /// The array's geometry, shared with the [`RtArray`] (extents for the
+    /// bounds check, Table 1 for the miss path).
+    pub desc: Arc<DistDescriptor>,
     /// Distributed-dimension count, min 1 (the per-access div count of
     /// the raw addressing modes).
     pub n_dist: u64,
-    /// Layout-specific tables.
-    pub kind: PlanKind,
-    /// One box per grid processor, indexed like `portions`; empty when a
-    /// dimension is `cyclic(k)` (a processor's elements are then not one
-    /// box).
+    /// Where the elements are stored.
+    pub layout: ArrayLayout,
+    /// One box per grid processor, indexed like the layout's portions;
+    /// empty when a dimension is `cyclic(k)` (a processor's elements are
+    /// then not one box).
     pub tiles: Vec<Tile>,
 }
 
@@ -133,63 +96,39 @@ impl AddrPlan {
     /// Build the plan for a live array instance.
     pub fn build(arr: &RtArray) -> AddrPlan {
         let desc = &arr.desc;
-        let extents: Vec<u64> = desc.dims.iter().map(|d| d.extent).collect();
-        let n_dist = desc.distributed.len().max(1) as u64;
-        let (kind, tiles) = match &arr.layout {
+        let tiles = match &arr.layout {
             ArrayLayout::Contiguous { base } => {
-                let whole = extents.iter().map(|&e| (0, e));
-                let tile = Tile::new(*base, None, arr.elem_bytes, whole);
-                (PlanKind::Contig, vec![tile])
+                let mut whole = IndexBox::default();
+                for (len, d) in whole.len.iter_mut().zip(&desc.dims) {
+                    *len = d.extent;
+                }
+                vec![Tile::new(*base, None, arr.elem_bytes, &whole)]
             }
-            ArrayLayout::Reshaped {
-                ptr_table,
-                portions,
-            } => {
-                let dims = desc
-                    .dims
-                    .iter()
-                    .map(|d| DimPlan {
-                        desc: *d,
-                        distributed: d.dist.is_distributed(),
-                        pext: (0..d.nprocs).map(|p| d.portion_extent(p)).collect(),
-                    })
-                    .collect();
-                let resh = ReshPlan {
-                    ptr_table: *ptr_table,
-                    portions: portions.clone(),
-                    grid: desc.grid.iter().map(|&g| g as u64).collect(),
-                    dist_dims: desc.distributed.clone(),
-                    dims,
-                };
-                let cyclic = desc.dims.iter().any(|d| matches!(d.dist, Dist::Cyclic(_)));
-                let n_tiles = if cyclic { 0 } else { portions.len() };
-                let tiles = (0..n_tiles)
-                    .map(|p| {
-                        // `block`/`*`: the processor's single run per
-                        // dimension (`None`: it owns nothing).
-                        let mut coords = desc.delinearize_proc(p).into_iter();
-                        let boxes = desc.dims.iter().map(|d| {
-                            let c = if d.dist.is_distributed() {
-                                coords.next().expect("one coordinate per grid axis")
-                            } else {
-                                0
-                            };
-                            d.run(c, 0).map_or((0, 0), |(lo, hi)| (lo, hi - lo))
-                        });
-                        let slot = ptr_table + (p * 8) as u64;
-                        Tile::new(portions[p], Some(slot), arr.elem_bytes, boxes)
-                    })
-                    .collect();
-                (PlanKind::Resh(Box::new(resh)), tiles)
+            ArrayLayout::Reshaped { .. }
+                if desc.dims.iter().any(|d| matches!(d.dist, Dist::Cyclic(_))) =>
+            {
+                Vec::new()
             }
+            ArrayLayout::Reshaped { portions, .. } => (portions.iter().enumerate())
+                .map(|(p, &base)| {
+                    // `block`/`*`: at most one box (none: `p` owns nothing).
+                    let b = desc.boxes(p).next().unwrap_or_default();
+                    Tile::new(base, arr.ptr_slot_addr(p), arr.elem_bytes, &b)
+                })
+                .collect(),
         };
         AddrPlan {
             sym: arr.sym,
-            extents,
-            n_dist,
-            kind,
+            desc: Arc::clone(desc),
+            n_dist: desc.distributed.len().max(1) as u64,
+            layout: arr.layout.clone(),
             tiles,
         }
+    }
+
+    /// Whether this plan was built from `arr`'s current descriptor.
+    pub fn is_for(&self, arr: &RtArray) -> bool {
+        Arc::ptr_eq(&self.desc, &arr.desc)
     }
 
     /// Locate-through-a-hint, the one entry point of every reference
@@ -216,58 +155,28 @@ impl AddrPlan {
         Some((addr, slot))
     }
 
-    /// The hint-free path: bounds check, then [`AddrPlan::resolve`].
+    /// The hint-free path: bounds check, then Table 1 — address, owner's
+    /// portion-pointer slot and owning grid processor (0 for a contiguous
+    /// array, whose one tile is the whole array).
     fn locate_owner(&self, vals: &[i64]) -> Option<(u64, Option<u64>, usize)> {
         let mut idx0 = [0u64; MAX_RANK];
-        for ((i0, &v), &extent) in idx0.iter_mut().zip(vals).zip(&self.extents) {
-            if v < 1 || v as u64 > extent {
+        for ((i0, &v), d) in idx0.iter_mut().zip(vals).zip(&self.desc.dims) {
+            if v < 1 || v as u64 > d.extent {
                 return None;
             }
             *i0 = (v - 1) as u64;
         }
-        Some(self.resolve(&idx0[..vals.len()]))
-    }
-
-    /// Address, owner's portion-pointer slot and owning grid processor of
-    /// the element at 0-based `idx0` — the allocation-free equivalent of
-    /// [`RtArray::addr_of`], `ptr_slot_addr` and `owner_proc`.
-    fn resolve(&self, idx0: &[u64]) -> (u64, Option<u64>, usize) {
-        match &self.kind {
-            PlanKind::Contig => {
-                let t = &self.tiles[0];
-                let mut a = t.base;
-                for (&i, d) in idx0.iter().zip(&t.dims) {
-                    a += i * d.stride;
-                }
-                (a, None, 0)
+        let idx0 = &idx0[..vals.len()];
+        Some(match &self.layout {
+            ArrayLayout::Contiguous { base } => (base + self.desc.global_linear(idx0) * 8, None, 0),
+            ArrayLayout::Reshaped {
+                ptr_table,
+                portions,
+            } => {
+                let (proc, off) = self.desc.locate(idx0);
+                (portions[proc] + off * 8, Some(ptr_table + proc as u64 * 8), proc)
             }
-            PlanKind::Resh(r) => {
-                // Column-major offset within the owner's portion (mirrors
-                // `DistDescriptor::local_linear`); one `locate` per
-                // distributed dimension also yields its owner coordinate.
-                let mut coord = [0u64; MAX_RANK];
-                let mut off = 0u64;
-                for di in (0..r.dims.len()).rev() {
-                    let d = &r.dims[di];
-                    let (li, ext) = if d.distributed {
-                        let (c, li) = d.desc.locate(idx0[di]);
-                        coord[di] = c;
-                        (li, d.pext[c as usize])
-                    } else {
-                        (idx0[di], d.desc.extent)
-                    };
-                    off = off * ext + li;
-                }
-                // Linearized owner: fold grid axes highest-first
-                // (mirrors `DistDescriptor::linearize_coords`).
-                let mut proc = 0u64;
-                for gi in (0..r.dist_dims.len()).rev() {
-                    proc = proc * r.grid[gi] + coord[r.dist_dims[gi]];
-                }
-                let slot = r.ptr_table + proc * 8;
-                (r.portions[proc as usize] + off * 8, Some(slot), proc as usize)
-            }
-        }
+        })
     }
 }
 
@@ -338,8 +247,8 @@ mod tests {
                 0
             };
             let want = Some((arr.addr_of(&idx0), arr.ptr_slot_addr(owner)));
-            assert_eq!(Some(plan.resolve(&idx0)), want.map(|(a, s)| (a, s, owner)));
             let vals: Vec<i64> = idx0.iter().map(|&i| i as i64 + 1).collect();
+            assert_eq!(plan.locate_owner(&vals), want.map(|(a, s)| (a, s, owner)));
             for start in 0..=u8::MAX {
                 let mut hint = start;
                 assert_eq!(plan.locate(&vals, &mut hint), want, "{vals:?} hint {start}");
@@ -351,7 +260,7 @@ mod tests {
             }
             if linear == arr.desc.total_len() / 2 {
                 for d in 0..vals.len() {
-                    for bad in [0, plan.extents[d] as i64 + 1, i64::MIN, i64::MAX] {
+                    for bad in [0, plan.desc.dims[d].extent as i64 + 1, i64::MIN, i64::MAX] {
                         let mut out = vals.clone();
                         out[d] = bad;
                         for start in 0..=u8::MAX {
@@ -365,29 +274,28 @@ mod tests {
         }
     }
 
-    /// Tiles are boxes inside the extents, pairwise disjoint, and cover
-    /// the array — so "inside some tile" is exactly "in bounds".
+    /// A tile is the runtime's box plus addresses: tile `p` is exactly
+    /// `boxes(p)` (that the boxes are disjoint, inside the extents and
+    /// cover the array is the runtime spec suite's half) stored
+    /// column-major from the portion base, unused dimensions empty.
     fn check_tiles(arr: &RtArray) {
         let plan = AddrPlan::build(arr);
-        let rank = plan.extents.len();
-        let mut covered = 0u64;
+        let rank = arr.desc.dims.len();
         for (p, t) in plan.tiles.iter().enumerate() {
-            let dims = &t.dims[..rank];
-            for (d, &extent) in dims.iter().zip(&plan.extents) {
-                assert!(d.lo + d.len <= extent, "tile {p} leaves the extents");
+            let mut b = arr.desc.boxes(p).next().unwrap_or_default();
+            if let ArrayLayout::Contiguous { .. } = arr.layout {
+                b = IndexBox::default();
+                b.len[..rank].copy_from_slice(&arr.desc.extents());
             }
-            assert!(t.dims[rank..].iter().all(|d| *d == TileDim::default()));
-            covered += dims.iter().map(|d| d.len).product::<u64>();
-            for u in &plan.tiles[..p] {
-                let apart = dims
-                    .iter()
-                    .zip(&u.dims)
-                    .any(|(a, b)| a.lo + a.len <= b.lo || b.lo + b.len <= a.lo);
-                let empty = dims.iter().any(|d| d.len == 0);
-                assert!(apart || empty, "tile {p} overlaps an earlier tile");
+            let mut stride = arr.elem_bytes;
+            for (d, dim) in t.dims.iter().enumerate() {
+                let want = TileDim { lo: b.lo[d], len: b.len[d], stride };
+                assert_eq!(*dim, want, "tile {p} dimension {d}");
+                stride *= b.len[d];
             }
+            assert!(t.dims[rank..].iter().all(|d| d.len == 0));
+            assert_eq!(Some(t.base), arr.portion_base(p).or(Some(arr.addr_of(&b.lo[..rank]))));
         }
-        assert_eq!(covered, arr.desc.total_len(), "tiles do not cover the array");
     }
 
     fn dist(dims: Vec<Dist>) -> Option<Distribution> {

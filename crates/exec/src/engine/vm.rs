@@ -25,6 +25,7 @@ use std::sync::Arc;
 
 use dsm_ir::{AddrMode, BinOp, Program};
 use dsm_machine::{AccessKind, AccessRun, AccessTag, ProcId};
+use dsm_runtime::{ArrayLayout, MAX_RANK};
 
 use crate::report::RunOutcome;
 use crate::team::{self, CallBinding, Ctx, LoopSite, RunState};
@@ -34,7 +35,7 @@ use crate::{ExecError, ExecOptions};
 use super::code::{
     AffVar, ArgCode, BulkCode, BulkKind, BulkRef, ListRef, Op, ParLoop, ProgramCode, Reg, SubCode,
 };
-use super::plan::{AddrPlan, PlanCache, PlanKind, MAX_RANK};
+use super::plan::{AddrPlan, PlanCache};
 
 /// Run `program` as compiled bytecode (the [`crate::Engine::Bytecode`]
 /// path behind [`crate::run_outcome`]).
@@ -429,10 +430,9 @@ impl<'a, 'p> RunState<'_, Bytecode<'a, 'p>> {
     #[inline]
     fn site(&mut self, sc: &SubCode<'_>, site: u32, inst: usize) -> (&AddrPlan, &mut u8) {
         let eng = &mut self.eng;
-        (
-            eng.plans.get(inst),
-            &mut eng.hints[sc.hint_base + site as usize],
-        )
+        let plan = eng.plans.get(inst);
+        debug_assert!(plan.is_for(self.binder.get(inst)), "stale address plan");
+        (plan, &mut eng.hints[sc.hint_base + site as usize])
     }
 
     /// Resolve the register list `idx` — which is also the reference
@@ -455,7 +455,7 @@ impl<'a, 'p> RunState<'_, Bytecode<'a, 'p>> {
             return Err(ExecError::OutOfBounds {
                 array: sc.sub.arrays[array as usize].name.clone(),
                 indices: vals.to_vec(),
-                extents: plan.extents.clone(),
+                extents: plan.desc.extents(),
             });
         };
         let (sym, n_dist) = (plan.sym, plan.n_dist);
@@ -542,7 +542,7 @@ impl<'a, 'p> RunState<'_, Bytecode<'a, 'p>> {
                     (
                         plan.n_dist,
                         plan.sym,
-                        matches!(plan.kind, PlanKind::Contig),
+                        matches!(plan.layout, ArrayLayout::Contiguous { .. }),
                     )
                 };
                 self.eng.pending +=
@@ -648,7 +648,7 @@ impl<'a, 'p> RunState<'_, Bytecode<'a, 'p>> {
     fn run_in_bounds(&self, r: &BulkRef, first: i128, last: i128, frame: &Frame) -> bool {
         let inst = frame.arrays[r.array as usize];
         let plan = self.eng.plans.get(inst);
-        if r.idx.len() != plan.extents.len() {
+        if r.idx.len() != plan.desc.dims.len() {
             return false;
         }
         for (d, t) in r.idx.iter().enumerate() {
@@ -669,7 +669,7 @@ impl<'a, 'p> RunState<'_, Bytecode<'a, 'p>> {
                 AffVar::None => (t.offset as i128, t.offset as i128),
             };
             let (lo, hi) = (v0.min(v1), v0.max(v1));
-            if lo < 1 || hi > plan.extents[d] as i128 {
+            if lo < 1 || hi > plan.desc.dims[d].extent as i128 {
                 return false;
             }
         }
@@ -805,7 +805,7 @@ impl<'a, 'p> RunState<'_, Bytecode<'a, 'p>> {
         frame: &Frame,
     ) -> (u64, i64) {
         let plan = self.eng.plans.get(inst);
-        debug_assert!(matches!(plan.kind, PlanKind::Contig));
+        debug_assert!(matches!(plan.layout, ArrayLayout::Contiguous { .. }));
         let tile = &plan.tiles[0];
         let mut addr = tile.base as i64;
         let mut run_stride = 0i64;

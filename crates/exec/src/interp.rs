@@ -622,11 +622,10 @@ impl RunState<'_, Tree<'_>> {
         let mut out = Vec::with_capacity(vals.len());
         for (d, &v) in desc.dims.iter().zip(&vals) {
             if v < 1 || v as u64 > d.extent {
-                let extents = desc.dims.iter().map(|d| d.extent).collect();
                 return Err(ExecError::OutOfBounds {
                     array: sub.arrays[array.0].name.clone(),
                     indices: vals.clone(),
-                    extents,
+                    extents: desc.extents(),
                 });
             }
             out.push((v - 1) as u64);
@@ -658,15 +657,10 @@ impl RunState<'_, Tree<'_>> {
             };
             self.mach.on(ctx.proc, |sh| sh.set_tag(tag));
         }
-        let addr = arr.addr_of(&idx0);
+        // The owner's portion-pointer slot is loaded by the raw, tiled
+        // and shared-div modes only (`None` for contiguous layouts).
+        let (addr, owner) = arr.locate(&idx0);
         let n_dist = arr.desc.distributed.len().max(1) as u64;
-        let owner = match mode {
-            AddrMode::ReshapedRaw
-            | AddrMode::ReshapedRawFp
-            | AddrMode::ReshapedTiled
-            | AddrMode::ReshapedSharedDiv => arr.desc.owner_proc(&idx0),
-            _ => 0,
-        };
         let slot = arr.ptr_slot_addr(owner);
         match mode {
             AddrMode::Direct | AddrMode::ReshapedHoisted | AddrMode::ReshapedSharedAll => {

@@ -11,7 +11,9 @@
 
 use std::fmt;
 
+use dsm_ir::Dist;
 use dsm_machine::{AttributionTable, Machine, NodeId, TagStats, SERIAL_REGION, UNTAGGED_SYM};
+use dsm_runtime::DimDesc;
 
 /// How many remote-heavy pages a profile keeps.
 const TOP_PAGES: usize = 8;
@@ -304,24 +306,11 @@ impl Profile {
     }
 }
 
-fn escape_into(out: &mut String, v: &str) {
-    for c in v.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-}
-
 fn json_str(out: &mut String, key: &str, v: &str) {
     out.push('"');
     out.push_str(key);
-    out.push_str("\": \"");
-    escape_into(out, v);
-    out.push('"');
+    out.push_str("\": ");
+    crate::wire::push_json_str(out, v);
 }
 
 fn json_stats(out: &mut String, s: &TagStats) {
@@ -536,13 +525,12 @@ fn suggest_dims(
     let mut best = (dims.len() - 1, 0usize);
     for d in 0..dims.len() {
         let stride: u64 = dims[..d].iter().product();
-        let chunk = dims[d].div_ceil(n_nodes as u64).max(1);
+        let node_of = DimDesc::new(dims[d], Dist::Block, n_nodes as u64);
         let mut agree = 0usize;
         for &(vp, dom) in &pages {
             let mid = ((vp - base) * elems_per_page as u64 + elems_per_page as u64 / 2)
                 .min(total.saturating_sub(1));
-            let idx = (mid / stride) % dims[d];
-            if (idx / chunk) as usize == dom {
+            if node_of.owner((mid / stride) % dims[d]) as usize == dom {
                 agree += 1;
             }
         }
@@ -561,8 +549,17 @@ fn suggest_dims(
         })
         .collect();
     let stride: u64 = dims[..d].iter().product();
-    let run = stride * dims[d].div_ceil(n_nodes as u64);
-    (suggested, run < elems_per_page as u64)
+    let covers = block_covers_page(dims[d], stride, n_nodes, elems_per_page as u64);
+    (suggested, !covers)
+}
+
+/// Can page-granularity placement honour `block` over `n_nodes` along a
+/// dimension of `extent` indices, each `stride` elements of column-major
+/// storage: does a node's run span at least a page (`elems_per_page`)?
+/// The one copy of that test — the hints above flag `reshape` on it, the
+/// advisor's static pruning calls it.
+pub fn block_covers_page(extent: u64, stride: u64, n_nodes: usize, elems_per_page: u64) -> bool {
+    stride * DimDesc::new(extent, Dist::Block, n_nodes as u64).chunk >= elems_per_page
 }
 
 fn roll(acc: &mut Vec<(u32, TagStats)>, key: u32, stats: &TagStats) {
@@ -720,8 +717,8 @@ mod tests {
     #[test]
     fn json_escape_handles_specials() {
         let mut s = String::new();
-        escape_into(&mut s, "a\"b\\c\n");
-        assert_eq!(s, "a\\\"b\\\\c\\n");
+        json_str(&mut s, "k", "a\"b\\c\n");
+        assert_eq!(s, "\"k\": \"a\\\"b\\\\c\\n\"");
     }
 
     #[test]

@@ -26,7 +26,7 @@ use dsm_ir::{
 use dsm_machine::{AccessRun, Machine, MachineShard, ProcId, SERIAL_REGION};
 use dsm_runtime::epoch::{join_epoch, EpochClock};
 use dsm_runtime::{
-    argcheck::ArgInfo, partition, sched, ArgChecker, ArrayLayout, RtArray, RuntimeError,
+    argcheck::ArgInfo, partition, sched, ArgChecker, ArrayLayout, RtArray, RuntimeError, MAX_RANK,
 };
 
 use crate::bind::Binder;
@@ -316,10 +316,7 @@ impl<'a, E: Engine> RunState<'a, E> {
                     let inst = frame.arrays[i];
                     (inst != usize::MAX).then(|| {
                         let arr = binder.get(inst);
-                        (
-                            decl.name.clone(),
-                            arr.desc.dims.iter().map(|d| d.extent).collect(),
-                        )
+                        (decl.name.clone(), arr.desc.extents())
                     })
                 })
                 .collect();
@@ -497,7 +494,7 @@ impl<'a, E: Engine> RunState<'a, E> {
         // dimension to a different axis than the one compiled in.
         let decl = site.sub.arrays[aff.array.0].dist.as_ref();
         let axis = sched::proctile_axis(desc, decl, grid_dim);
-        let coord = desc.delinearize_proc(ctx.proc.0)[axis] as i64;
+        let coord = desc.coords_of(ctx.proc.0)[desc.distributed[axis]] as i64;
         frame.scalars[site.l.var.0] = Value::I(coord);
         E::run_body(self, site, frame, ctx)
     }
@@ -567,20 +564,15 @@ impl<'a, E: Engine> RunState<'a, E> {
                 .filter(|&(dim, ..)| desc.dims[dim].dist.is_distributed());
             if let Some((dim, scale, offset)) = axis {
                 let parts = sched::partition_affinity(lb, ub, step, &desc.dims[dim], scale, offset);
-                let grid_dim = desc
-                    .distributed
-                    .iter()
-                    .position(|&dd| dd == dim)
-                    .unwrap_or(0);
                 return Ok(parts
                     .into_iter()
                     .enumerate()
                     .map(|(coord, chunks)| {
                         // Representative member for this coordinate: zero
                         // on every other grid axis.
-                        let mut coords = vec![0u64; desc.grid.len()];
-                        coords[grid_dim] = coord as u64;
-                        let p = desc.linearize_coords(&coords).min(nprocs - 1);
+                        let mut coords = [0u64; MAX_RANK];
+                        coords[dim] = coord as u64;
+                        let p = desc.proc_at(&coords).min(nprocs - 1);
                         (ProcId(p), Work::Chunks(chunks))
                     })
                     .collect());
@@ -803,7 +795,7 @@ impl<'a, E: Engine> RunState<'a, E> {
             let arr = self.binder.get(inst);
             let info = ArgInfo::WholeArray {
                 name: arr.name.clone(),
-                shape: arr.desc.dims.iter().map(|d| d.extent).collect(),
+                shape: arr.desc.extents(),
             };
             self.register_actual(call, layout_base(arr), info, proc);
         }
@@ -831,7 +823,7 @@ impl<'a, E: Engine> RunState<'a, E> {
             let arr = self.binder.get(inst);
             let info = ArgInfo::Portion {
                 name: arr.name.clone(),
-                portion_len: portion_len(arr, idx0),
+                portion_len: arr.desc.portion_remaining(idx0),
             };
             self.register_actual(call, addr, info, proc);
         }
@@ -911,28 +903,4 @@ fn layout_base(arr: &RtArray) -> u64 {
         ArrayLayout::Contiguous { base } => *base,
         ArrayLayout::Reshaped { ptr_table, .. } => *ptr_table,
     }
-}
-
-/// The paper's rule for passing an element of a reshaped array: the
-/// passed "portion" runs from the element at 0-based `idx0` to the end of
-/// its contiguous run in the fastest dimension, times the remaining
-/// portion rectangle in the outer dimensions.
-fn portion_len(arr: &RtArray, idx0: &[u64]) -> u64 {
-    let owner_coords = arr.desc.owner_coords(idx0);
-    let mut gi = 0usize;
-    let mut remaining = 0u64;
-    for (d0, dim) in arr.desc.dims.iter().enumerate() {
-        let coord = if dim.dist.is_distributed() {
-            gi += 1;
-            owner_coords[gi - 1]
-        } else {
-            0
-        };
-        remaining = if d0 == 0 {
-            dim.run_remaining(idx0[0])
-        } else {
-            remaining * (dim.portion_extent(coord) - dim.local_offset(idx0[d0]))
-        };
-    }
-    remaining
 }

@@ -12,11 +12,13 @@
 //!   both, and `redistribute` applies only to regular arrays
 //!   (Section 3.3);
 //! * distribution rank must equal array rank, `cyclic` chunks must be
-//!   positive compile-time constants.
+//!   positive compile-time constants;
+//! * no array, local or formal, has a rank above [`MAX_RANK`] — the
+//!   runtime's descriptors and the VM's tiles are sized for it.
 
 use std::collections::HashMap;
 
-use dsm_ir::{Dist, DistKind, Distribution, OntoSpec};
+use dsm_ir::{Dist, DistKind, Distribution, OntoSpec, MAX_RANK};
 
 use crate::ast::*;
 use crate::error::{CompileError, ErrorKind, Span};
@@ -199,6 +201,18 @@ fn analyze_unit(unit: SourceUnit, file: &str, errors: &mut Vec<CompileError>) ->
         if d.dims.is_empty() {
             scalars.push((d.name.clone(), d.ty));
         } else {
+            if d.dims.len() > MAX_RANK {
+                errors.push(CompileError::new(
+                    d.span,
+                    ErrorKind::Sema,
+                    file,
+                    format!(
+                        "array `{}` has rank {}, the maximum is {MAX_RANK}",
+                        d.name,
+                        d.dims.len()
+                    ),
+                ));
+            }
             let mut dims = Vec::new();
             for e in &d.dims {
                 match fold_const(e, &params_const) {
@@ -801,6 +815,33 @@ mod tests {
     fn rank_mismatch_reported() {
         let e = errs("      program main\n      real*8 a(10)\n      a(1, 2) = 0.0\n      end\n");
         assert!(e.iter().any(|d| d.msg.contains("rank")));
+    }
+
+    #[test]
+    fn rank_above_max_rank_rejected_for_locals_and_formals() {
+        let dims = |n: usize| vec!["2"; n].join(",");
+        let local = |n| {
+            format!(
+                "      program main\n      real*8 a({})\n      a({}) = 0.0\n      end\n",
+                dims(n),
+                dims(n)
+            )
+        };
+        let formal = |n| {
+            format!("      subroutine s(f)\n      real*8 f({})\n      end\n      program main\n      end\n", dims(n))
+        };
+        for src in [local(MAX_RANK + 1), formal(MAX_RANK + 1)] {
+            let e = errs(&src);
+            assert_eq!(e.len(), 1, "one diagnostic, no cascade: {e:?}");
+            assert!(
+                e[0].msg.contains("rank 9, the maximum is 8"),
+                "{}",
+                e[0].msg
+            );
+            assert_eq!(e[0].span.line, 2, "located at the declaration");
+        }
+        ok(&local(MAX_RANK));
+        ok(&formal(MAX_RANK));
     }
 
     #[test]

@@ -11,6 +11,10 @@
 //! HPF semantics.  The same descriptor serves `c$distribute_reshape` and
 //! `c$redistribute`; [`DistKind`] records which directive introduced it.
 
+/// Highest array rank the system accepts (Fortran allows 7): sema refuses
+/// more, so runtime descriptors and VM tiles are fixed arrays of this size.
+pub const MAX_RANK: usize = 8;
+
 /// Distribution format of a single array dimension.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dist {
@@ -169,11 +173,6 @@ impl Distribution {
             v += 1;
         }
     }
-
-    /// Block size for a dimension of extent `n` split over `p` processors.
-    pub fn block_size(n: u64, p: u64) -> u64 {
-        n.div_ceil(p.max(1))
-    }
 }
 
 impl std::fmt::Display for Distribution {
@@ -263,13 +262,5 @@ mod tests {
     fn factor_nothing_distributed() {
         let d = Distribution::new(vec![Dist::Star, Dist::Star]);
         assert!(d.factor_grid(8).is_empty());
-    }
-
-    #[test]
-    fn block_size_rounds_up() {
-        assert_eq!(Distribution::block_size(1000, 3), 334);
-        assert_eq!(Distribution::block_size(1000, 4), 250);
-        assert_eq!(Distribution::block_size(5, 8), 1);
-        assert_eq!(Distribution::block_size(5, 0), 5);
     }
 }

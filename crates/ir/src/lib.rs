@@ -33,7 +33,7 @@ pub mod program;
 pub mod stmt;
 pub mod validate;
 
-pub use dist::{Dist, DistKind, Distribution, OntoSpec};
+pub use dist::{Dist, DistKind, Distribution, OntoSpec, MAX_RANK};
 pub use expr::{BinOp, Expr, Intrinsic, RtExpr, UnOp};
 pub use program::{
     ArrayDecl, ArrayId, CommonBlockDecl, Extent, Param, Program, ScalarDecl, ScalarTy, Storage,

@@ -13,8 +13,6 @@
 //!   so a parsed-and-rewritten document round-trips byte-identically,
 //!   which the daemon's bit-identity guarantees lean on.
 
-use std::fmt::Write as _;
-
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
@@ -143,24 +141,10 @@ impl Value {
     }
 }
 
-/// Append `s` as a JSON string literal (quotes and escapes included).
-pub fn write_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
+/// Append `s` as a JSON string literal (quotes and escapes included):
+/// the workspace's one escaper, defined by the lowest crate that writes
+/// JSON.
+pub use dsm_exec::wire::push_json_str as write_json_str;
 
 /// Parse one JSON document, requiring it to span the whole input
 /// (trailing whitespace allowed).

@@ -1,4 +1,5 @@
-//! Runtime distribution descriptors.
+//! Runtime distribution descriptors: the one geometry of a distributed
+//! array.
 //!
 //! A [`DistDescriptor`] resolves a symbolic [`Distribution`] against the
 //! actual array extents and processor count at program start-up — the
@@ -6,11 +7,31 @@
 //! determined at program start-up time, which enables the same executable
 //! to run with different numbers of processors" (Section 3.2).
 //!
-//! The descriptor answers the ownership questions of Table 1:
-//! for each distributed dimension, *which processor coordinate owns index
-//! i* and *at which local offset* — for `block`, `cyclic` and `cyclic(k)`.
+//! Everything that asks *who owns what* asks here, in one of three ways,
+//! none of which allocates:
+//!
+//! * **per index** — [`DistDescriptor::locate`]: the grid processor owning
+//!   an element and the element's offset in that processor's portion,
+//!   Table 1 ([`DimDesc::locate`]) folded over the dimensions.
+//!   `RtArray::addr_of` (the interpreter) and the VM's tile-miss path are
+//!   this plus a portion base;
+//! * **per processor** — [`DistDescriptor::boxes`]: the disjoint index
+//!   boxes a grid processor owns, the product of [`DimDesc::run`] over
+//!   the dimensions (one box for `block`/`*`, one per chunk tuple for
+//!   `cyclic(k)`). The VM's tiles are these boxes plus addresses;
+//! * **per run** — [`DimDesc::runs`] and [`DimDesc::run_remaining`]: the
+//!   contiguous same-owner runs of one dimension, which the page-owner
+//!   scan ([`DistDescriptor::last_owner_in`]), the element-passing rule
+//!   ([`DistDescriptor::portion_remaining`]) and the `simple` /
+//!   `interleave(k)` loop schedules (a `block` / `cyclic(k)` dimension of
+//!   the trip count) step over.
+//!
+//! The per-format arithmetic (`block`, `cyclic(k)`, `*`) is in [`DimDesc`]
+//! and nowhere else.
 
 use dsm_ir::{Dist, Distribution};
+
+pub use dsm_ir::MAX_RANK;
 
 /// Resolved geometry of one array dimension.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,11 +43,29 @@ pub struct DimDesc {
     /// Processors assigned to this dimension (1 for `*`).
     pub nprocs: u64,
     /// `block`: portion size `b = ceil(extent / nprocs)`;
-    /// `cyclic(k)`: the chunk size `k`; `*`: the whole extent.
+    /// `cyclic(k)`: the chunk size `k` (at least 1); `*`: the whole
+    /// extent. Every format arm below reads this, never the raw `k`.
     pub chunk: u64,
 }
 
 impl DimDesc {
+    /// Resolve format `dist` for `extent` indices over `nprocs`
+    /// processors (`*` always gets one).
+    pub fn new(extent: u64, dist: Dist, nprocs: u64) -> DimDesc {
+        let nprocs = if dist.is_distributed() { nprocs } else { 1 };
+        let chunk = match dist {
+            Dist::Star => extent,
+            Dist::Block => extent.div_ceil(nprocs),
+            Dist::Cyclic(k) => k.max(1),
+        };
+        DimDesc {
+            extent,
+            dist,
+            nprocs,
+            chunk,
+        }
+    }
+
     /// Owner coordinate (0-based) of 0-based index `i` and `i`'s offset
     /// within that owner's portion — the two answers of Table 1, from one
     /// division for `block` and two for `cyclic(k)`. Every reshaped
@@ -40,10 +79,13 @@ impl DimDesc {
                 let owner = (i / self.chunk).min(self.nprocs - 1);
                 (owner, i - owner * self.chunk)
             }
-            Dist::Cyclic(k) => {
-                let chunk = i / k;
+            Dist::Cyclic(_) => {
+                let chunk = i / self.chunk;
                 let round = chunk / self.nprocs;
-                (chunk - round * self.nprocs, round * k + (i - chunk * k))
+                (
+                    chunk - round * self.nprocs,
+                    round * self.chunk + (i - chunk * self.chunk),
+                )
             }
         }
     }
@@ -60,33 +102,19 @@ impl DimDesc {
 
     /// Number of elements owned by processor coordinate `p` along this
     /// dimension.
+    #[inline]
     pub fn portion_extent(&self, p: u64) -> u64 {
         match self.dist {
             Dist::Star => self.extent,
-            Dist::Block => {
-                let lo = p * self.chunk;
-                if lo >= self.extent {
-                    0
-                } else {
-                    (self.extent - lo).min(self.chunk)
-                }
-            }
-            Dist::Cyclic(k) => {
+            Dist::Block => self.extent.saturating_sub(p * self.chunk).min(self.chunk),
+            Dist::Cyclic(_) => {
                 // Elements i with (i/k) % P == p.
-                let full_rounds = self.extent / (k * self.nprocs);
-                let rem = self.extent - full_rounds * k * self.nprocs;
-                let extra = rem.saturating_sub(p * k).min(k);
-                full_rounds * k + extra
+                let round = self.chunk * self.nprocs;
+                let full_rounds = self.extent / round;
+                let rem = self.extent - full_rounds * round;
+                full_rounds * self.chunk + rem.saturating_sub(p * self.chunk).min(self.chunk)
             }
         }
-    }
-
-    /// Maximum portion extent over all coordinates (allocation size).
-    pub fn max_portion_extent(&self) -> u64 {
-        (0..self.nprocs)
-            .map(|p| self.portion_extent(p))
-            .max()
-            .unwrap_or(0)
     }
 
     /// Elements remaining in the contiguous run containing 0-based index
@@ -94,11 +122,7 @@ impl DimDesc {
     /// the "portion" size of the paper's element-passing rule: for
     /// `cyclic(5)`, passing element 0 passes a 5-element portion.
     pub fn run_remaining(&self, i: u64) -> u64 {
-        match self.dist {
-            Dist::Star => self.extent - i,
-            Dist::Block => ((self.owner(i) + 1) * self.chunk).min(self.extent) - i,
-            Dist::Cyclic(k) => (k - i % k).min(self.extent - i),
-        }
+        ((i / self.chunk + 1) * self.chunk).min(self.extent) - i
     }
 
     /// Global 0-based index range `[start, end)` of the `n`-th contiguous
@@ -106,27 +130,28 @@ impl DimDesc {
     /// for `cyclic(k)` run `n` starts at `(n*P + p) * k`). Returns `None`
     /// when the run is beyond the extent.
     pub fn run(&self, p: u64, n: u64) -> Option<(u64, u64)> {
-        let (start, len) = match self.dist {
-            Dist::Star => {
-                if n > 0 {
-                    return None;
-                }
-                (0, self.extent)
-            }
-            Dist::Block => {
-                if n > 0 {
-                    return None;
-                }
-                (p * self.chunk, self.chunk)
-            }
-            Dist::Cyclic(k) => ((n * self.nprocs + p) * k, k),
+        let start = match self.dist {
+            Dist::Star | Dist::Block if n > 0 => return None,
+            Dist::Star | Dist::Block => p * self.chunk,
+            Dist::Cyclic(_) => (n * self.nprocs + p) * self.chunk,
         };
-        if start >= self.extent {
-            None
-        } else {
-            Some((start, (start + len).min(self.extent)))
-        }
+        (start < self.extent).then(|| (start, (start + self.chunk).min(self.extent)))
     }
+
+    /// Every run of coordinate `p`, in index order.
+    pub fn runs(&self, p: u64) -> impl Iterator<Item = (u64, u64)> + '_ {
+        (0..).map_while(move |n| self.run(p, n))
+    }
+}
+
+/// A box of index space: `len[d]` consecutive indices from 0-based
+/// `lo[d]` in each dimension (entries past the rank stay zero).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct IndexBox {
+    /// First index per dimension.
+    pub lo: [u64; MAX_RANK],
+    /// Extent per dimension.
+    pub len: [u64; MAX_RANK],
 }
 
 /// Resolved distribution of a whole array.
@@ -147,40 +172,27 @@ impl DistDescriptor {
     ///
     /// # Panics
     ///
-    /// Panics if ranks mismatch or any extent is zero.
+    /// Panics if ranks mismatch, the rank exceeds [`MAX_RANK`] or any
+    /// extent is zero.
     pub fn new(extents: &[u64], dist: &Distribution, nprocs: usize) -> Self {
         assert_eq!(extents.len(), dist.dims.len(), "distribution rank mismatch");
+        assert!(extents.len() <= MAX_RANK, "array rank exceeds MAX_RANK");
         assert!(extents.iter().all(|&e| e > 0), "zero-extent array");
         let grid = dist.factor_grid(nprocs);
-        let distributed = dist.distributed_dims();
-        let mut gi = 0;
-        let dims = extents
-            .iter()
-            .zip(&dist.dims)
+        let mut axes = grid.iter();
+        let dims = (extents.iter().zip(&dist.dims))
             .map(|(&extent, &d)| {
                 let nprocs = if d.is_distributed() {
-                    let p = grid[gi] as u64;
-                    gi += 1;
-                    p
+                    axes.next()
                 } else {
-                    1
+                    None
                 };
-                let chunk = match d {
-                    Dist::Star => extent,
-                    Dist::Block => extent.div_ceil(nprocs),
-                    Dist::Cyclic(k) => k.max(1),
-                };
-                DimDesc {
-                    extent,
-                    dist: d,
-                    nprocs,
-                    chunk,
-                }
+                DimDesc::new(extent, d, nprocs.map_or(1, |&g| g as u64))
             })
             .collect();
         DistDescriptor {
             dims,
-            distributed,
+            distributed: dist.distributed_dims(),
             grid,
         }
     }
@@ -197,43 +209,114 @@ impl DistDescriptor {
         self.grid.iter().product::<usize>().max(1)
     }
 
-    /// Owning grid coordinates (one per distributed dim) of the element at
-    /// the given 0-based `indices`.
-    pub fn owner_coords(&self, indices: &[u64]) -> Vec<u64> {
-        self.distributed
-            .iter()
-            .map(|&d| self.dims[d].owner(indices[d]))
-            .collect()
+    /// Declared extent per dimension.
+    pub fn extents(&self) -> Vec<u64> {
+        self.dims.iter().map(|d| d.extent).collect()
     }
 
-    /// Linearize grid coordinates into a processor number in
-    /// `0..grid_size()` (first distributed dimension fastest-varying,
-    /// matching Fortran column-major convention).
-    pub fn linearize_coords(&self, coords: &[u64]) -> usize {
-        let mut proc = 0u64;
-        for (i, &c) in coords.iter().enumerate().rev() {
-            proc = proc * self.grid[i] as u64 + c;
+    /// Owning grid processor (in `0..grid_size()`) of the element at
+    /// 0-based `idx0` and the element's column-major offset *within* that
+    /// processor's portion (using the portion's own extents): Table 1 per
+    /// dimension, folded lowest dimension fastest on both sides — a `*`
+    /// dimension has one processor and so drops out of the grid fold.
+    #[inline]
+    pub fn locate(&self, idx0: &[u64]) -> (usize, u64) {
+        let (mut proc, mut grid_stride) = (0, 1);
+        let (mut off, mut stride) = (0, 1);
+        for (d, &i) in self.dims.iter().zip(idx0) {
+            let (c, local) = d.locate(i);
+            proc += c * grid_stride;
+            grid_stride *= d.nprocs;
+            off += local * stride;
+            stride *= d.portion_extent(c);
+        }
+        (proc as usize, off)
+    }
+
+    /// Processor number owning the element at 0-based `indices`.
+    pub fn owner_proc(&self, indices: &[u64]) -> usize {
+        self.locate(indices).0
+    }
+
+    /// Offset of 0-based `indices` within the owner's portion.
+    pub fn local_linear(&self, indices: &[u64]) -> u64 {
+        self.locate(indices).1
+    }
+
+    /// Coordinate of grid processor `p` along every *dimension* (0 along
+    /// `*`): the first distributed dimension varies fastest, matching
+    /// Fortran column-major convention.
+    pub fn coords_of(&self, p: usize) -> [u64; MAX_RANK] {
+        let mut coords = [0; MAX_RANK];
+        let mut rest = p as u64;
+        for (c, d) in coords.iter_mut().zip(&self.dims) {
+            *c = rest % d.nprocs;
+            rest /= d.nprocs;
+        }
+        coords
+    }
+
+    /// Inverse of [`DistDescriptor::coords_of`]: the grid processor at
+    /// per-dimension coordinates `coords`.
+    pub fn proc_at(&self, coords: &[u64]) -> usize {
+        let mut proc = 0;
+        for (&c, d) in coords.iter().zip(&self.dims).rev() {
+            proc = proc * d.nprocs + c;
         }
         proc as usize
     }
 
-    /// Grid coordinates of linearized processor `p`.
-    pub fn delinearize_proc(&self, p: usize) -> Vec<u64> {
-        let mut rest = p as u64;
-        self.grid
-            .iter()
-            .map(|&g| {
-                let c = rest % g as u64;
-                rest /= g as u64;
-                c
-            })
-            .collect()
+    /// The disjoint index boxes owned by grid processor `p`, produced
+    /// lazily: the product of its runs along each dimension, lowest
+    /// dimension fastest (exactly one box unless a dimension is
+    /// `cyclic(k)`; none when `p` owns nothing). Over all `p` the boxes
+    /// cover the array.
+    pub fn boxes(&self, p: usize) -> impl Iterator<Item = IndexBox> + '_ {
+        let coords = self.coords_of(p);
+        // Run number per dimension; `None` once the odometer wraps.
+        let mut next = Some([0u64; MAX_RANK]);
+        std::iter::from_fn(move || {
+            let n = next.as_mut()?;
+            let mut b = IndexBox::default();
+            for (d, dim) in self.dims.iter().enumerate() {
+                // Only a first run can be missing: `p` owns nothing.
+                let (lo, hi) = dim.run(coords[d], n[d])?;
+                (b.lo[d], b.len[d]) = (lo, hi - lo);
+            }
+            // Odometer step: the lowest dimension with a further run.
+            let more = self.dims.iter().enumerate().any(|(d, dim)| {
+                n[d] += 1;
+                let has = dim.run(coords[d], n[d]).is_some();
+                if !has {
+                    n[d] = 0;
+                }
+                has
+            });
+            if !more {
+                next = None;
+            }
+            Some(b)
+        })
     }
 
-    /// Processor number (in `0..grid_size()`) owning the element at
-    /// 0-based `indices`.
-    pub fn owner_proc(&self, indices: &[u64]) -> usize {
-        self.linearize_coords(&self.owner_coords(indices))
+    /// Element count of the portion owned by linearized processor `p`.
+    pub fn portion_len(&self, p: usize) -> u64 {
+        let coords = self.coords_of(p);
+        (self.dims.iter().zip(coords))
+            .map(|(d, c)| d.portion_extent(c))
+            .product()
+    }
+
+    /// The paper's rule for passing an element of a reshaped array: the
+    /// passed "portion" runs from the element at 0-based `idx0` to the end
+    /// of its contiguous run in the fastest dimension, times the
+    /// remaining portion rectangle in the outer dimensions.
+    pub fn portion_remaining(&self, idx0: &[u64]) -> u64 {
+        let outer = self.dims.iter().zip(idx0).skip(1).map(|(d, &i)| {
+            let (c, local) = d.locate(i);
+            d.portion_extent(c) - local
+        });
+        self.dims[0].run_remaining(idx0[0]) * outer.product::<u64>()
     }
 
     /// The "last requester wins" page-owner rule of regular placement
@@ -246,63 +329,23 @@ impl DistDescriptor {
     /// O(chunks-in-range) instead of O(elements-in-range).
     pub fn last_owner_in(&self, first: u64, last: u64) -> usize {
         let last = last.min(self.total_len() - 1);
-        let dim0 = &self.dims[0];
+        let rank = self.dims.len();
         let mut owner = 0usize;
-        let mut idx: Vec<u64> = Vec::with_capacity(self.dims.len());
+        let mut idx = [0u64; MAX_RANK];
         let mut e = first;
         while e <= last {
-            idx.clear();
             let mut rest = e;
-            for d in &self.dims {
-                idx.push(rest % d.extent);
+            for (i, d) in idx.iter_mut().zip(&self.dims) {
+                *i = rest % d.extent;
                 rest /= d.extent;
             }
-            owner = owner.max(self.owner_proc(&idx));
-            // Jump to the end of the current dim-0 run (clamped to the
-            // column boundary): every element in between shares this owner.
-            e += dim0.run_remaining(idx[0]).min(dim0.extent - idx[0]).max(1);
+            owner = owner.max(self.owner_proc(&idx[..rank]));
+            // Jump to the end of the current dim-0 run (which ends at the
+            // column boundary at the latest): every element in between
+            // shares this owner.
+            e += self.dims[0].run_remaining(idx[0]);
         }
         owner
-    }
-
-    /// Element count of the portion owned by linearized processor `p`.
-    pub fn portion_len(&self, p: usize) -> u64 {
-        let coords = self.delinearize_proc(p);
-        let mut gi = 0;
-        self.dims
-            .iter()
-            .map(|d| {
-                if d.dist.is_distributed() {
-                    let e = d.portion_extent(coords[gi]);
-                    gi += 1;
-                    e
-                } else {
-                    d.extent
-                }
-            })
-            .product()
-    }
-
-    /// Column-major offset of 0-based `indices` *within* the owner's
-    /// portion (using that portion's own extents).
-    pub fn local_linear(&self, indices: &[u64]) -> u64 {
-        let coords = self.owner_coords(indices);
-        let mut gi_of_dim = vec![usize::MAX; self.dims.len()];
-        for (gi, &d) in self.distributed.iter().enumerate() {
-            gi_of_dim[d] = gi;
-        }
-        let mut off = 0u64;
-        for di in (0..self.dims.len()).rev() {
-            let d = &self.dims[di];
-            let (local_idx, local_ext) = if d.dist.is_distributed() {
-                let c = coords[gi_of_dim[di]];
-                (d.local_offset(indices[di]), d.portion_extent(c))
-            } else {
-                (indices[di], d.extent)
-            };
-            off = off * local_ext + local_idx;
-        }
-        off
     }
 
     /// Column-major offset of 0-based `indices` in the *undistributed*
@@ -408,9 +451,9 @@ mod tests {
         assert_eq!(desc.owner_proc(&[0, 0]), 0);
         assert_eq!(desc.owner_proc(&[99, 99]), 15);
         // Coordinates linearize column-major.
-        assert_eq!(desc.linearize_coords(&[1, 0]), 1);
-        assert_eq!(desc.linearize_coords(&[0, 1]), 4);
-        assert_eq!(desc.delinearize_proc(6), vec![2, 1]);
+        assert_eq!(desc.proc_at(&[1, 0]), 1);
+        assert_eq!(desc.proc_at(&[0, 1]), 4);
+        assert_eq!(desc.coords_of(6)[..2], [2, 1]);
     }
 
     #[test]
@@ -447,6 +490,30 @@ mod tests {
                 }
             }
             assert_eq!(seen.len() as u64, desc.portion_len(p));
+        }
+    }
+
+    /// The stored chunk is the one every arm divides by: `cyclic(0)` is
+    /// `cyclic(1)`, not a division by zero.
+    #[test]
+    fn cyclic_zero_resolves_to_chunk_one() {
+        let zero = DistDescriptor::new(&[10], &Distribution::new(vec![Dist::Cyclic(0)]), 2);
+        let one = DistDescriptor::new(&[10], &Distribution::new(vec![Dist::Cyclic(1)]), 2);
+        let d = zero.dims[0];
+        assert_eq!(d.chunk, 1);
+        assert_eq!(d.locate(3), (1, 1));
+        for i in 0..10 {
+            assert_eq!(d.locate(i), one.dims[0].locate(i));
+            assert_eq!(d.run_remaining(i), 1);
+            assert_eq!(zero.locate(&[i]), one.locate(&[i]));
+        }
+        for p in 0..2 {
+            assert_eq!(d.portion_extent(p), 5);
+            assert_eq!(
+                d.runs(p).collect::<Vec<_>>(),
+                one.dims[0].runs(p).collect::<Vec<_>>()
+            );
+            assert_eq!(zero.boxes(p as usize).count(), 5);
         }
     }
 

@@ -13,6 +13,8 @@
 //!   memory, so the indirect loads the compiler worries about in
 //!   Section 7.2 hit the simulated cache hierarchy.
 
+use std::sync::Arc;
+
 use dsm_ir::{DistKind, Distribution};
 use dsm_machine::{Machine, NodeId, ProcId, VAddr};
 
@@ -45,8 +47,10 @@ pub struct RtArray {
     /// Symbol interned in the machine ([`Machine::intern_symbol`]) for
     /// access-tag attribution.
     pub sym: u32,
-    /// Resolved distribution geometry.
-    pub desc: DistDescriptor,
+    /// Resolved distribution geometry. Shared, never mutated: a
+    /// redistribution installs a new descriptor, so whoever kept the old
+    /// `Arc` (a VM address plan) can tell it went stale.
+    pub desc: Arc<DistDescriptor>,
     /// Which directive governs this array.
     pub kind: DistKind,
     /// Storage layout.
@@ -78,7 +82,7 @@ impl RtArray {
         let sym = m.intern_symbol(name);
         match kind {
             DistKind::None => {
-                let desc = DistDescriptor::undistributed(extents);
+                let desc = Arc::new(DistDescriptor::undistributed(extents));
                 let bytes = (desc.total_len() * elem_bytes) as usize;
                 let base = m.alloc(bytes, 8);
                 RtArray {
@@ -92,7 +96,7 @@ impl RtArray {
             }
             DistKind::Regular => {
                 let dist = dist.expect("regular distribution requires a Distribution");
-                let desc = DistDescriptor::new(extents, dist, nprocs);
+                let desc = Arc::new(DistDescriptor::new(extents, dist, nprocs));
                 let bytes = (desc.total_len() * elem_bytes) as usize;
                 let base = m.alloc_pages(bytes);
                 let arr = RtArray {
@@ -108,7 +112,7 @@ impl RtArray {
             }
             DistKind::Reshaped => {
                 let dist = dist.expect("reshaped distribution requires a Distribution");
-                let desc = DistDescriptor::new(extents, dist, nprocs);
+                let desc = Arc::new(DistDescriptor::new(extents, dist, nprocs));
                 let gs = desc.grid_size();
                 let mut portions = Vec::with_capacity(gs);
                 for p in 0..gs {
@@ -149,17 +153,23 @@ impl RtArray {
     }
 
     /// Virtual address of the element at 0-based `indices` (exact for both
-    /// layouts; no cycles are charged here).
-    pub fn addr_of(&self, indices: &[u64]) -> VAddr {
+    /// layouts; no cycles are charged here) and the grid processor whose
+    /// portion holds it (0 for contiguous layouts, which have none).
+    pub fn locate(&self, indices: &[u64]) -> (VAddr, usize) {
         match &self.layout {
             ArrayLayout::Contiguous { base } => {
-                base + self.desc.global_linear(indices) * self.elem_bytes
+                (base + self.desc.global_linear(indices) * self.elem_bytes, 0)
             }
             ArrayLayout::Reshaped { portions, .. } => {
-                let owner = self.desc.owner_proc(indices);
-                portions[owner] + self.desc.local_linear(indices) * self.elem_bytes
+                let (owner, off) = self.desc.locate(indices);
+                (portions[owner] + off * self.elem_bytes, owner)
             }
         }
+    }
+
+    /// Virtual address of the element at 0-based `indices`.
+    pub fn addr_of(&self, indices: &[u64]) -> VAddr {
+        self.locate(indices).0
     }
 
     /// Address of the portion-pointer slot for grid processor `p`
@@ -226,14 +236,13 @@ impl RtArray {
                 array: self.name.clone(),
             });
         }
-        let extents: Vec<u64> = self.desc.dims.iter().map(|d| d.extent).collect();
-        self.desc = DistDescriptor::new(&extents, new_dist, nprocs);
+        self.desc = Arc::new(DistDescriptor::new(&self.desc.extents(), new_dist, nprocs));
         let ArrayLayout::Contiguous { base } = self.layout else {
             unreachable!("non-reshaped arrays are contiguous")
         };
         let page = m.config().page_size as u64;
         let total_bytes = self.desc.total_len() * self.elem_bytes;
-        let desc = self.desc.clone();
+        let desc = &self.desc;
         let elem_bytes = self.elem_bytes;
         let procs_per_node = m.config().procs_per_node;
         let pages = m.remap_range(caller, base, total_bytes as usize, |page_idx| {

@@ -4,9 +4,9 @@
 //! (Section 4 of Chandra et al., PLDI 1997): runtime descriptors for
 //! distributed arrays, the two storage layouts (regular and reshaped), the
 //! page-placement "system call", per-processor memory pools, dynamic
-//! redistribution, iteration scheduling for `doacross` loops, the runtime
-//! argument-consistency checker (Section 6), and the portion-traversal
-//! intrinsics of the MIPSpro Fortran manual.
+//! redistribution, iteration scheduling for `doacross` loops, and the
+//! runtime argument-consistency checker (Section 6). One value —
+//! [`DistDescriptor`] — answers who owns what for all of them.
 //!
 //! The runtime is deliberately machine-facing: everything here manipulates
 //! a [`dsm_machine::Machine`] — allocating simulated memory, placing
@@ -16,14 +16,13 @@
 pub mod argcheck;
 pub mod descriptor;
 pub mod epoch;
-pub mod intrinsics;
 pub mod layout;
 pub mod pool;
 pub mod redist;
 pub mod sched;
 
 pub use argcheck::{ArgCheckError, ArgChecker, ArgInfo};
-pub use descriptor::{DimDesc, DistDescriptor};
+pub use descriptor::{DimDesc, DistDescriptor, IndexBox, MAX_RANK};
 pub use epoch::{join_epoch, EpochClock};
 pub use layout::{ArrayLayout, RtArray};
 pub use pool::PoolSet;

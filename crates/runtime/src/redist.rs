@@ -29,6 +29,8 @@
 //! *data*, captures are bit-identical by construction — the conformance
 //! matrix asserts both.
 
+use std::sync::Arc;
+
 use dsm_ir::{DistKind, Distribution};
 use dsm_machine::{Machine, NodeId, ProcId, VAddr};
 
@@ -189,8 +191,7 @@ impl RtArray {
                 array: self.name.clone(),
             });
         }
-        let extents: Vec<u64> = self.desc.dims.iter().map(|d| d.extent).collect();
-        self.desc = DistDescriptor::new(&extents, new_dist, nprocs);
+        self.desc = Arc::new(DistDescriptor::new(&self.desc.extents(), new_dist, nprocs));
         let ArrayLayout::Contiguous { base } = self.layout else {
             unreachable!("non-reshaped arrays are contiguous")
         };
@@ -269,7 +270,8 @@ mod tests {
     fn schedule_respects_fan_bounds_and_uniqueness() {
         let (mut m, mut pools) = setup(8);
         let mut a = regular(&mut m, &mut pools, &[4096], vec![Dist::Block], 8);
-        a.desc = DistDescriptor::new(&[4096], &Distribution::new(vec![Dist::Cyclic(64)]), 8);
+        let cyclic = Distribution::new(vec![Dist::Cyclic(64)]);
+        a.desc = Arc::new(DistDescriptor::new(&[4096], &cyclic, 8));
         let ArrayLayout::Contiguous { base } = a.layout else {
             unreachable!()
         };

@@ -3,8 +3,11 @@
 //! Implements the `schedtype` policies of the MIPSpro directives plus
 //! runtime affinity scheduling — the fallback used when the compiler has
 //! not lowered an `affinity` clause into Figure-2 processor-tile loops.
+//! No schedule has arithmetic of its own: `simple` and `interleave(k)`
+//! are a `block` / `cyclic(k)` [`DimDesc`] over the trip count, affinity
+//! asks the array's own [`DimDesc`] who owns each iteration's element.
 
-use dsm_ir::{Distribution, SchedType};
+use dsm_ir::{Dist, Distribution, SchedType};
 
 use crate::descriptor::{DimDesc, DistDescriptor};
 
@@ -87,7 +90,7 @@ pub fn partition(sched: SchedType, lb: i64, ub: i64, step: i64, n: usize) -> Vec
     match sched {
         SchedType::Simple => partition_simple(lb, ub, step, n),
         SchedType::Interleave(k) | SchedType::Dynamic(k) => {
-            partition_interleave(lb, ub, step, n, k.max(1))
+            partition_interleave(lb, ub, step, n, k)
         }
         SchedType::RuntimeAffinity | SchedType::ProcTile { .. } => {
             panic!("affinity/proc-tile schedules need a distribution descriptor")
@@ -106,46 +109,41 @@ fn inject_chunk_bug() -> bool {
     *BUG.get_or_init(|| std::env::var_os("DSM_INJECT_CHUNK_BUG").is_some())
 }
 
-/// `simple` scheduling: `n` contiguous chunks of `ceil(N/n)` iterations.
-pub fn partition_simple(lb: i64, ub: i64, step: i64, n: usize) -> Vec<Vec<Chunk>> {
-    let total = Chunk { lb, ub, step }.len();
-    let per = total.div_ceil(n as u64).max(1);
+/// The paper's Section 3 rule: a schedule is a distribution format
+/// applied to the iteration space. Worker `w` gets the runs that
+/// coordinate `w` owns of a `dist` dimension whose extent is the trip
+/// count of `lb..=ub:step`, each turned back into loop-variable values.
+fn partition_as(dist: Dist, lb: i64, ub: i64, step: i64, n: usize) -> Vec<Vec<Chunk>> {
+    let iters = DimDesc::new(Chunk { lb, ub, step }.len(), dist, n as u64);
     (0..n as u64)
         .map(|w| {
-            let first = w * per;
-            if first >= total {
-                return Vec::new();
-            }
-            let mut last = ((w + 1) * per - 1).min(total - 1);
-            if inject_chunk_bug() && last > first && last < total - 1 {
-                last -= 1;
-            }
-            vec![Chunk {
+            let chunk = |(first, end): (u64, u64)| Chunk {
                 lb: lb + first as i64 * step,
-                ub: lb + last as i64 * step,
+                ub: lb + (end - 1) as i64 * step,
                 step,
-            }]
+            };
+            iters.runs(w).map(chunk).collect()
         })
         .collect()
 }
 
-/// `interleave(k)` scheduling: chunks of `k` iterations dealt round-robin.
-pub fn partition_interleave(lb: i64, ub: i64, step: i64, n: usize, k: u64) -> Vec<Vec<Chunk>> {
-    let total = Chunk { lb, ub, step }.len();
-    let mut out = vec![Vec::new(); n];
-    let mut start = 0u64;
-    let mut w = 0usize;
-    while start < total {
-        let end = (start + k - 1).min(total - 1);
-        out[w].push(Chunk {
-            lb: lb + start as i64 * step,
-            ub: lb + end as i64 * step,
-            step,
-        });
-        start += k;
-        w = (w + 1) % n;
+/// `simple` scheduling: `n` contiguous chunks of `ceil(N/n)` iterations —
+/// the iteration space distributed `block`.
+pub fn partition_simple(lb: i64, ub: i64, step: i64, n: usize) -> Vec<Vec<Chunk>> {
+    let mut parts = partition_as(Dist::Block, lb, ub, step, n);
+    if inject_chunk_bug() {
+        let non_final = parts.iter_mut().flatten().rev().skip(1);
+        non_final
+            .filter(|c| c.ub != c.lb)
+            .for_each(|c| c.ub -= step);
     }
-    out
+    parts
+}
+
+/// `interleave(k)` scheduling: chunks of `k` iterations dealt round-robin
+/// — the iteration space distributed `cyclic(k)`.
+pub fn partition_interleave(lb: i64, ub: i64, step: i64, n: usize, k: u64) -> Vec<Vec<Chunk>> {
+    partition_as(Dist::Cyclic(k), lb, ub, step, n)
 }
 
 /// Runtime affinity scheduling (`affinity(i) = data(A(scale*i+offset))`):

@@ -1,9 +1,22 @@
 //! Property-based tests of the distribution runtime's core invariants.
+//!
+//! The first group is **the distribution spec**: everything the system
+//! believes about *who owns index i* is pinned here, against definitions
+//! written out in this file (the paper's Table 1 formulas, per-element
+//! walks, per-iteration schedules) rather than against the code under
+//! test. `DistDescriptor` answers in three ways — per index (`locate`),
+//! per processor (`boxes`), per run (`runs`, `last_owner_in`,
+//! `partition`) — and each property holds one of them to the definition,
+//! so any two of them are each other's oracle.
 
-use dsm_ir::{Dist, DistKind, Distribution};
+use std::sync::Arc;
+
+use dsm_ir::{Dist, DistKind, Distribution, OntoSpec, SchedType};
 use dsm_machine::{Machine, MachineConfig, ProcId};
 use dsm_runtime::sched::{partition_affinity, partition_interleave, partition_simple};
-use dsm_runtime::{plan_schedule, ArrayLayout, DistDescriptor, PoolSet, RtArray};
+use dsm_runtime::{
+    partition, plan_schedule, ArrayLayout, DimDesc, DistDescriptor, IndexBox, PoolSet, RtArray,
+};
 use proptest::prelude::*;
 
 fn arb_dist() -> impl Strategy<Value = Dist> {
@@ -12,6 +25,87 @@ fn arb_dist() -> impl Strategy<Value = Dist> {
         (1u64..8).prop_map(Dist::Cyclic),
         Just(Dist::Star),
     ]
+}
+
+/// A descriptor of rank 1–4 over small extents (so teams outnumber
+/// elements), any format mix, often with an `onto` clause.
+fn arb_desc() -> impl Strategy<Value = DistDescriptor> {
+    (
+        prop::collection::vec((1u64..7, arb_dist()), 1..5),
+        1usize..17,
+        prop::collection::vec(0u64..5, 4),
+    )
+        .prop_map(|(dims, nprocs, ratios)| {
+            let extents: Vec<u64> = dims.iter().map(|d| d.0).collect();
+            let mut dist = Distribution::new(dims.iter().map(|d| d.1).collect());
+            let ratios = &ratios[..dist.n_distributed()];
+            dist.onto = ratios.iter().all(|&r| r > 0).then(|| OntoSpec {
+                ratios: ratios.to_vec(),
+            });
+            DistDescriptor::new(&extents, &dist, nprocs)
+        })
+}
+
+/// Table 1 of the paper for 0-based index `i` of `dim`: `block` owner
+/// `i / b` at offset `i mod b`; `cyclic(k)` owner `(i / k) mod P` at
+/// offset `(i / (k·P))·k + i mod k`; `*` owner 0 at offset `i`.
+fn table_one(dim: &DimDesc, i: u64) -> (u64, u64) {
+    let (b, p) = (dim.chunk, dim.nprocs);
+    match dim.dist {
+        Dist::Block => (i / b, i % b),
+        Dist::Cyclic(k) => ((i / k) % p, (i / (k * p)) * k + i % k),
+        Dist::Star => (0, i),
+    }
+}
+
+/// 0-based indices of column-major element `linear`.
+fn delinearize(desc: &DistDescriptor, linear: u64) -> Vec<u64> {
+    let mut rest = linear;
+    let step = |d: &DimDesc| {
+        let i = rest % d.extent;
+        rest /= d.extent;
+        i
+    };
+    desc.dims.iter().map(step).collect()
+}
+
+/// Trip count of the Fortran loop `lb, ub, step`.
+fn trip_count(lb: i64, ub: i64, step: i64) -> i64 {
+    ((ub - lb + step) / step).max(0)
+}
+
+/// Every run of coordinate `p` of a lone dimension.
+fn runs(extent: u64, dist: Dist, nprocs: u64, p: u64) -> Vec<(u64, u64)> {
+    DimDesc::new(extent, dist, nprocs).runs(p).collect()
+}
+
+// Worked examples: what the unit tests of the deleted `intrinsics` module
+// and of `Distribution::block_size` asserted that the properties do not.
+
+#[test]
+fn block_runs_and_bounds() {
+    assert_eq!(runs(100, Dist::Block, 4, 0), [(0, 25)], "block has one run");
+    assert_eq!(runs(100, Dist::Block, 4, 2), [(50, 75)]);
+    assert_eq!(
+        runs(5, Dist::Star, 7, 0),
+        [(0, 5)],
+        "`*` is one run on one processor"
+    );
+    assert_eq!(DimDesc::new(5, Dist::Star, 7).nprocs, 1);
+}
+
+#[test]
+fn cyclic_runs_walk_the_portion() {
+    let tail_truncated = [(0, 3), (6, 9), (12, 15), (18, 20)];
+    assert_eq!(runs(20, Dist::Cyclic(3), 2, 0), tail_truncated);
+    assert_eq!(DimDesc::new(20, Dist::Cyclic(3), 2).portion_extent(0), 11);
+}
+
+#[test]
+fn block_size_rounds_up() {
+    for (n, p, b) in [(1000, 3, 334), (1000, 4, 250), (5, 8, 1)] {
+        assert_eq!(DimDesc::new(n, Dist::Block, p).chunk, b);
+    }
 }
 
 proptest! {
@@ -57,24 +151,138 @@ proptest! {
     }
 
     /// `DimDesc::locate` — one division for `block`, the owner reused for
-    /// the offset — answers Table 1 of the paper: `block` owner `i / b`
-    /// at offset `i mod b`; `cyclic(k)` owner `(i / k) mod P` at offset
-    /// `(i / (k·P))·k + i mod k`; `*` owner 0 at offset `i`.
+    /// the offset — answers Table 1 of the paper.
     #[test]
     fn locate_is_table_one(extent in 1u64..200, dist in arb_dist(), nprocs in 1usize..17) {
         let dim = DistDescriptor::new(&[extent], &Distribution::new(vec![dist]), nprocs).dims[0];
-        let (b, p) = (dim.chunk, dim.nprocs);
         for i in 0..extent {
-            let table_one = match dist {
-                Dist::Block => (i / b, i % b),
-                Dist::Cyclic(k) => ((i / k) % p, (i / (k * p)) * k + i % k),
-                Dist::Star => (0, i),
-            };
-            prop_assert_eq!(dim.locate(i), table_one, "{:?} index {}", dim, i);
-            prop_assert_eq!((dim.owner(i), dim.local_offset(i)), table_one);
+            let want = table_one(&dim, i);
+            prop_assert_eq!(dim.locate(i), want, "{:?} index {}", dim, i);
+            prop_assert_eq!((dim.owner(i), dim.local_offset(i)), want);
         }
     }
 
+    /// `DistDescriptor::locate` is the old `(owner_proc, local_linear)`
+    /// pair on every element, spelled the long way: Table 1 per
+    /// dimension, owner coordinates of the *distributed* dimensions folded
+    /// over `grid` first-fastest, local offsets folded over the owner's
+    /// portion extents (counted, not computed).
+    #[test]
+    fn locate_is_owner_and_local_offset(desc in arb_desc()) {
+        let counted_extent = |d: &DimDesc, c: u64| (0..d.extent).filter(|&i| table_one(d, i).0 == c).count() as u64;
+        for linear in 0..desc.total_len() {
+            let idx = delinearize(&desc, linear);
+            let mut proc = 0;
+            for (axis, &d) in desc.distributed.iter().enumerate().rev() {
+                proc = proc * desc.grid[axis] + table_one(&desc.dims[d], idx[d]).0 as usize;
+            }
+            let mut off = 0;
+            for (d, &i) in desc.dims.iter().zip(&idx).rev() {
+                let (c, local) = table_one(d, i);
+                off = off * counted_extent(d, c) + local;
+            }
+            prop_assert_eq!(desc.locate(&idx), (proc, off), "{:?}", idx);
+            prop_assert_eq!((desc.owner_proc(&idx), desc.local_linear(&idx)), (proc, off));
+            prop_assert_eq!(desc.proc_at(&desc.coords_of(proc)), proc);
+        }
+    }
+
+    /// `boxes(p)` over all `p` are the array cut into disjoint boxes: each
+    /// lies inside the extents, `p`'s boxes hold `portion_len(p)` elements
+    /// and exactly the indices `owner_proc` gives to `p` — so they are
+    /// pairwise disjoint and cover the array. `block`/`*` give at most one
+    /// box per processor.
+    #[test]
+    fn boxes_are_the_owners_elements(desc in arb_desc()) {
+        let rank = desc.dims.len();
+        let cyclic = desc.dims.iter().any(|d| matches!(d.dist, Dist::Cyclic(_)));
+        let mut covered = 0;
+        for p in 0..desc.grid_size() {
+            let boxes: Vec<_> = desc.boxes(p).collect();
+            prop_assert!(cyclic || boxes.len() <= 1, "block/* processor with {} boxes", boxes.len());
+            let mut held = 0;
+            for b in &boxes {
+                for d in 0..rank {
+                    prop_assert!(b.len[d] > 0 && b.lo[d] + b.len[d] <= desc.dims[d].extent);
+                }
+                prop_assert!(b.lo[rank..].iter().chain(&b.len[rank..]).all(|&x| x == 0));
+                held += b.len[..rank].iter().product::<u64>();
+            }
+            prop_assert_eq!(held, desc.portion_len(p), "processor {}", p);
+            covered += held;
+            for linear in 0..desc.total_len() {
+                let idx = delinearize(&desc, linear);
+                let holds = |b: &&IndexBox| (0..rank).all(|d| idx[d].wrapping_sub(b.lo[d]) < b.len[d]);
+                let inside = boxes.iter().filter(holds).count();
+                prop_assert_eq!(inside, usize::from(desc.owner_proc(&idx) == p), "{:?} of {}", idx, p);
+            }
+        }
+        prop_assert_eq!(covered, desc.total_len());
+    }
+
+    /// `simple` and `interleave(k)` are the per-iteration definition:
+    /// iteration `n` of the trip count `N` runs on worker `n / ⌈N/P⌉`,
+    /// resp. `(n / k) mod P` — for either step sign and empty loops — and
+    /// each worker's chunks list its iterations in loop order.
+    #[test]
+    fn schedules_are_the_per_iteration_definition(
+        lb in -50i64..50,
+        len in -3i64..100,
+        step in prop_oneof![1i64..7, -6i64..0],
+        nworkers in 1usize..9,
+        k in 0u64..9,
+    ) {
+        let k = (k > 0).then_some(k); // 0: `simple`
+        let ub = lb + len * step.signum();
+        let total = trip_count(lb, ub, step) as u64;
+        let per = total.div_ceil(nworkers as u64).max(1);
+        let sched = k.map_or(SchedType::Simple, SchedType::Interleave);
+        let parts = partition(sched, lb, ub, step, nworkers);
+        prop_assert_eq!(parts.len(), nworkers);
+        for (w, chunks) in parts.iter().enumerate() {
+            let mut got = Vec::new();
+            for c in chunks {
+                prop_assert!(!c.is_empty() && c.step == step);
+                got.extend((0..c.len() as i64).map(|j| c.lb + j * step));
+                prop_assert_eq!(*got.last().unwrap(), c.ub);
+            }
+            let want: Vec<i64> = (0..total)
+                .filter(|&n| match k {
+                    None => n / per == w as u64,
+                    Some(k) => (n / k) % nworkers as u64 == w as u64,
+                })
+                .map(|n| lb + n as i64 * step)
+                .collect();
+            prop_assert_eq!(got, want, "worker {}", w);
+        }
+    }
+
+    /// The chunk-run page-owner scan equals the per-element walk it
+    /// replaces — the highest owner of any element in the range, clamped
+    /// to the array — for any format, rank 1–3, and any `[first, last]`,
+    /// ranges past the end and empty ones included.
+    #[test]
+    fn last_owner_matches_per_element_walk(
+        extents in prop::collection::vec(1u64..24, 1..4),
+        dists in prop::collection::vec(arb_dist(), 3),
+        nprocs in 1usize..17,
+        first in 0u64..16000,
+        len in 0u64..600,
+    ) {
+        let dists = dists[..extents.len()].to_vec();
+        let desc = DistDescriptor::new(&extents, &Distribution::new(dists), nprocs);
+        let total = desc.total_len();
+        let first = first % (total + 8);
+        let last = first + len;
+        let mut expect = 0;
+        for e in first..=last.min(total - 1) {
+            expect = expect.max(desc.owner_proc(&delinearize(&desc, e)));
+        }
+        prop_assert_eq!(desc.last_owner_in(first, last), expect, "range {}..={}", first, last);
+    }
+}
+
+proptest! {
     /// Owner coordinates are always inside the processor grid.
     #[test]
     fn owners_within_grid(
@@ -103,40 +311,6 @@ proptest! {
         let rem = desc.dims[0].run_remaining(i);
         prop_assert!(rem >= 1);
         prop_assert!(rem <= n - i);
-    }
-
-    /// The chunk-run page-owner scan equals the per-element walk it
-    /// replaces — the highest owner of any element in the range, clamped
-    /// to the array — for any format, rank 1–3, and any `[first, last]`,
-    /// ranges past the end and empty ones included.
-    #[test]
-    fn last_owner_matches_per_element_walk(
-        extents in prop::collection::vec(1u64..24, 1..4),
-        dists in prop::collection::vec(arb_dist(), 3),
-        nprocs in 1usize..17,
-        first in 0u64..16000,
-        len in 0u64..600,
-    ) {
-        let dists = dists[..extents.len()].to_vec();
-        let desc = DistDescriptor::new(&extents, &Distribution::new(dists), nprocs);
-        let total = desc.total_len();
-        let first = first % (total + 8);
-        let last = first + len;
-        let mut expect = 0;
-        for e in first..=last.min(total - 1) {
-            let mut rest = e;
-            let idx: Vec<u64> = desc
-                .dims
-                .iter()
-                .map(|d| {
-                    let i = rest % d.extent;
-                    rest /= d.extent;
-                    i
-                })
-                .collect();
-            expect = expect.max(desc.owner_proc(&idx));
-        }
-        prop_assert_eq!(desc.last_owner_in(first, last), expect, "range {}..={}", first, last);
     }
 
     /// Simple scheduling covers every iteration exactly once.
@@ -247,7 +421,7 @@ proptest! {
         fan in 1usize..4,
     ) {
         let (m, _pools, mut a) = redist_fixture(extent, d0, nprocs);
-        a.desc = DistDescriptor::new(&[extent], &Distribution::new(vec![d1]), nprocs);
+        a.desc = Arc::new(DistDescriptor::new(&[extent], &Distribution::new(vec![d1]), nprocs));
         let ArrayLayout::Contiguous { base } = a.layout else { unreachable!() };
         let sched = plan_schedule(
             &m,
