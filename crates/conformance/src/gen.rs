@@ -136,7 +136,45 @@ pub fn generate(seed: u64) -> Spec {
         l.doacross = true;
         spec.phases.push(Phase::Loop(l));
     }
+    let stencil = gen_stencil(r, &spec);
+    spec.phases.push(Phase::Loop(stencil));
     spec
+}
+
+/// A stencil sweep — the sum of two to four affine ([`ReadKind::Shift`])
+/// references, the target's own element among them — whose innermost
+/// loop is serial and unguarded: the shape the bytecode engine runs as a
+/// stream kernel, so `--engine-diff` meets a multi-reference kernel (or
+/// the reason it fell back: a tile crossing, a `cyclic(k)` array) on
+/// every seed. Rank 1 sweeps are serial and may read the target itself at
+/// a shift; higher ranks are parallel half the time, over other arrays.
+fn gen_stencil(r: &mut SmallRng, spec: &Spec) -> LoopSpec {
+    let arr = r.gen_range(0..spec.arrays.len() as u64) as usize;
+    let rank = spec.arrays[arr].dims.len();
+    let doacross = rank >= 2 && r.gen_range(0..2) == 0;
+    let readable: Vec<usize> = (0..spec.arrays.len())
+        .filter(|i| !doacross || *i != arr)
+        .collect();
+    let mut rhs = RExpr::SelfRead;
+    for _ in 0..1 + r.gen_range(0..3) {
+        let read = match readable.is_empty() {
+            true => RExpr::PvF,
+            false => RExpr::Read(*pick(r, &readable), r.gen_range(0..4) as i64, ReadKind::Shift),
+        };
+        rhs = RExpr::Add(Box::new(rhs), Box::new(read));
+    }
+    LoopSpec {
+        arr,
+        slot: r.gen_range(0..rank as u64) as usize,
+        bounds: *pick(r, &[Bounds::Full, Bounds::Shifted, Bounds::Reversed]),
+        doacross,
+        nest2: false,
+        shareds: false,
+        affinity: None,
+        sched: None,
+        guard: None,
+        rhs: RExpr::Half(Box::new(rhs)),
+    }
 }
 
 /// Generate the program for one seed with the redistribution axis
@@ -443,7 +481,8 @@ fn gen_leaf(
                 if !readable.is_empty() {
                     let arr = *pick(r, &readable);
                     let kind = match r.gen_range(0..10) {
-                        0..=5 => ReadKind::Mod,
+                        0..=3 => ReadKind::Mod,
+                        4..=5 => ReadKind::Shift,
                         6..=7 => ReadKind::Clamp,
                         _ => ReadKind::Rev,
                     };

@@ -83,6 +83,11 @@ pub enum ReadKind {
     Clamp,
     /// `E + 1 - min(v, E)` — reversed traversal.
     Rev,
+    /// `v + c` with `0 ≤ c ≤ E − R`, `R` the largest value the driving
+    /// variable takes — an affine, stencil-style reference, which is what
+    /// the executor's loop kernels are made of; a constant index where
+    /// the variable's range does not fit the extent (`R > E`).
+    Shift,
 }
 
 /// Generated right-hand-side expressions. All real-valued (integer
@@ -316,7 +321,7 @@ impl Spec {
                 }
                 let cx = RenderCx {
                     spec: self,
-                    vars: rank,
+                    ranges: a.dims.clone(),
                     self_ref: Some(lhs.clone()),
                 };
                 out.push_str(&format!(
@@ -331,7 +336,7 @@ impl Spec {
             Phase::ScalarAssign { rhs } => {
                 let cx = RenderCx {
                     spec: self,
-                    vars: 0,
+                    ranges: Vec::new(),
                     self_ref: None,
                 };
                 out.push_str(&format!("      s = {}\n", cx.render_expr(rhs)));
@@ -452,7 +457,10 @@ impl Spec {
         }
         let cx = RenderCx {
             spec: self,
-            vars: 1 + inner.len(),
+            // Every bounds form keeps `i` within `1..=e`.
+            ranges: std::iter::once(e)
+                .chain(inner.iter().map(|(d, _)| a.dims[*d]))
+                .collect(),
             self_ref: Some(lhs.clone()),
         };
         out.push_str(&format!(
@@ -495,7 +503,7 @@ impl Spec {
         }
         let cx = RenderCx {
             spec: self,
-            vars: rank,
+            ranges: s.dims.clone(),
             self_ref: Some(lhs.clone()),
         };
         out.push_str(&format!(
@@ -529,8 +537,9 @@ pub fn collect_reads(e: &RExpr, f: &mut impl FnMut(usize)) {
 
 struct RenderCx<'a> {
     spec: &'a Spec,
-    /// Number of loop variables in scope (`i`, then `j`, then `k`).
-    vars: usize,
+    /// Largest value of each loop variable in scope (`i`, then `j`, then
+    /// `k`); all start at 1 or above.
+    ranges: Vec<i64>,
     /// Rendered identity reference of the target array, if any.
     self_ref: Option<String>,
 }
@@ -541,14 +550,14 @@ impl RenderCx<'_> {
             RExpr::F(v) => format!("{v:?}"),
             RExpr::SVar => "s".into(),
             RExpr::PvF => {
-                if self.vars >= 1 {
+                if !self.ranges.is_empty() {
                     "dble(i)".into()
                 } else {
                     "dble(1)".into()
                 }
             }
             RExpr::IvF => {
-                if self.vars >= 2 {
+                if self.ranges.len() >= 2 {
                     "dble(j)".into()
                 } else {
                     "dble(1)".into()
@@ -587,10 +596,11 @@ impl RenderCx<'_> {
     fn render_index(&self, d: usize, e: i64, off: i64, kind: ReadKind) -> String {
         // Variable driving this dimension: reuse the in-scope loop vars
         // round-robin; constant fallback outside any loop.
-        if self.vars == 0 {
-            return ((off + d as i64).rem_euclid(e) + 1).to_string();
-        }
-        let v = LOOP_VARS[d.min(self.vars - 1)];
+        let constant = ((off + d as i64).rem_euclid(e) + 1).to_string();
+        let Some(var) = self.ranges.len().checked_sub(1).map(|last| d.min(last)) else {
+            return constant;
+        };
+        let v = LOOP_VARS[var];
         match kind {
             ReadKind::Mod => format!("mod({v} + {}, {e}) + 1", off + d as i64),
             ReadKind::Clamp => {
@@ -601,6 +611,10 @@ impl RenderCx<'_> {
                 }
             }
             ReadKind::Rev => format!("{e} + 1 - min({v}, {e})"),
+            ReadKind::Shift => match e - self.ranges[var] {
+                room @ 0.. => format!("{v} + {}", off.min(room)),
+                _ => constant,
+            },
         }
     }
 }
@@ -642,6 +656,21 @@ mod tests {
         assert!(text.contains("a(i) = dble(i)"), "{text}");
         let parsed = dsm_frontend::parse_source(0, "main.f", text);
         assert!(parsed.is_ok(), "{parsed:?}\n{text}");
+    }
+
+    #[test]
+    fn shifted_reads_are_affine_and_in_bounds() {
+        let cx = |spec, ranges| RenderCx { spec, ranges, self_ref: None };
+        let spec = tiny();
+        // `v` up to 5 into an extent of 8: room for a shift of 3 at most.
+        assert_eq!(cx(&spec, vec![5]).render_index(0, 8, 2, ReadKind::Shift), "i + 2");
+        assert_eq!(cx(&spec, vec![5]).render_index(0, 8, 7, ReadKind::Shift), "i + 3");
+        assert_eq!(cx(&spec, vec![8, 4]).render_index(1, 4, 1, ReadKind::Shift), "j + 0");
+        // The last variable in scope drives the remaining dimensions.
+        assert_eq!(cx(&spec, vec![3]).render_index(2, 4, 1, ReadKind::Shift), "i + 1");
+        // No room, or no variable: a constant inside the extent.
+        assert_eq!(cx(&spec, vec![9]).render_index(0, 8, 2, ReadKind::Shift), "3");
+        assert_eq!(cx(&spec, vec![]).render_index(1, 3, 4, ReadKind::Shift), "3");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! iteration counter) and a per-statement temporary window.
 //!
 //! Control constructs that need runtime machinery the opcode stream
-//! cannot express — parallel regions, calls, redistribution, bulk loops —
+//! cannot express — parallel regions, calls, redistribution, loop kernels —
 //! compile to one-word ops indexing side tables that keep references into
 //! the IR; their expression operands (loop bounds, call arguments) compile
 //! to out-of-line blocks terminated by [`Op::Halt`] that the VM runs on
@@ -18,24 +18,27 @@
 //! aggregated into a single leading [`Op::Charge`], so the hot path pays
 //! one addition where the interpreter paid a dispatch per statement.
 
+use std::sync::OnceLock;
+
 use dsm_ir::{
     ActualArg, AddrMode, BinOp, DistKind, Distribution, Expr, Intrinsic, LoopStmt, Param, Program,
-    RtExpr, ScalarTy, Stmt, Subroutine, UnOp, VarId,
+    RtExpr, ScalarTy, Stmt, Subroutine, UnOp,
 };
 use dsm_machine::MachineConfig;
 
-use dsm_runtime::MAX_RANK;
 use crate::value::Costs;
+
+use super::kernel::{kernel_shaped, Kernel};
 
 /// Register index into the extended frame.
 pub(crate) type Reg = u16;
 
 /// A slice of the per-subroutine register pool (operand lists).
 ///
-/// `start` doubles as the reference **site** of the `Load`/`Store`/bulk
-/// side/element actual the list belongs to: lists never overlap, so it
-/// is unique per site within the subroutine, and the VM keys the site's
-/// tile hint by it (see [`SubCode::hint_base`]).
+/// `start` doubles as the reference **site** of the `Load`/`Store`/element
+/// actual the list belongs to: lists never overlap, so it is unique per
+/// site within the subroutine, and the VM keys the site's tile hint by it
+/// (see [`SubCode::hint_base`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct ListRef {
     pub start: u32,
@@ -134,10 +137,11 @@ pub(crate) enum Op {
         step: Reg,
         back: u32,
     },
-    /// Bulk-loop fast path: if the precheck holds, execute the whole
-    /// loop as batched access runs and jump to `exit`; otherwise fall
-    /// through to the generic `LoopHead` at the next op.
-    Bulk { idx: u16, exit: u32 },
+    /// Loop-kernel fast path: if this entry of the loop meets the
+    /// kernel's preconditions, run the whole loop as a stream kernel and
+    /// jump to `exit`; otherwise fall through to the generic `LoopHead`
+    /// at the next op.
+    Kernel { idx: u16, exit: u32 },
     /// Parallel region (doacross) — side-table index.
     Fork { idx: u16 },
     /// Subroutine call — side-table index.
@@ -211,57 +215,34 @@ pub(crate) struct CallCode<'p> {
     pub fail: Option<String>,
 }
 
-/// Which value an affine index term reads per iteration.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum AffVar {
-    /// The bulk loop's own variable (varies per iteration).
-    Loop,
-    /// Another integer scalar (constant across the loop).
-    Reg(Reg),
-    /// Pure constant.
-    None,
-}
-
-/// One affine index: `scale · var + offset`.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct AffTerm {
-    pub scale: i64,
-    pub offset: i64,
-    pub var: AffVar,
-}
-
-/// One side of a bulk transfer (the store target or the copy source).
+/// Side table of one kernel-shaped serial loop ([`kernel_shaped`]).
 #[derive(Debug)]
-pub(crate) struct BulkRef {
-    pub array: u16,
-    pub mode: AddrMode,
-    pub is_f: bool,
-    pub idx: Vec<AffTerm>,
-    /// Reference site (a reserved pool position, see [`ListRef`]).
-    pub site: u32,
-}
-
-/// What a bulk loop writes.
-#[derive(Debug)]
-pub(crate) enum BulkKind {
-    /// Loop-invariant RHS: evaluate once, fill the run.
-    Fill { value: ExprBlock },
-    /// Straight element copy (identical element types, raw word moves).
-    Copy { src: BulkRef },
-}
-
-/// Side table of one bulk-eligible serial loop.
-#[derive(Debug)]
-pub(crate) struct BulkCode {
-    pub var: Reg,
+pub(crate) struct KernelSite<'p> {
+    pub l: &'p LoopStmt,
     pub lb: Reg,
     pub ub: Reg,
     pub step: Reg,
-    pub dst: BulkRef,
-    pub kind: BulkKind,
-    /// Static per-iteration index-evaluation charge (both sides), as the
-    /// interpreter would charge walking the affine expressions.
-    pub idx_cost: u64,
+    /// The pool positions of the body's operand lists, i.e. the hint-table
+    /// entries of the body's reference sites: the kernel's cursors — the
+    /// same references — keep their tile hints there.
+    pub sites: std::ops::Range<u32>,
+    /// Built at the loop's first execution, not at lowering: lowering is
+    /// per request and most loops of a large program never run.
+    kernel: OnceLock<Result<Kernel, &'static str>>,
+}
+
+impl KernelSite<'_> {
+    /// The loop's kernel, or why it has none.
+    pub fn kernel(&self, sub: &Subroutine, costs: &Costs) -> Result<&Kernel, &'static str> {
+        let built = self.kernel.get_or_init(|| {
+            let k = Kernel::build(self.l, sub, costs)?;
+            if k.cursors.len() > self.sites.len() {
+                return Err("more cursors than reference sites");
+            }
+            Ok(k)
+        });
+        built.as_ref().map_err(|why| *why)
+    }
 }
 
 /// Side table of one redistribute statement.
@@ -283,7 +264,7 @@ pub(crate) struct SubCode<'p> {
     pub n_regs: usize,
     pub par_loops: Vec<ParLoop<'p>>,
     pub calls: Vec<CallCode<'p>>,
-    pub bulks: Vec<BulkCode>,
+    pub kernels: Vec<KernelSite<'p>>,
     pub redists: Vec<RedistCode<'p>>,
     /// New team size of each `resize_team` statement, in program order.
     pub resizes: Vec<u64>,
@@ -315,24 +296,59 @@ impl<'p> ProgramCode<'p> {
             })
             .collect();
         let code = ProgramCode { subs, n_sites };
-        if std::env::var_os("DSM_DUMP_OPS").is_some() {
-            for sc in &code.subs {
-                eprintln!("=== {} (n_regs {}) ===", sc.sub.name, sc.n_regs);
-                for (pc, op) in sc.ops.iter().enumerate() {
-                    eprintln!("{pc:4}: {op:?}");
-                }
-                for (i, pl) in sc.par_loops.iter().enumerate() {
-                    eprintln!(
-                        "par {i}: lb={:?} ub={:?} step={:?} body_pc={}",
-                        pl.lb, pl.ub, pl.step, pl.body_pc
-                    );
-                }
-                for (i, b) in sc.bulks.iter().enumerate() {
-                    eprintln!("bulk {i}: {b:?}");
+        if dump_ops() {
+            code.dump(&costs);
+        }
+        code
+    }
+
+    /// The `DSM_DUMP_OPS` listing: every subroutine's op stream and side
+    /// tables, and every kernel-shaped loop's kernel — built here, for the
+    /// listing — or the reason it only ever runs generically.
+    fn dump(&self, costs: &Costs) {
+        for sc in &self.subs {
+            eprintln!("=== {} (n_regs {}) ===", sc.sub.name, sc.n_regs);
+            for (pc, op) in sc.ops.iter().enumerate() {
+                eprintln!("{pc:4}: {op:?}");
+            }
+            for (i, pl) in sc.par_loops.iter().enumerate() {
+                eprintln!(
+                    "par {i}: lb={:?} ub={:?} step={:?} body_pc={}",
+                    pl.lb, pl.ub, pl.step, pl.body_pc
+                );
+            }
+            for (i, site) in sc.kernels.iter().enumerate() {
+                match site.kernel(sc.sub, costs) {
+                    Ok(k) => eprint!("kernel {i}: {}", k.listing(sc.sub, site.l)),
+                    Err(why) => eprintln!("kernel {i}: generic loop only: {why}"),
                 }
             }
         }
-        code
+    }
+}
+
+/// Whether `DSM_DUMP_OPS` is set, read once per process (lowering runs
+/// per request).
+fn dump_ops() -> bool {
+    static ON: OnceLock<bool> = OnceLock::new();
+    *ON.get_or_init(|| std::env::var_os("DSM_DUMP_OPS").is_some())
+}
+
+/// Fixed cycle cost of a statement that compiles to no ops of its own
+/// (`Barrier`, hoisted `Overhead`); zero for everything else.
+pub(crate) fn static_cost(st: &Stmt, costs: &Costs) -> u64 {
+    match st {
+        Stmt::Barrier => costs.barrier,
+        Stmt::Overhead {
+            int_divs,
+            indirect_loads,
+            int_alu,
+        } => {
+            u64::from(*int_divs) * costs.int_div
+                + u64::from(*indirect_loads) * (costs.l1_hit + costs.int_alu)
+                + u64::from(*int_alu) * costs.int_alu
+        }
+        _ => 0,
     }
 }
 
@@ -351,7 +367,6 @@ enum Slot {
     ParBody(usize),
     CallScalar { call: usize, arg: usize },
     CallElem { call: usize, arg: usize },
-    BulkValue(usize),
 }
 
 struct SubCompiler<'p> {
@@ -362,7 +377,7 @@ struct SubCompiler<'p> {
     pool: Vec<Reg>,
     par_loops: Vec<ParLoop<'p>>,
     calls: Vec<CallCode<'p>>,
-    bulks: Vec<BulkCode>,
+    kernels: Vec<KernelSite<'p>>,
     redists: Vec<RedistCode<'p>>,
     resizes: Vec<u64>,
     /// First temporary register (scalars + persistent loop registers).
@@ -405,7 +420,7 @@ impl<'p> SubCompiler<'p> {
             pool: Vec::new(),
             par_loops: Vec::new(),
             calls: Vec::new(),
-            bulks: Vec::new(),
+            kernels: Vec::new(),
             redists: Vec::new(),
             resizes: Vec::new(),
             tmp_base: tmp_base as u16,
@@ -429,7 +444,7 @@ impl<'p> SubCompiler<'p> {
             n_regs,
             par_loops: c.par_loops,
             calls: c.calls,
-            bulks: c.bulks,
+            kernels: c.kernels,
             redists: c.redists,
             resizes: c.resizes,
         }
@@ -447,7 +462,7 @@ impl<'p> SubCompiler<'p> {
     fn patch(&mut self, at: usize, target: u32) {
         match &mut self.ops[at] {
             Op::Jump { target: t } | Op::Branch { else_target: t, .. } => *t = target,
-            Op::LoopHead { exit, .. } | Op::Bulk { exit, .. } => *exit = target,
+            Op::LoopHead { exit, .. } | Op::Kernel { exit, .. } => *exit = target,
             _ => unreachable!("patch target is not a jump"),
         }
     }
@@ -465,30 +480,6 @@ impl<'p> SubCompiler<'p> {
         ListRef {
             start,
             len: regs.len() as u16,
-        }
-    }
-
-    /// Reserve a pool position as the site of a reference that has no
-    /// operand list (a bulk side's indices are affine terms).
-    fn site(&mut self) -> u32 {
-        self.list(&[0]).start
-    }
-
-    /// Fixed cycle cost of a statement that compiles to no ops of its
-    /// own (`Barrier`, hoisted `Overhead`); zero for everything else.
-    fn static_cost(&self, st: &Stmt) -> u64 {
-        match st {
-            Stmt::Barrier => self.costs.barrier,
-            Stmt::Overhead {
-                int_divs,
-                indirect_loads,
-                int_alu,
-            } => {
-                u64::from(*int_divs) * self.costs.int_div
-                    + u64::from(*indirect_loads) * (self.costs.l1_hit + self.costs.int_alu)
-                    + u64::from(*int_alu) * self.costs.int_alu
-            }
-            _ => 0,
         }
     }
 
@@ -516,13 +507,13 @@ impl<'p> SubCompiler<'p> {
         };
         let boundary = body.iter().position(compound).unwrap_or(body.len());
         let steps = body.len() as u32;
-        let cycles: u64 = body[..boundary].iter().map(|st| self.static_cost(st)).sum();
+        let cycles: u64 = body[..boundary].iter().map(|st| static_cost(st, &self.costs)).sum();
         if cycles > 0 || steps > 0 {
             self.emit(Op::Charge { cycles, steps });
         }
         for (i, st) in body.iter().enumerate() {
             if i > boundary {
-                let cycles = self.static_cost(st);
+                let cycles = static_cost(st, &self.costs);
                 if cycles > 0 {
                     self.emit(Op::Charge { cycles, steps: 0 });
                 }
@@ -642,14 +633,19 @@ impl<'p> SubCompiler<'p> {
             dst: step_r,
             src: r,
         });
-        let bulk_at = self.try_bulk(l, lb_r, ub_r, step_r).map(|b| {
-            let idx = self.bulks.len();
-            self.bulks.push(b);
-            self.emit(Op::Bulk {
-                idx: idx as u16,
-                exit: 0,
-            })
-        });
+        let kernel_at = (kernel_shaped(l).then(|| u16::try_from(self.kernels.len()).ok()))
+            .flatten()
+            .map(|idx| {
+                self.kernels.push(KernelSite {
+                    l,
+                    lb: lb_r,
+                    ub: ub_r,
+                    step: step_r,
+                    sites: 0..0,
+                    kernel: OnceLock::new(),
+                });
+                (idx, self.emit(Op::Kernel { idx, exit: 0 }))
+            });
         let head = self.emit(Op::LoopHead {
             var: l.var.0 as Reg,
             lb: lb_r,
@@ -659,6 +655,7 @@ impl<'p> SubCompiler<'p> {
             exit: 0,
         });
         let body_start = self.here();
+        let first_site = self.pool.len() as u32;
         self.block(&l.body);
         self.emit(Op::LoopNext {
             var: l.var.0 as Reg,
@@ -669,8 +666,9 @@ impl<'p> SubCompiler<'p> {
         });
         let exit = self.here();
         self.patch(head, exit);
-        if let Some(b) = bulk_at {
-            self.patch(b, exit);
+        if let Some((idx, at)) = kernel_at {
+            self.kernels[idx as usize].sites = first_site..self.pool.len() as u32;
+            self.patch(at, exit);
         }
     }
 
@@ -841,130 +839,6 @@ impl<'p> SubCompiler<'p> {
         ci
     }
 
-    // -----------------------------------------------------------------
-    // Bulk-loop analysis.
-    // -----------------------------------------------------------------
-
-    /// Recognize `s·var + c` with literal constants whose every scalar is
-    /// integer-typed (so the closed form matches the interpreter's value
-    /// arithmetic exactly), returning the term and the interpreter's
-    /// per-evaluation charge.
-    fn affine_term(&self, e: &'p Expr, loopvar: VarId) -> Option<(AffTerm, u64)> {
-        let (var, scale, offset) = e.as_affine()?;
-        let cost = affine_cost(e, &self.costs)?;
-        let var = match var {
-            None => AffVar::None,
-            // The loop variable always holds an integer at runtime.
-            Some(v) if v == loopvar => AffVar::Loop,
-            Some(v) => {
-                if self.sub.scalars[v.0].ty != ScalarTy::Int {
-                    return None;
-                }
-                AffVar::Reg(v.0 as Reg)
-            }
-        };
-        Some((
-            AffTerm {
-                scale,
-                offset,
-                var,
-            },
-            cost,
-        ))
-    }
-
-    /// A serial loop is bulk-eligible when its body is a single array
-    /// store with affine indices and a RHS that is either loop-invariant
-    /// (fill) or a single affine load of the same element type (copy).
-    fn try_bulk(&mut self, l: &'p LoopStmt, lb: Reg, ub: Reg, step: Reg) -> Option<BulkCode> {
-        let [Stmt::Assign {
-            array,
-            indices,
-            value,
-            mode,
-        }] = l.body.as_slice()
-        else {
-            return None;
-        };
-        if indices.len() > MAX_RANK {
-            return None;
-        }
-        let mut idx_cost = 0u64;
-        let mut dst_idx = Vec::with_capacity(indices.len());
-        for e in indices {
-            let (t, c) = self.affine_term(e, l.var)?;
-            idx_cost += c;
-            dst_idx.push(t);
-        }
-        let dst_is_f = self.sub.arrays[array.0].ty == ScalarTy::Real;
-        let dst = BulkRef {
-            array: array.0 as u16,
-            mode: *mode,
-            is_f: dst_is_f,
-            idx: dst_idx,
-            site: self.site(),
-        };
-        if let Expr::Load {
-            array: sa,
-            indices: sidx,
-            mode: smode,
-        } = value
-        {
-            // Copy: identical element types so raw words move unchanged.
-            if sidx.len() > MAX_RANK
-                || (self.sub.arrays[sa.0].ty == ScalarTy::Real) != dst_is_f
-            {
-                return None;
-            }
-            let mut src_idx = Vec::with_capacity(sidx.len());
-            for e in sidx {
-                let (t, c) = self.affine_term(e, l.var)?;
-                idx_cost += c;
-                src_idx.push(t);
-            }
-            return Some(BulkCode {
-                var: l.var.0 as Reg,
-                lb,
-                ub,
-                step,
-                dst,
-                idx_cost,
-                kind: BulkKind::Copy {
-                    src: BulkRef {
-                        array: sa.0 as u16,
-                        mode: *smode,
-                        is_f: dst_is_f,
-                        idx: src_idx,
-                        site: self.site(),
-                    },
-                },
-            });
-        }
-        // Fill: the RHS must be loop-invariant and access-free so one
-        // evaluation stands for every iteration.
-        let mut loads = 0usize;
-        value.for_each_load(&mut |_, _, _| loads += 1);
-        if loads > 0 || value.uses_var(l.var) {
-            return None;
-        }
-        let bi = self.bulks.len();
-        self.deferred.push(Deferred::Expr {
-            e: value,
-            slot: Slot::BulkValue(bi),
-        });
-        Some(BulkCode {
-            var: l.var.0 as Reg,
-            lb,
-            ub,
-            step,
-            dst,
-            idx_cost,
-            kind: BulkKind::Fill {
-                value: ExprBlock::default(),
-            },
-        })
-    }
-
     fn emit_deferred(&mut self, d: Deferred<'p>) {
         match d {
             Deferred::Expr { e, slot } => {
@@ -983,12 +857,6 @@ impl<'p> SubCompiler<'p> {
                             unreachable!()
                         };
                         *b = block;
-                    }
-                    Slot::BulkValue(i) => {
-                        let BulkKind::Fill { value } = &mut self.bulks[i].kind else {
-                            unreachable!()
-                        };
-                        *value = block;
                     }
                     _ => unreachable!("expression block with a non-expression slot"),
                 }
@@ -1020,23 +888,6 @@ impl<'p> SubCompiler<'p> {
     }
 }
 
-/// The interpreter's cycle charge for evaluating an affine expression
-/// (all-integer operands), or `None` when the shape falls outside what
-/// [`Expr::as_affine`] accepts.
-fn affine_cost(e: &Expr, costs: &Costs) -> Option<u64> {
-    Some(match e {
-        Expr::IConst(_) | Expr::Var(_) => 0,
-        Expr::Unary(UnOp::Neg, x) => affine_cost(x, costs)? + costs.int_alu,
-        Expr::Binary(BinOp::Add | BinOp::Sub, a, b) => {
-            affine_cost(a, costs)? + affine_cost(b, costs)? + costs.int_alu
-        }
-        Expr::Binary(BinOp::Mul, a, b) => {
-            affine_cost(a, costs)? + affine_cost(b, costs)? + costs.int_mul
-        }
-        _ => return None,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1063,8 +914,9 @@ mod tests {
         assert_eq!(count(|op| matches!(op, Op::ConstF { .. })), 1);
     }
 
-    /// Every `Load`, `Store`, bulk side and element actual of a program
-    /// owns one hint-table entry.
+    /// Every `Load`, `Store` and element actual of a program owns one
+    /// hint-table entry, and a kernel site's range covers exactly its
+    /// body's.
     #[test]
     fn reference_sites_are_unique() {
         let program = compiled("      program main\n      integer i\n      real*8 a(9), b(9)\n      do i = 1, 9\n        a(i) = 1.0\n      enddo\n      do i = 1, 9\n        b(i) = a(i)\n      enddo\n      call s(a(3), b)\n      a(1) = max(a(2), b(2)) + a(2)\n      end\n      subroutine s(x, y)\n      real*8 x(2), y(9)\n      x(1) = y(1) + x(2)\n      end\n");
@@ -1077,12 +929,6 @@ mod tests {
                     local.push(idx.start);
                 }
             }
-            for b in &sc.bulks {
-                local.push(b.dst.site);
-                if let BulkKind::Copy { src } = &b.kind {
-                    local.push(src.site);
-                }
-            }
             for arg in sc.calls.iter().flat_map(|c| &c.args) {
                 if let ArgCode::Elem { idx, .. } = arg {
                     local.push(idx.start);
@@ -1091,14 +937,44 @@ mod tests {
             assert!(local.iter().all(|&s| (s as usize) < sc.pool.len()));
             sites.extend(local.iter().map(|&s| sc.hint_base + s as usize));
         }
-        // Main: the fill's bulk side and its generic-loop store, the
-        // copy's two bulk sides and its generic store and load, `a(3)`,
-        // the last statement's store and three loads; `s`: three.
+        // Main: the fill's store, the copy's store and load, `a(3)`, the
+        // last statement's store and three loads; `s`: three.
         let n = sites.len();
-        assert_eq!(n, 14);
+        assert_eq!(n, 11);
         sites.sort_unstable();
         sites.dedup();
         assert_eq!(sites.len(), n, "two sites share a hint");
         assert!(sites.iter().all(|&s| s < code.n_sites));
+        let kernels = &code.subs[program.main].kernels;
+        assert_eq!(
+            kernels.iter().map(|k| k.sites.clone()).collect::<Vec<_>>(),
+            [0..1, 1..3],
+            "the fill's one reference, the copy's two"
+        );
+    }
+
+    /// Kernels are built on demand and say why when they cannot be.
+    #[test]
+    fn kernels_build_lazily_or_refuse_with_a_reason() {
+        let program = compiled("      program main\n      integer i, n\n      real*8 a(9), b(9), x\n      n = 3\n      do i = 2, 8\n        x = b(i - 1) + b(i + 1)\n        a(i) = x * 0.5 + b(i - 1)\n      enddo\n      do i = 1, 9\n        a(i) = i / n\n      enddo\n      do i = 1, 9\n        a(i) = 2.5 * n\n      enddo\n      end\n");
+        let cfg = MachineConfig::small_test(1);
+        let costs = Costs::from_config(&cfg);
+        let code = ProgramCode::compile(&program, &cfg);
+        let sc = &code.subs[program.main];
+        let [stencil, division, fill] = sc.kernels.as_slice() else {
+            panic!("three kernel-shaped loops, got {}", sc.kernels.len());
+        };
+        let k = stencil.kernel(sc.sub, &costs).expect("a stencil is a kernel");
+        assert_eq!(k.cursors.len(), 3, "b(i-1) twice is one cursor");
+        assert_eq!((k.steps, k.fill), (2, false));
+        let io: Vec<_> = k.scalars.iter().map(|s| (s.input, s.output)).collect();
+        assert_eq!(io, [(false, true)], "x is assigned before it is read");
+        assert_eq!(
+            division.kernel(sc.sub, &costs).err(),
+            Some("the body can divide by zero")
+        );
+        let k = fill.kernel(sc.sub, &costs).expect("a fill is a kernel");
+        assert!(k.fill && k.cursors.len() == 1);
+        assert!(matches!(k.scalars[..], [s] if s.input && !s.output), "n is only read");
     }
 }

@@ -15,6 +15,7 @@
 //! `team::Engine` (bounds, body, deferred charges, plan rebuilds).
 
 mod code;
+mod kernel;
 mod plan;
 mod vm;
 

@@ -155,6 +155,22 @@ impl AddrPlan {
         Some((addr, slot))
     }
 
+    /// [`AddrPlan::locate`] for a whole affine run of references, from
+    /// the element at `first` to the one at `last`: the first element's
+    /// address and the tile holding it, if that tile holds the last
+    /// element too — a tile is a box and an affine index is monotone, so
+    /// it then holds every element between, each `stride` bytes from the
+    /// one before. `None` when the run crosses tiles or leaves the array,
+    /// and for every run of a plan without tiles.
+    #[inline]
+    pub fn locate_run(&self, first: &[i64], last: &[i64], hint: &mut u8) -> Option<(u64, &Tile)> {
+        let (addr, _) = self.locate(first, hint)?;
+        let t = self.tiles.get(*hint as usize)?;
+        (last.iter().zip(&t.dims))
+            .all(|(&v, d)| (v as u64).wrapping_sub(1).wrapping_sub(d.lo) < d.len)
+            .then_some((addr, t))
+    }
+
     /// The hint-free path: bounds check, then Table 1 — address, owner's
     /// portion-pointer slot and owning grid processor (0 for a contiguous
     /// array, whose one tile is the whole array).
@@ -274,6 +290,43 @@ mod tests {
         }
     }
 
+    /// The spec of `locate_run`: along every dimension, from the array's
+    /// middle element, over runs of both directions and several strides
+    /// and lengths — a run is accepted exactly when every element of it
+    /// resolves (is in bounds) to one owner, and then element `k` lies
+    /// `k` strides of that owner's tile from the first, behind the same
+    /// portion-pointer slot.
+    fn check_runs(arr: &RtArray) {
+        let plan = AddrPlan::build(arr);
+        let mid: Vec<i64> = arr.desc.dims.iter().map(|d| (d.extent / 2 + 1) as i64).collect();
+        for d in 0..mid.len() {
+            for step in [1i64, -1, 2, -3] {
+                for n in [1i64, 2, 3, 5, 9] {
+                    let at = |k: i64| {
+                        let mut v = mid.clone();
+                        v[d] += k * step;
+                        v
+                    };
+                    let each: Vec<_> = (0..n).map(|k| plan.locate_owner(&at(k))).collect();
+                    let one_tile = !plan.tiles.is_empty()
+                        && each.iter().all(|e| e.is_some_and(|e| Some(e.2) == each[0].map(|f| f.2)));
+                    let mut hint = 0;
+                    match plan.locate_run(&at(0), &at(n - 1), &mut hint) {
+                        None => assert!(!one_tile, "refused {:?} x{n} by {step}", at(0)),
+                        Some((addr, tile)) => {
+                            assert!(one_tile, "accepted {:?} x{n} by {step}", at(0));
+                            let stride = step * tile.dims[d].stride as i64;
+                            for (k, e) in each.iter().enumerate() {
+                                let want = (addr as i64 + k as i64 * stride) as u64;
+                                assert_eq!(e.map(|e| (e.0, e.1)), Some((want, tile.slot)));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// A tile is the runtime's box plus addresses: tile `p` is exactly
     /// `boxes(p)` (that the boxes are disjoint, inside the extents and
     /// cover the array is the runtime spec suite's half) stored
@@ -378,6 +431,7 @@ mod tests {
                 assert_eq!(n_tiles, 0, "{extents:?} {dist:?}: cyclic plans carry no tiles");
             }
             check_locate(&arr);
+            check_runs(&arr);
         }
     }
 
@@ -415,6 +469,7 @@ mod tests {
                 check_tiles(&arr);
             }
             check_locate(&arr);
+            check_runs(&arr);
         }
     }
 }

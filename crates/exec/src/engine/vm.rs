@@ -15,26 +15,42 @@
 //!   stays inside the processor portion it touched last — every
 //!   reference of a tiled loop — costs a compare and a multiply-add per
 //!   dimension, bounds check included;
-//! * eligible serial loops run as bulk transfers: a loop-invariant fill
-//!   over a contiguous destination becomes one [`AccessRun`] handed to
-//!   the machine in a single call, and affine fills/copies elsewhere run
-//!   as fused per-element loops with no opcode dispatch.
+//! * innermost loops run as **stream kernels** ([`super::kernel`]): when
+//!   an entry of a loop whose body is straight-line assignments with
+//!   affine references finds every reference inside one tile from its
+//!   first iteration to its last, each distinct reference becomes a
+//!   cursor (address + byte stride), the index arithmetic is charged but
+//!   not executed, the rest of the body runs as typed micro-ops in
+//!   program order, and the whole loop enters the machine once
+//!   ([`Mach::stream`]) through `MachineShard::access_at`. A loop that is
+//!   one loop-invariant store over a contiguous array is shorter still:
+//!   one [`AccessRun`] handed to the machine's page-segmented walker.
+//!
+//! A kernel is a second compilation of a loop the opcode stream also
+//! holds, so every condition it cannot meet takes that generic loop for
+//! the entry in question, and errors and abort points are the
+//! interpreter's by construction: a body the build refuses (non-affine
+//! index, integer division, a type that depends on data —
+//! `Kernel::build`); zero or over-long trip counts; a reference that
+//! leaves its tile or the array, or lives in a `cyclic(k)` plan (no
+//! tiles); a scalar whose runtime type is not its declared one; a step
+//! budget the whole loop does not fit in. Live migration keeps the kernel
+//! but enters the machine per access.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use dsm_ir::{AddrMode, BinOp, Program};
 use dsm_machine::{AccessKind, AccessRun, AccessTag, ProcId};
-use dsm_runtime::{ArrayLayout, MAX_RANK};
+use dsm_runtime::MAX_RANK;
 
 use crate::report::RunOutcome;
-use crate::team::{self, CallBinding, Ctx, LoopSite, RunState};
-use crate::value::{bin_op, intrinsic, un_op, Frame, Value};
+use crate::team::{self, CallBinding, Ctx, LoopSite, Port, RunState, Stream};
+use crate::value::{bin_op, intrinsic, un_op, Costs, Frame, Value};
 use crate::{ExecError, ExecOptions};
 
-use super::code::{
-    AffVar, ArgCode, BulkCode, BulkKind, BulkRef, ListRef, Op, ParLoop, ProgramCode, Reg, SubCode,
-};
+use super::code::{ArgCode, KernelSite, ListRef, Op, ParLoop, ProgramCode, Reg, SubCode};
+use super::kernel::{mode_charge, needs_slot, value, AffVar, Cursor, CursorCode, Kernel, MOp};
 use super::plan::{AddrPlan, PlanCache};
 
 /// Run `program` as compiled bytecode (the [`crate::Engine::Bytecode`]
@@ -53,6 +69,8 @@ pub(crate) fn run_bytecode(
         plans: Arc::new(PlanCache::new()),
         hints: vec![0; code.n_sites],
         pending: 0,
+        kregs: Vec::new(),
+        cursors: Vec::new(),
     };
     team::run(machine, program, opts, eng, frame, |vm, frame, ctx| {
         vm.sync_plans();
@@ -79,6 +97,10 @@ struct Bytecode<'a, 'p> {
     /// every clock read and at run end — charges are additive, so the
     /// final counters equal the interpreter's immediate-charge totals).
     pending: u64,
+    /// Register file and cursors of the kernel being run (scratch, kept
+    /// for their allocations).
+    kregs: Vec<u64>,
+    cursors: Vec<Cursor>,
 }
 
 /// A doacross as the VM sees it: the enclosing subroutine's code and the
@@ -131,6 +153,8 @@ impl<'a, 'p> team::Engine for Bytecode<'a, 'p> {
             plans: Arc::clone(&self.plans),
             hints: self.hints.clone(),
             pending: 0,
+            kregs: Vec::new(),
+            cursors: Vec::new(),
         }
     }
 
@@ -145,18 +169,6 @@ impl<'a, 'p> team::Engine for Bytecode<'a, 'p> {
             }
         }
     }
-}
-
-/// Whether this addressing mode re-loads the portion pointer per access.
-#[inline]
-fn needs_slot(mode: AddrMode) -> bool {
-    matches!(
-        mode,
-        AddrMode::ReshapedRaw
-            | AddrMode::ReshapedRawFp
-            | AddrMode::ReshapedTiled
-            | AddrMode::ReshapedSharedDiv
-    )
 }
 
 /// The integer values of the index registers in operand list `idx`.
@@ -195,13 +207,8 @@ impl<'a, 'p> RunState<'_, Bytecode<'a, 'p>> {
     /// The interpreter's addressing-overhead charge for one reference.
     #[inline]
     fn mode_cost(&self, mode: AddrMode, n_dist: u64) -> u64 {
-        let c = &self.costs;
-        match mode {
-            AddrMode::Direct | AddrMode::ReshapedHoisted | AddrMode::ReshapedSharedAll => c.int_alu,
-            AddrMode::ReshapedRaw => n_dist * (c.int_div + c.int_alu) + 2 * c.int_alu,
-            AddrMode::ReshapedRawFp => n_dist * (c.fp_emulated_div + c.int_alu) + 2 * c.int_alu,
-            AddrMode::ReshapedTiled | AddrMode::ReshapedSharedDiv => 2 * c.int_alu,
-        }
+        let (fixed, per_dist) = mode_charge(mode, &self.costs);
+        fixed + per_dist * n_dist
     }
 
     /// One binary operator: value, cycle charge and error of `bin_op`.
@@ -389,8 +396,11 @@ impl<'a, 'p> RunState<'_, Bytecode<'a, 'p>> {
                         pc = back as usize;
                     }
                 }
-                Op::Bulk { idx, exit } => {
-                    if self.bulk_exec(sc, &sc.bulks[idx as usize], frame, ctx)? {
+                Op::Kernel { idx, exit } => {
+                    let taken = self.kernel_exec(sc, &sc.kernels[idx as usize], frame, ctx);
+                    #[cfg(test)]
+                    tests::note(taken);
+                    if taken {
                         pc = exit as usize;
                     }
                     // else: fall through to the generic LoopHead.
@@ -475,231 +485,126 @@ impl<'a, 'p> RunState<'_, Bytecode<'a, 'p>> {
     }
 
     // -----------------------------------------------------------------
-    // Bulk loops.
+    // Loop kernels.
     // -----------------------------------------------------------------
 
-    /// Try to execute a bulk-eligible loop as batched/fused transfers.
-    /// Returns `Ok(true)` when done (jump to the loop exit) or
-    /// `Ok(false)` to fall through to the generic loop.
-    fn bulk_exec(
+    /// Try to run this entry of a kernel-shaped loop as its stream kernel
+    /// (or, for a fill over a contiguous array, as one batched access
+    /// run). `true`: the loop is done, jump to its exit; `false`: nothing
+    /// was executed or charged, take the generic loop.
+    fn kernel_exec(
         &mut self,
         sc: &'a SubCode<'p>,
-        b: &BulkCode,
+        site: &KernelSite<'p>,
         frame: &mut Frame,
-        ctx: &mut Ctx,
-    ) -> Result<bool, ExecError> {
-        // Under a finite step budget the generic path keeps the
-        // interpreter's exact statement-by-statement abort point.
-        if self.opts.max_steps != u64::MAX {
-            return Ok(false);
-        }
-        let lb = frame.scalars[b.lb as usize].as_i();
-        let ub = frame.scalars[b.ub as usize].as_i();
-        let step = frame.scalars[b.step as usize].as_i();
-        if step == 0 {
-            return Ok(false); // generic path raises the error
-        }
-        let niters = {
+        ctx: &Ctx,
+    ) -> bool {
+        let Ok(k) = site.kernel(sc.sub, &self.costs) else {
+            return false;
+        };
+        let lb = frame.scalars[site.lb as usize].as_i();
+        let ub = frame.scalars[site.ub as usize].as_i();
+        let step = frame.scalars[site.step as usize].as_i();
+        // A zero step is the generic loop's error to raise; an empty loop
+        // is its no-op.
+        let n = {
             let (l, u, s) = (lb as i128, ub as i128, step as i128);
-            let n = if step > 0 {
-                (u - l + s).max(0) / s
-            } else {
-                (l - u - s).max(0) / -s
+            let n = match step {
+                0 => 0,
+                1.. => (u - l + s).max(0) / s,
+                _ => (l - u - s).max(0) / -s,
             };
             if n <= 0 || n > u32::MAX as i128 {
-                return Ok(false);
-            }
-            n as i64
-        };
-        // Affine indices are monotone in the loop variable, so endpoint
-        // bounds checks cover every iteration.
-        let last = lb as i128 + (niters as i128 - 1) * step as i128;
-        if !self.run_in_bounds(&b.dst, lb as i128, last, frame) {
-            return Ok(false);
-        }
-        if let BulkKind::Copy { src } = &b.kind {
-            if !self.run_in_bounds(src, lb as i128, last, frame) {
-                return Ok(false);
-            }
-        }
-        let n = niters as u64;
-        match &b.kind {
-            BulkKind::Fill { value } => {
-                // Evaluate the loop-invariant RHS once, measuring its
-                // charge; the remaining iterations charge the same delta.
-                let before = self.eng.pending;
-                self.run_block(sc, value.pc, frame, ctx)?;
-                let delta = self.eng.pending - before;
-                let v = frame.scalars[value.reg as usize];
-                let word = if b.dst.is_f {
-                    v.as_f().to_bits()
-                } else {
-                    v.as_i() as u64
-                };
-                let dinst = frame.arrays[b.dst.array as usize];
-                let (n_dist, sym, contig) = {
-                    let plan = self.eng.plans.get(dinst);
-                    (
-                        plan.n_dist,
-                        plan.sym,
-                        matches!(plan.layout, ArrayLayout::Contiguous { .. }),
-                    )
-                };
-                self.eng.pending +=
-                    (self.costs.loop_overhead + b.idx_cost + self.mode_cost(b.dst.mode, n_dist))
-                        * n
-                        + delta * (n - 1);
-                if self.opts.profile {
-                    let tag = AccessTag {
-                        sym,
-                        region: ctx.region,
-                    };
-                    self.mach.on(ctx.proc, |sh| sh.set_tag(tag));
-                }
-                if contig && b.dst.mode == AddrMode::Direct {
-                    // One batched access run through the memory system.
-                    let (base, stride) = self.run_geometry(&b.dst, dinst, lb, step, frame);
-                    let run = AccessRun {
-                        base,
-                        stride,
-                        count: n,
-                        kind: AccessKind::Write,
-                    };
-                    self.mach.fill_run(ctx.proc, &run, word);
-                } else {
-                    // Fused per-element loop: owner and portion pointer
-                    // change along the run.
-                    for k in 0..niters {
-                        let i = lb + k * step;
-                        let (addr, slot) = self.bulk_addr(sc, &b.dst, dinst, i, frame);
-                        if let Some(s) = slot {
-                            self.mach.on(ctx.proc, |sh| sh.access(s, AccessKind::Read));
-                        }
-                        self.mach.on(ctx.proc, |sh| sh.write_i64(addr, word as i64));
-                    }
-                }
-            }
-            BulkKind::Copy { src } => {
-                let dinst = frame.arrays[b.dst.array as usize];
-                let sinst = frame.arrays[src.array as usize];
-                let (dn, dsym) = {
-                    let p = self.eng.plans.get(dinst);
-                    (p.n_dist, p.sym)
-                };
-                let (sn, ssym) = {
-                    let p = self.eng.plans.get(sinst);
-                    (p.n_dist, p.sym)
-                };
-                self.eng.pending += (self.costs.loop_overhead
-                    + b.idx_cost
-                    + self.mode_cost(src.mode, sn)
-                    + self.mode_cost(b.dst.mode, dn))
-                    * n;
-                let profile = self.opts.profile;
-                // Fused per-element loop, accesses interleaved exactly as
-                // the interpreter: src pointer slot, src element, dst
-                // pointer slot, dst element.
-                for k in 0..niters {
-                    let i = lb + k * step;
-                    let (saddr, sslot) = self.bulk_addr(sc, src, sinst, i, frame);
-                    if profile {
-                        let tag = AccessTag {
-                            sym: ssym,
-                            region: ctx.region,
-                        };
-                        self.mach.on(ctx.proc, |sh| sh.set_tag(tag));
-                    }
-                    if let Some(s) = sslot {
-                        self.mach.on(ctx.proc, |sh| sh.access(s, AccessKind::Read));
-                    }
-                    let word = if src.is_f {
-                        self.mach.on(ctx.proc, |sh| sh.read_f64(saddr)).0.to_bits()
-                    } else {
-                        self.mach.on(ctx.proc, |sh| sh.read_i64(saddr)).0 as u64
-                    };
-                    let (daddr, dslot) = self.bulk_addr(sc, &b.dst, dinst, i, frame);
-                    if profile {
-                        let tag = AccessTag {
-                            sym: dsym,
-                            region: ctx.region,
-                        };
-                        self.mach.on(ctx.proc, |sh| sh.set_tag(tag));
-                    }
-                    if let Some(s) = dslot {
-                        self.mach.on(ctx.proc, |sh| sh.access(s, AccessKind::Read));
-                    }
-                    if b.dst.is_f {
-                        self.mach
-                            .on(ctx.proc, |sh| sh.write_f64(daddr, f64::from_bits(word)));
-                    } else {
-                        self.mach
-                            .on(ctx.proc, |sh| sh.write_i64(daddr, word as i64));
-                    }
-                }
-            }
-        }
-        // The loop variable holds the last executed iteration's value
-        // (the body never writes it: it is a single array store).
-        frame.scalars[b.var as usize] = Value::I(lb + (niters - 1) * step);
-        Ok(true)
-    }
-
-    /// Endpoint bounds check of every affine index of one side.
-    fn run_in_bounds(&self, r: &BulkRef, first: i128, last: i128, frame: &Frame) -> bool {
-        let inst = frame.arrays[r.array as usize];
-        let plan = self.eng.plans.get(inst);
-        if r.idx.len() != plan.desc.dims.len() {
-            return false;
-        }
-        for (d, t) in r.idx.iter().enumerate() {
-            let term = |i: i128| -> Option<i128> {
-                (t.scale as i128)
-                    .checked_mul(i)?
-                    .checked_add(t.offset as i128)
-            };
-            let (v0, v1) = match t.var {
-                AffVar::Loop => match (term(first), term(last)) {
-                    (Some(a), Some(b)) => (a, b),
-                    _ => return false,
-                },
-                AffVar::Reg(rg) => match term(frame.scalars[rg as usize].as_i() as i128) {
-                    Some(v) => (v, v),
-                    None => return false,
-                },
-                AffVar::None => (t.offset as i128, t.offset as i128),
-            };
-            let (lo, hi) = (v0.min(v1), v0.max(v1));
-            if lo < 1 || hi > plan.desc.dims[d].extent as i128 {
                 return false;
             }
-        }
-        true
-    }
+            n as u64
+        };
+        let last = lb + (n as i64 - 1) * step;
 
-    /// Address and portion-pointer slot of one side's element at
-    /// iteration value `i` (indices already prechecked in-bounds).
-    #[inline]
-    fn bulk_addr(
-        &mut self,
-        sc: &SubCode<'_>,
-        r: &BulkRef,
-        inst: usize,
-        i: i64,
-        frame: &Frame,
-    ) -> (u64, Option<u64>) {
-        let mut vals = [0i64; MAX_RANK];
-        for (v, t) in vals.iter_mut().zip(&r.idx) {
-            *v = match t.var {
-                AffVar::Loop => t.scale * i + t.offset,
-                AffVar::Reg(rg) => t.scale * frame.scalars[rg as usize].as_i() + t.offset,
-                AffVar::None => t.offset,
+        // Every reference inside one tile from the first iteration to the
+        // last (which is also its bounds check: tiles lie inside the
+        // extents, and an affine index is monotone in between).
+        let eng = &mut self.eng;
+        let hints = &mut eng.hints[sc.hint_base + site.sites.start as usize..];
+        eng.cursors.clear();
+        for (code, hint) in k.cursors.iter().zip(hints) {
+            let plan = eng.plans.get(frame.arrays[code.array as usize]);
+            debug_assert!(plan.is_for(self.binder.get(frame.arrays[code.array as usize])));
+            let Some(mut c) = cursor_over(plan, code, (lb, last, step), frame, hint) else {
+                return false;
+            };
+            c.tag = AccessTag {
+                sym: plan.sym,
+                region: ctx.region,
+            };
+            eng.cursors.push(c);
+        }
+        // The values the body reads, under their declared types.
+        eng.kregs.clear();
+        eng.kregs.extend_from_slice(&k.init);
+        for s in k.scalars.iter().filter(|s| s.input) {
+            eng.kregs[s.kreg as usize] = match (frame.scalars[s.frame as usize], s.is_f) {
+                (Value::F(v), true) => v.to_bits(),
+                (Value::I(v), false) => v as u64,
+                _ => return false,
             };
         }
-        let (plan, hint) = self.site(sc, r.site, inst);
-        let (addr, slot) = plan
-            .locate(&vals[..r.idx.len()], hint)
-            .expect("bulk run prechecked in bounds");
-        (addr, slot.filter(|_| needs_slot(r.mode)))
+        // The whole loop inside the step budget, or the generic loop, whose
+        // `StepLimit` fires at the interpreter's exact statement.
+        if self.opts.max_steps != u64::MAX {
+            let used = self.steps.load(Ordering::Relaxed);
+            if used.saturating_add(n * k.steps) > self.opts.max_steps {
+                return false;
+            }
+            self.steps.fetch_add(n * k.steps, Ordering::Relaxed);
+        }
+
+        let addressing: u64 = (k.arrays.iter())
+            .map(|a| {
+                let n_dist = eng.plans.get(frame.arrays[a.array as usize]).n_dist;
+                a.fixed + a.per_dist * n_dist
+            })
+            .sum();
+        eng.pending += n * (k.iter_cost + addressing);
+        match eng.cursors[..] {
+            // One evaluation of the invariant value, one batched run.
+            [c @ Cursor { slot: None, .. }] if k.fill => {
+                let Some((&MOp::Store { src, .. }, value)) = k.ops.split_last() else {
+                    unreachable!("a fill ends in its store")
+                };
+                for &op in value {
+                    k.alu(op, &mut eng.kregs, &self.costs);
+                }
+                if self.opts.profile {
+                    self.mach.on(ctx.proc, |sh| sh.set_tag(c.tag));
+                }
+                let run = AccessRun {
+                    base: c.addr,
+                    stride: c.stride as i64,
+                    count: n,
+                    kind: AccessKind::Write,
+                };
+                self.mach.fill_run(ctx.proc, &run, eng.kregs[src as usize]);
+            }
+            _ => self.mach.stream(
+                ctx.proc,
+                KernelRun {
+                    k,
+                    cursors: &mut eng.cursors,
+                    regs: &mut eng.kregs,
+                    costs: &self.costs,
+                    trip: (lb, step, n),
+                    tagged: self.opts.profile,
+                },
+            ),
+        }
+        for s in k.scalars.iter().filter(|s| s.output) {
+            frame.scalars[s.frame as usize] = value(eng.kregs[s.kreg as usize], s.is_f);
+        }
+        // The loop variable holds the last executed iteration's value
+        // (the body never writes it).
+        frame.scalars[site.l.var.0] = Value::I(last);
+        true
     }
 
     // -----------------------------------------------------------------
@@ -794,32 +699,184 @@ impl<'a, 'p> RunState<'_, Bytecode<'a, 'p>> {
         self.leave_callee(call);
         Ok(())
     }
+}
 
-    /// Base address and byte stride of a contiguous-direct run.
-    fn run_geometry(
-        &self,
-        r: &BulkRef,
-        inst: usize,
-        lb: i64,
-        step: i64,
-        frame: &Frame,
-    ) -> (u64, i64) {
-        let plan = self.eng.plans.get(inst);
-        debug_assert!(matches!(plan.layout, ArrayLayout::Contiguous { .. }));
-        let tile = &plan.tiles[0];
-        let mut addr = tile.base as i64;
-        let mut run_stride = 0i64;
-        for (d, t) in r.idx.iter().enumerate() {
-            let v0 = match t.var {
-                AffVar::Loop => t.scale * lb + t.offset,
-                AffVar::Reg(rg) => t.scale * frame.scalars[rg as usize].as_i() + t.offset,
-                AffVar::None => t.offset,
-            };
-            addr += (v0 - 1) * tile.dims[d].stride as i64;
-            if matches!(t.var, AffVar::Loop) {
-                run_stride += t.scale * step * tile.dims[d].stride as i64;
+/// One run of a kernel, for [`Mach::stream`](team::Mach::stream).
+struct KernelRun<'r> {
+    k: &'r Kernel,
+    cursors: &'r mut [Cursor],
+    regs: &'r mut [u64],
+    costs: &'r Costs,
+    /// First loop-variable value, step, iterations.
+    trip: (i64, i64, u64),
+    tagged: bool,
+}
+
+impl Stream for KernelRun<'_> {
+    #[inline]
+    fn run<P: Port>(self, port: &mut P) {
+        (self.k).run(port, self.cursors, self.regs, self.costs, self.trip, self.tagged);
+    }
+}
+
+/// The cursor of reference `code` over iterations `first..=last` (loop
+/// variable values, `step` apart) if the whole run lies in one tile of
+/// `plan`; `None` if it crosses tiles, leaves the array, or the plan has
+/// no tiles (`cyclic(k)`).
+fn cursor_over(
+    plan: &AddrPlan,
+    code: &CursorCode,
+    (first, last, step): (i64, i64, i64),
+    frame: &Frame,
+    hint: &mut u8,
+) -> Option<Cursor> {
+    let rank = code.idx.len();
+    if rank != plan.desc.dims.len() {
+        return None;
+    }
+    let (mut v0, mut v1) = ([0i64; MAX_RANK], [0i64; MAX_RANK]);
+    for (d, t) in code.idx.iter().enumerate() {
+        let at = |x: i64| t.scale.checked_mul(x)?.checked_add(t.offset);
+        (v0[d], v1[d]) = match t.var {
+            AffVar::Loop => (at(first)?, at(last)?),
+            AffVar::Reg(r) => {
+                let v = at(frame.scalars[r as usize].as_i())?;
+                (v, v)
             }
+            AffVar::None => (t.offset, t.offset),
+        };
+    }
+    let (addr, tile) = plan.locate_run(&v0[..rank], &v1[..rank], hint)?;
+    let mut stride = 0i64;
+    for (t, d) in code.idx.iter().zip(&tile.dims) {
+        if t.var == AffVar::Loop {
+            stride = stride.wrapping_add(t.scale.wrapping_mul(step).wrapping_mul(d.stride as i64));
         }
-        (addr as u64, run_stride)
+    }
+    Some(Cursor {
+        addr,
+        stride: stride as u64,
+        slot: tile.slot,
+        ..Cursor::default()
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::Cell;
+
+    use dsm_compile::{compile_strings, OptConfig};
+    use dsm_machine::{Machine, MachineConfig, MigrationPolicy, SamplingConfig};
+
+    use crate::{run_outcome, ExecError, ExecOptions};
+
+    thread_local! {
+        /// Entries of kernel-shaped loops on this thread: (run as a
+        /// kernel or fill, left to the generic loop).
+        static ENTRIES: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+    }
+
+    pub(super) fn note(taken: bool) {
+        ENTRIES.set(match (ENTRIES.get(), taken) {
+            ((k, g), true) => (k + 1, g),
+            ((k, g), false) => (k, g + 1),
+        });
+    }
+
+    /// Run `decls` + `body` (after `n = 3`) on one host thread; how its
+    /// kernel-shaped loop entries went, and how the run ended.
+    fn entries(decls: &str, body: &str, opts: ExecOptions) -> ((u64, u64), Result<(), ExecError>) {
+        entries_at(&OptConfig::default(), decls, body, opts)
+    }
+
+    fn entries_at(
+        level: &OptConfig,
+        decls: &str,
+        body: &str,
+        opts: ExecOptions,
+    ) -> ((u64, u64), Result<(), ExecError>) {
+        let src = format!(
+            "      program main\n      integer i, j, n\n      real*8 a(64), b(64), x\n{decls}      n = 3\n{body}      end\n"
+        );
+        let program = compile_strings(&[("t.f", &src)], level)
+            .expect("compiles")
+            .program;
+        let mut m = Machine::new(MachineConfig::small_test(4));
+        ENTRIES.set((0, 0));
+        let result = run_outcome(&mut m, &program, &opts.serial_team(true));
+        (ENTRIES.get(), result.map(|_| ()))
+    }
+
+    const STENCIL: &str = "      do i = 2, 63\n        a(i) = b(i-1) + b(i+1)\n      enddo\n";
+    const RESHAPED: &str = "c$distribute_reshape a(block)\nc$distribute_reshape b(block)\n";
+
+    /// The differential suites show that a kernel and the generic loop
+    /// agree; this shows which of the two ran — a precondition that
+    /// silently stopped holding would only cost speed.
+    #[test]
+    fn kernels_run_exactly_where_their_preconditions_hold() {
+        let opts = || ExecOptions::new(4);
+        let ran = |decls, body: &str| entries(decls, body, opts());
+        // A stencil and a fill over contiguous arrays.
+        let fill = "      do i = 1, 64\n        b(i) = 1.5 * n\n      enddo\n";
+        assert_eq!(ran("", &format!("{fill}{STENCIL}")), ((2, 0), Ok(())));
+        // Trip counts one and zero; a negative step.
+        let short = "      do i = 7, 7\n        a(i) = b(i-1)\n      enddo\n      do i = 9, 8\n        a(i) = b(i-1)\n      enddo\n      do i = 63, 2, -1\n        a(i) = b(i+1)\n      enddo\n";
+        assert_eq!(ran("", short), ((2, 1), Ok(())));
+        // An untiled sweep of block-reshaped arrays leaves its first tile;
+        // the tiled and peeled region loop does not (three loops a
+        // member: first column, interior, last column), and a fill of a
+        // reshaped array is a kernel like any other.
+        let untiled = entries_at(&OptConfig::none(), RESHAPED, STENCIL, opts());
+        assert_eq!(untiled, ((0, 1), Ok(())));
+        let region = "c$doacross local(i) affinity(i) = data(a(i))\n      do i = 2, 63\n        a(i) = b(i-1) + b(i+1)\n      enddo\n";
+        assert_eq!(ran(RESHAPED, region), ((12, 0), Ok(())));
+        let tile_fill = "      do i = 17, 32\n        a(i) = 1.5 * n\n      enddo\n";
+        // (Tiled too: one visit per processor, three of them empty.)
+        assert_eq!(ran(RESHAPED, tile_fill), ((1, 3), Ok(())));
+        // `cyclic(k)` plans have no tiles.
+        let cyclic = "c$distribute_reshape a(cyclic(4))\nc$distribute_reshape b(cyclic(4))\n";
+        assert_eq!(ran(cyclic, STENCIL), ((0, 1), Ok(())));
+        // Refused when built: a body that can fault, an index that is not
+        // affine.
+        let div = "      do i = 1, 64\n        a(i) = i / n\n      enddo\n";
+        assert_eq!(ran("", div), ((0, 1), Ok(())));
+        let gather = "      do i = 1, 8\n        a(i) = b(i*i)\n      enddo\n";
+        assert_eq!(ran("", gather), ((0, 1), Ok(())));
+        // The last iteration leaves the array: the generic loop raises it.
+        let over = "      do i = 2, 64\n        a(i) = b(i+1)\n      enddo\n";
+        let (counts, result) = ran("", over);
+        assert_eq!(counts, (0, 1));
+        assert!(matches!(result, Err(ExecError::OutOfBounds { .. })));
+        // Live migration keeps the kernel (and enters the machine per
+        // access); so do profiling and sampling.
+        let sampling = SamplingConfig::parse("1/2").expect("valid rate");
+        for observed in [
+            opts().migration(MigrationPolicy::threshold(4)),
+            opts().profile(true),
+            opts().sampling(sampling),
+        ] {
+            assert_eq!(entries("", STENCIL, observed), ((1, 0), Ok(())));
+        }
+    }
+
+    /// A finite budget admits a kernel exactly when the whole loop fits.
+    #[test]
+    fn a_kernel_needs_its_whole_loop_inside_the_step_budget() {
+        // `n = 3`, the loop statement, 62 one-statement iterations.
+        let total = 2 + 62;
+        let budget = |steps| entries("", STENCIL, ExecOptions::new(4).max_steps(steps));
+        assert_eq!(budget(total + 1), ((1, 0), Ok(())));
+        assert_eq!(budget(total), ((1, 0), Ok(())));
+        assert_eq!(budget(total - 1), ((0, 1), Err(ExecError::StepLimit)));
+    }
+
+    /// A `real*8` scalar holds an integer after serving as a loop
+    /// variable; a kernel whose registers were typed from the declaration
+    /// must not read it.
+    #[test]
+    fn a_scalar_of_the_wrong_runtime_type_refuses_the_kernel() {
+        let body = "      do x = 1, 2\n        a(1) = 0.0\n      enddo\n      do i = 1, 4\n        a(i) = x + 0.5\n      enddo\n      x = 2.0\n      do i = 1, 4\n        a(i) = x + 0.5\n      enddo\n";
+        assert_eq!(entries("", body, ExecOptions::new(4)), ((2, 1), Ok(())));
     }
 }

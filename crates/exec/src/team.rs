@@ -23,7 +23,9 @@ use std::time::{Duration, Instant};
 use dsm_ir::{
     AffIdx, ArrayDecl, Distribution, Extent, LoopStmt, Param, Program, SchedType, Stmt, Subroutine,
 };
-use dsm_machine::{AccessRun, Machine, MachineShard, ProcId, SERIAL_REGION};
+use dsm_machine::{
+    AccessKind, AccessRun, AccessTag, LineCursor, Machine, MachineShard, ProcId, SERIAL_REGION,
+};
 use dsm_runtime::epoch::{join_epoch, EpochClock};
 use dsm_runtime::{
     argcheck::ArgInfo, partition, sched, ArgChecker, ArrayLayout, RtArray, RuntimeError, MAX_RANK,
@@ -81,6 +83,88 @@ impl Mach<'_> {
             Mach::Whole(m) => m.fill_run_u64(proc, run, word),
             Mach::Shard(s) => own(s, proc).fill_run_u64(run, word),
         };
+    }
+
+    /// Run a whole stream of `proc`'s accesses — an innermost loop — as
+    /// **one** timed operation: a single [`Machine::serial`] step on the
+    /// whole machine, or directly on the member's own shard. One step for
+    /// many accesses is exact for the reason a bulk run is
+    /// (`MachineShard::run_segment`): no other processor runs during it,
+    /// so the only mail in flight is what this one posts, and delivering
+    /// an invalidation commutes with everything but its target's own
+    /// accesses. Not under live migration, where epochs fire on access
+    /// counts: there every access stays a step of its own ([`Stepped`]).
+    #[inline]
+    pub(crate) fn stream(&mut self, proc: ProcId, body: impl Stream) {
+        match self {
+            Mach::Whole(m) if !m.config().migration.is_off() => body.run(&mut Stepped(m, proc)),
+            Mach::Whole(m) => m.serial(proc, |sh| body.run(sh)),
+            Mach::Shard(s) => body.run(own(s, proc)),
+        }
+    }
+}
+
+/// Where a stream's accesses go: each takes the stream's [`LineCursor`]
+/// for the reference it belongs to (`MachineShard::access_at`).
+pub(crate) trait Port {
+    /// Stamp the attribution tag of the accesses that follow.
+    fn set_tag(&mut self, tag: AccessTag);
+    /// Timed read that moves no data (a portion-pointer load).
+    fn touch(&mut self, cur: &mut LineCursor, addr: u64);
+    /// Timed load of a raw word.
+    fn load(&mut self, cur: &mut LineCursor, addr: u64) -> u64;
+    /// Timed store of a raw word.
+    fn store(&mut self, cur: &mut LineCursor, addr: u64, word: u64);
+}
+
+/// A body of accesses for [`Mach::stream`], generic in the port it is
+/// handed (which a closure cannot be).
+pub(crate) trait Stream {
+    fn run<P: Port>(self, port: &mut P);
+}
+
+impl Port for MachineShard<'_> {
+    #[inline(always)]
+    fn set_tag(&mut self, tag: AccessTag) {
+        MachineShard::set_tag(self, tag);
+    }
+
+    #[inline(always)]
+    fn touch(&mut self, cur: &mut LineCursor, addr: u64) {
+        self.access_at(cur, addr, AccessKind::Read);
+    }
+
+    #[inline(always)]
+    fn load(&mut self, cur: &mut LineCursor, addr: u64) -> u64 {
+        self.load_at(cur, addr)
+    }
+
+    #[inline(always)]
+    fn store(&mut self, cur: &mut LineCursor, addr: u64, word: u64) {
+        self.store_at(cur, addr, word);
+    }
+}
+
+/// The whole machine acting as one processor, a [`Machine::serial`] step
+/// per access: a stream's port while migration epochs are live, so they
+/// fire after the access they would fire after in the generic loop.
+pub(crate) struct Stepped<'m>(&'m mut Machine, ProcId);
+
+impl Port for Stepped<'_> {
+    fn set_tag(&mut self, tag: AccessTag) {
+        self.0.set_tag(self.1, tag);
+    }
+
+    fn touch(&mut self, cur: &mut LineCursor, addr: u64) {
+        self.0.serial(self.1, |sh| sh.touch(cur, addr));
+    }
+
+    fn load(&mut self, cur: &mut LineCursor, addr: u64) -> u64 {
+        self.0.serial(self.1, |sh| sh.load(cur, addr))
+    }
+
+    fn store(&mut self, cur: &mut LineCursor, addr: u64, word: u64) {
+        self.0.serial(self.1, |sh| sh.store(cur, addr, word));
     }
 }
 

@@ -498,6 +498,9 @@ struct Cell {
     traffic: Vec<(u64, u64)>,
     /// `RunReport::digest_json`: cycles and every counter.
     digest: String,
+    /// `Profile::to_json` when profiling is on: per-array, per-region and
+    /// per-page attribution.
+    profile: Option<String>,
 }
 
 fn cell(
@@ -515,6 +518,7 @@ fn cell(
         captures: o.captures.iter().map(bits).collect(),
         traffic: o.report.per_proc.iter().map(|c| (c.loads, c.stores)).collect(),
         digest: o.report.digest_json(),
+        profile: o.report.profile.as_ref().map(|p| p.to_json()),
     })
 }
 
@@ -540,6 +544,7 @@ fn cells_agree(
                 assert_eq!(got.traffic, want.traffic, "{at}");
                 if serial {
                     assert_eq!(got.digest, want.digest, "{at}");
+                    assert_eq!(got.profile, want.profile, "{at}");
                 }
             }
             (Err(got), Err(want)) => assert_eq!(&got, want, "{at}"),
@@ -709,5 +714,147 @@ fn a_tiled_site_running_out_of_bounds_reports_the_interpreters_error() {
             extents: vec![8, 12],
         };
         assert_eq!(err, want, "{sweep}");
+    }
+}
+
+// ---------------------------------------------------------------------
+// Stream kernels against the interpreter, at every fallback edge.
+// ---------------------------------------------------------------------
+
+/// `b` filled serially, then `body` — the loops under test — then the
+/// scalars `s` and `x` stored where the captures see them.
+fn stencil_program(decls: &str, body: &str) -> dsm_ir::Program {
+    compiled(&format!(
+        "      program main\n      integer i, j, n, k(64)\n      real*8 a(64), b(64), c(64, 4), s, x\n{decls}      n = 3\n      s = 0.5\n      do i = 1, 64\n        b(i) = 2*i + 0.25\n        k(i) = 64 - i\n      enddo\n{body}      c(1, 1) = s\n      c(2, 1) = x\n      end\n"
+    ))
+}
+
+/// Innermost loops the bytecode engine runs as stream kernels — or, at
+/// each edge where a kernel's preconditions end, as the generic loop —
+/// against the interpreter: captures, cycles and every counter, from all
+/// four engine × team-mode cells, over contiguous, `block`-reshaped and
+/// `cyclic(k)`-reshaped arrays, exact, profiled, sampled and migrating.
+#[test]
+fn loop_kernels_match_the_interpreter_at_every_fallback_edge() {
+    let bodies = [
+        // A stencil, forwards; trip counts 1 and 0; backwards; strided.
+        "      do i = 2, 63\n        a(i) = (b(i-1) + b(i) + b(i+1)) / 3.0\n      enddo\n",
+        "      do i = 7, 7\n        a(i) = b(i-1) + b(i+1)\n      enddo\n      do i = 9, 8\n        a(i) = b(i-1) + b(i+1)\n      enddo\n",
+        "      do i = 63, 2, -1\n        a(i) = b(i+1) - b(i-1)\n      enddo\n      do i = 31, 60, 3\n        a(i) = a(i) + b(2*i - 59)\n      enddo\n",
+        // The same loop inside a region, in chunks that ignore the tiles.
+        "c$doacross local(i) shared(a, b)\n      do i = 2, 63\n        a(i) = (b(i-1) + b(i) + b(i+1)) / 3.0\n      enddo\n",
+        // A loop-carried recurrence through memory.
+        "      a(1) = 1.0\n      do i = 2, 64\n        a(i) = a(i-1) + b(i)\n      enddo\n",
+        // One element loaded ten times in one statement (LU's shape).
+        "      do i = 1, 64\n        a(i) = b(i) + b(i)*b(i) - 0.5*b(i)*b(i)*b(i) / (1.0 + b(i)*b(i)) + b(i) / (2.0 + b(i))\n      enddo\n",
+        // Scalars written and read across statements and iterations.
+        "      do i = 1, 64\n        x = b(i) * 2\n        s = s + x\n        a(i) = x + s + b(i)\n      enddo\n",
+        // Integer arrays, both conversions, intrinsics, unary minus, the
+        // loop variable as a value.
+        "      do i = 1, 64\n        k(i) = b(i) + k(i) * i\n        a(i) = max(b(i), 40.0) - sqrt(abs(-b(i))) + k(i) + dble(i) + int(b(i))\n      enddo\n",
+        // An integer division in the body: no kernel, same numbers.
+        "      do i = 1, 64\n        a(i) = i / n + mod(i, n)\n      enddo\n",
+        // A two-dimensional sweep: an invariant index, a fill, a copy.
+        "      do j = 1, 4\n        do i = 1, 64\n          c(i, j) = b(i) * j\n        enddo\n      enddo\n      do j = 2, 4\n        do i = 1, 64\n          c(i, 1) = c(i, j)\n        enddo\n        do i = 1, 64\n          c(i, j) = 1.5 * n\n        enddo\n      enddo\n",
+    ];
+    let layouts = [
+        "",
+        "c$distribute a(block)\nc$distribute b(block)\nc$distribute c(block, *)\n",
+        // A serial sweep crosses every tile boundary inside the loop.
+        "c$distribute_reshape a(block)\nc$distribute_reshape b(block)\nc$distribute_reshape c(block, *)\n",
+        "c$distribute_reshape a(cyclic(5))\nc$distribute_reshape b(cyclic(3))\nc$distribute_reshape c(*, cyclic(1))\n",
+    ];
+    // Affinity-scheduled (tiled and peeled when reshaped): each member's
+    // chunk lies in its own tile, the stencil's halo in the neighbour's.
+    let tiled = "c$doacross local(i) affinity(i) = data(a(i))\n      do i = 2, 63\n        a(i) = (b(i-1) + b(i) + b(i+1)) / 3.0\n      enddo\n";
+    let plain = ExecOptions::new(4).capture(&["a", "c"]);
+    for decls in layouts {
+        for body in bodies.into_iter().chain((!decls.is_empty()).then_some(tiled)) {
+            let program = stencil_program(decls, body);
+            cells_agree(&program, 4, &plain).unwrap_or_else(|e| panic!("{decls}{body}: {e}"));
+        }
+    }
+    // The observers and the page movers, over everything at once.
+    let all: String = bodies.concat();
+    for decls in layouts {
+        let program = stencil_program(decls, &all);
+        for opts in [
+            plain.clone().profile(true),
+            plain.clone().sampling(dsm_machine::SamplingConfig::parse("1/2").expect("valid rate")),
+            plain.clone().migration(dsm_machine::MigrationPolicy::parse("threshold:4").expect("valid policy")),
+        ] {
+            cells_agree(&program, 4, &opts).unwrap_or_else(|e| panic!("{decls}: {e}"));
+        }
+    }
+}
+
+/// An index that leaves the array on the loop's last iteration: the
+/// endpoint test refuses the kernel, and the generic loop runs up to the
+/// faulting access and raises the interpreter's error there.
+#[test]
+fn a_kernel_loop_running_out_of_bounds_reports_the_interpreters_error() {
+    for decls in ["", "c$distribute_reshape a(block)\nc$distribute_reshape b(block)\n"] {
+        for (body, index) in [
+            ("      do i = 2, 64\n        a(i) = b(i-1) + b(i+1)\n      enddo\n", 65),
+            ("      do i = 63, 1, -1\n        a(i) = b(i-1) + b(i+1)\n      enddo\n", 0),
+        ] {
+            let program = stencil_program(decls, body);
+            let err = cells_agree(&program, 4, &ExecOptions::new(4)).unwrap_err();
+            let want = ExecError::OutOfBounds {
+                array: "b".into(),
+                indices: vec![index],
+                extents: vec![64],
+            };
+            assert_eq!(err, want, "{decls}{body}");
+        }
+    }
+}
+
+/// Under a step budget a kernel or a fill runs only if the whole loop
+/// fits what is left, and is charged all of it; otherwise the generic
+/// loop aborts. For every budget from one statement to one more than the
+/// program needs — so one below, equal to and one above each loop's total
+/// among them — both engines end the same way: the budget at which the
+/// program first completes is the same (each counted the same steps), a
+/// completed run agrees on everything, and an aborted one stopped no
+/// later than the interpreter's statement (the bytecode engine counts a
+/// straight-line block when it enters it).
+#[test]
+fn step_budgets_end_both_engines_the_same_way() {
+    use dsm_machine::ProcId;
+    // A fill, a copy and a stencil.
+    let body = "      do i = 1, 6\n        a(i) = 1.5 * n\n      enddo\n      do i = 1, 6\n        c(i, 2) = a(i)\n      enddo\n      do i = 2, 5\n        x = b(i-1) + b(i+1)\n        a(i) = x / 2.0\n      enddo\n";
+    let program = stencil_program("", body);
+    let outcome = |engine: Engine, budget: u64| {
+        let mut m = Machine::new(MachineConfig::small_test(1));
+        let opts = (ExecOptions::new(1).engine(engine))
+            .max_steps(budget)
+            .capture(&["a", "c"]);
+        let result = run_outcome(&mut m, &program, &opts).map(|o| (o.captures, o.report.digest_json()));
+        let c = m.counters(ProcId(0));
+        (result, c.loads, c.stores)
+    };
+    let mut completed = 0;
+    for budget in 1.. {
+        let (interp, bytecode) = (outcome(Engine::Interp, budget), outcome(Engine::Bytecode, budget));
+        match (&interp.0, &bytecode.0) {
+            (Ok(_), Ok(_)) => {
+                assert_eq!(bytecode, interp, "budget {budget}");
+                completed += 1;
+            }
+            (Err(a), Err(b)) => {
+                assert_eq!((a, b), (&ExecError::StepLimit, &ExecError::StepLimit));
+                assert!(
+                    bytecode.1 <= interp.1 && bytecode.2 <= interp.2,
+                    "budget {budget}: the bytecode engine ran past the interpreter's abort"
+                );
+                assert_eq!(completed, 0, "budget {budget} aborts, a smaller one did not");
+            }
+            _ => panic!("budget {budget}: one engine aborted, the other completed"),
+        }
+        if completed == 2 {
+            assert!(budget > 100, "the whole program in {budget} steps?");
+            break;
+        }
     }
 }

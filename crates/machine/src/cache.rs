@@ -203,6 +203,36 @@ impl Cache {
         Probe::Miss { victim }
     }
 
+    /// [`Cache::access`] for a caller that remembers which way held the
+    /// line: if way `way` (an index into the flat way array, see
+    /// [`Cache::way_of`]) still holds `paddr`'s line, the access is the
+    /// hit `access` would report — tick, recency, dirty bit — and its prior
+    /// dirty state is returned; otherwise `None` and nothing is touched.
+    /// Any `way` is a valid guess.
+    #[inline]
+    pub fn hit_at(&mut self, way: u32, paddr: u64, write: bool) -> Option<bool> {
+        let line = self.line_of(paddr);
+        let l = self.ways.get_mut(way as usize).filter(|l| l.holds(line))?;
+        self.tick += 1;
+        l.lru = self.tick;
+        let was_dirty = l.dirty;
+        l.dirty |= write;
+        Some(was_dirty)
+    }
+
+    /// The way holding `paddr`'s line, for [`Cache::hit_at`] (no state
+    /// change); `u32::MAX`, which no cache has, if it is not resident.
+    #[inline]
+    pub fn way_of(&self, paddr: u64) -> u32 {
+        let line = self.line_of(paddr);
+        let set = self.set_of(line);
+        let first = set.start;
+        self.ways[set]
+            .iter()
+            .position(|l| l.holds(line))
+            .map_or(u32::MAX, |w| (first + w) as u32)
+    }
+
     /// True if the line containing `paddr` is resident (no state change).
     pub fn contains(&self, paddr: u64) -> bool {
         let line = self.line_of(paddr);

@@ -62,7 +62,9 @@ pub use config::{LatencyConfig, MachineConfig, OpCosts};
 pub use cost::CostModel;
 pub use counters::CounterSet;
 pub use directory::{Directory, MAX_PROCS};
-pub use machine::{AccessKind, AccessRun, Machine, MachineShard, MachineSnapshot, RedistStats, VAddr};
+pub use machine::{
+    AccessKind, AccessRun, LineCursor, Machine, MachineShard, MachineSnapshot, RedistStats, VAddr,
+};
 pub use migrate::{MigrationPolicy, MigrationStats, RefCounters};
 pub use pagetable::{PagePolicy, PageTable};
 pub use sample::{SamplingConfig, SamplingSummary};

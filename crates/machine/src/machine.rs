@@ -83,6 +83,39 @@ impl AccessRun {
     }
 }
 
+/// Where a reference stream found its page and its line last: the TLB
+/// position and the L1 way, remembered by the caller of
+/// [`MachineShard::access_at`] from one access of the stream to the next.
+///
+/// Both are guesses validated on use — like the executor's tile hints —
+/// so any value is a correct cursor for any access: a fresh
+/// (`Default`) one, a stale one, one shared between streams. A wrong
+/// guess costs the lookup it would have saved, never a different
+/// outcome.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LineCursor {
+    tlb_pos: u16,
+    l1_way: u32,
+}
+
+impl Default for LineCursor {
+    /// A cursor that remembers nothing.
+    fn default() -> Self {
+        LineCursor {
+            tlb_pos: u16::MAX,
+            l1_way: u32::MAX,
+        }
+    }
+}
+
+impl LineCursor {
+    /// A cursor with arbitrary contents (tests: every value must be
+    /// harmless).
+    pub fn from_raw(tlb_pos: u16, l1_way: u32) -> Self {
+        LineCursor { tlb_pos, l1_way }
+    }
+}
+
 /// One simulated processor: private caches, TLB and counters.
 #[derive(Debug, Clone)]
 struct Processor {
@@ -1045,6 +1078,57 @@ impl MachineShard<'_> {
         self.cache_stage(paddr, vpage, mapping.node, kind, tlb_miss, cost)
     }
 
+    /// [`MachineShard::access`] for one access of a reference stream: the
+    /// same pipeline with the two lookups a stream repeats — which TLB
+    /// entry holds the page, which L1 way holds the line — tried first at
+    /// the positions `cur` remembers from the stream's previous access.
+    ///
+    /// A remembered position is used only if the entry there still holds
+    /// this page (this line), and then performs exactly the state changes
+    /// the lookup's hit performs: access count, both recency updates, the
+    /// dirty bit, the ownership request of a store that finds its line
+    /// clean, attribution, cycles. Anything else — a new page, an evicted
+    /// or invalidated line, sampling (whose stage keeps books per access),
+    /// a cursor full of garbage — takes the lookup it would have taken in
+    /// `access`, and `cur` is left remembering where that ended. Every
+    /// counter, cycle, cache, TLB and directory state is therefore that of
+    /// `access(addr, kind)`.
+    pub fn access_at(&mut self, cur: &mut LineCursor, addr: VAddr, kind: AccessKind) -> u64 {
+        self.deliver_mail();
+        let vpage = addr >> self.page_bits;
+        let offset = addr & ((1 << self.page_bits) - 1);
+        let (mapping, tlb_miss, mut cost) = match self.p.tlb.hit_at(cur.tlb_pos, vpage) {
+            Some(m) => {
+                match kind {
+                    AccessKind::Read => self.p.counters.loads += 1,
+                    AccessKind::Write => self.p.counters.stores += 1,
+                }
+                (m, false, 0)
+            }
+            None => {
+                let tr = self.translate(vpage, kind);
+                cur.tlb_pos = self.p.tlb.last_pos();
+                tr
+            }
+        };
+        let paddr = (mapping.frame << self.page_bits) | offset;
+        if self.p.sample.is_none() {
+            let write = kind == AccessKind::Write;
+            if let Some(was_dirty) = self.p.l1.hit_at(cur.l1_way, paddr, write) {
+                cost += self.cfg.lat.l1_hit;
+                if write && !was_dirty {
+                    cost += self.coherence_write(paddr);
+                }
+                self.p.note(kind, tlb_miss, FillLevel::L1);
+                self.p.counters.cycles += cost;
+                return cost;
+            }
+        }
+        let total = self.cache_stage(paddr, vpage, mapping.node, kind, tlb_miss, cost);
+        cur.l1_way = self.p.l1.way_of(paddr);
+        total
+    }
+
     /// Steps 1–2 of the pipeline: count the access, probe the TLB and — on
     /// a miss only; a hit carries the translation and touches no shared
     /// state — walk the page table (faulting the page in under the
@@ -1443,6 +1527,26 @@ impl MachineShard<'_> {
         let c = self.access(addr, AccessKind::Write);
         self.shared.mem.store_u64(addr, v as u64);
         c
+    }
+
+    /// Timed load of a raw 8-byte word through a stream cursor
+    /// ([`MachineShard::access_at`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics, like the typed loads and stores, if `addr` is outside any
+    /// allocated region.
+    #[inline]
+    pub fn load_at(&mut self, cur: &mut LineCursor, addr: VAddr) -> u64 {
+        self.access_at(cur, addr, AccessKind::Read);
+        self.shared.mem.load_u64(addr)
+    }
+
+    /// Timed store of a raw 8-byte word through a stream cursor.
+    #[inline]
+    pub fn store_at(&mut self, cur: &mut LineCursor, addr: VAddr, word: u64) {
+        self.access_at(cur, addr, AccessKind::Write);
+        self.shared.mem.store_u64(addr, word);
     }
 
     /// Stamp the tag applied to this processor's subsequent accesses.

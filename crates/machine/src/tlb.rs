@@ -12,33 +12,62 @@
 //! through a remap, and every remap shoots the page out of every TLB
 //! (`Machine::retire_frame`); pages are never unmapped.
 //!
-//! A hit is found without scanning: `hints`, indexed by the low bits of
-//! the page number, remembers where such a page was last placed or found.
-//! A hint is only a guess — stale once a shootdown moved an entry, shared
-//! by pages equal modulo `HINTS`, truncated past `u16` — so it is checked
-//! on use and a mismatch falls back to the scan: hits, evictions and LRU
-//! ticks are those of the plain scan.
+//! Neither a hit nor a miss scans. The entries are threaded on two
+//! intrusive lists: a hash chain per bucket of the page number — an exact
+//! page → position index, so the end of a (usually empty or one-entry)
+//! chain *proves* absence — and a recency list from most to least
+//! recently used, whose tail is the entry a timestamp scan would pick
+//! (every probe touches exactly one entry, so recency is a total order).
+//! Hits, evictions and shootdowns are those of the scan-and-stamp TLB the
+//! proptests keep as the reference.
 
 use crate::pagetable::Mapping;
 
-/// Position hints (power of two): four per entry of the R10000's TLB.
-const HINTS: usize = 256;
+/// Hash buckets (power of two): four per entry of the R10000's TLB.
+const BUCKETS: usize = 256;
+
+/// "No entry" in the intrusive links.
+const NIL: u16 = u16::MAX;
+
+/// Page number of a free slot; no access produces it (page numbers are
+/// addresses shifted right by the page bits).
+const NO_PAGE: u64 = u64::MAX;
 
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     vpage: u64,
-    /// LRU timestamp; larger = more recently used.
-    lru: u64,
     mapping: Mapping,
+    /// Recency list, towards the most recently used entry.
+    newer: u16,
+    /// Recency list, towards the least recently used entry.
+    older: u16,
+    /// Next entry of the same hash bucket — or, on a free slot, the next
+    /// free slot.
+    chain: u16,
 }
 
 /// A per-processor translation lookaside buffer.
 #[derive(Debug, Clone)]
 pub struct Tlb {
+    /// Slots, allocated on demand up to `capacity`; a position is stable
+    /// for as long as the entry lives.
     entries: Vec<Entry>,
-    hints: [u16; HINTS],
+    buckets: [u16; BUCKETS],
+    mru: u16,
+    lru: u16,
+    /// Head of the free-slot list (slots emptied by a shootdown).
+    free: u16,
+    len: usize,
     capacity: usize,
-    tick: u64,
+    /// Position the latest hit or fill touched.
+    last: u16,
+}
+
+/// Multiplicative hash of the page number: strided page sequences (a
+/// column walk) spread over the buckets as sequential ones do.
+#[inline]
+fn bucket(vpage: u64) -> usize {
+    (vpage.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - BUCKETS.trailing_zeros())) as usize
 }
 
 impl Tlb {
@@ -46,14 +75,19 @@ impl Tlb {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero.
+    /// Panics if `capacity` is zero or does not fit the 16-bit links.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "TLB must have at least one entry");
+        assert!(capacity < NIL as usize, "TLB too large for 16-bit links");
         Tlb {
             entries: Vec::with_capacity(capacity),
-            hints: [0; HINTS],
+            buckets: [NIL; BUCKETS],
+            mru: NIL,
+            lru: NIL,
+            free: NIL,
+            len: 0,
             capacity,
-            tick: 0,
+            last: NIL,
         }
     }
 
@@ -62,59 +96,159 @@ impl Tlb {
     /// refills with [`Tlb::fill`] once it has walked the page table.
     #[inline]
     pub fn lookup(&mut self, vpage: u64) -> Option<Mapping> {
-        self.tick += 1;
-        let hint = &mut self.hints[vpage as usize % HINTS];
-        let mut pos = *hint as usize;
-        if self.entries.get(pos).is_none_or(|e| e.vpage != vpage) {
-            pos = self.entries.iter().position(|e| e.vpage == vpage)?;
-            *hint = pos as u16;
+        let mut pos = self.buckets[bucket(vpage)];
+        while pos != NIL {
+            let e = &self.entries[pos as usize];
+            if e.vpage == vpage {
+                let mapping = e.mapping;
+                self.touch(pos);
+                return Some(mapping);
+            }
+            pos = e.chain;
         }
-        let e = &mut self.entries[pos];
-        e.lru = self.tick;
-        Some(e.mapping)
+        None
+    }
+
+    /// [`Tlb::lookup`] for a caller that remembers where `vpage` was: a hit
+    /// (recency refreshed, translation returned) if the entry at `pos`
+    /// still holds the page, `None` — and nothing touched — if not. Any
+    /// `pos` is a valid guess.
+    #[inline]
+    pub fn hit_at(&mut self, pos: u16, vpage: u64) -> Option<Mapping> {
+        let e = self.entries.get(pos as usize)?;
+        if e.vpage != vpage {
+            return None;
+        }
+        let mapping = e.mapping;
+        self.touch(pos);
+        Some(mapping)
+    }
+
+    /// Position of the entry the latest hit or fill touched — what
+    /// [`Tlb::hit_at`] wants to be told next time.
+    #[inline]
+    pub fn last_pos(&self) -> u16 {
+        self.last
+    }
+
+    /// Make `pos` the most recently used entry.
+    #[inline]
+    fn touch(&mut self, pos: u16) {
+        self.last = pos;
+        if self.mru != pos {
+            self.unlink_recency(pos);
+            self.push_mru(pos);
+        }
+    }
+
+    fn unlink_recency(&mut self, pos: u16) {
+        let Entry { newer, older, .. } = self.entries[pos as usize];
+        match newer {
+            NIL => self.mru = older,
+            n => self.entries[n as usize].older = older,
+        }
+        match older {
+            NIL => self.lru = newer,
+            o => self.entries[o as usize].newer = newer,
+        }
+    }
+
+    fn push_mru(&mut self, pos: u16) {
+        let e = &mut self.entries[pos as usize];
+        e.newer = NIL;
+        e.older = self.mru;
+        match self.mru {
+            NIL => self.lru = pos,
+            m => self.entries[m as usize].newer = pos,
+        }
+        self.mru = pos;
+    }
+
+    /// Take the entry at `pos` off its hash chain.
+    fn unlink_chain(&mut self, pos: u16) {
+        let Entry { vpage, chain, .. } = self.entries[pos as usize];
+        let b = bucket(vpage);
+        if self.buckets[b] == pos {
+            self.buckets[b] = chain;
+            return;
+        }
+        let mut at = self.buckets[b];
+        while self.entries[at as usize].chain != pos {
+            at = self.entries[at as usize].chain;
+        }
+        self.entries[at as usize].chain = chain;
     }
 
     /// Refill after a missed [`Tlb::lookup`] of `vpage`, evicting the least
-    /// recently used entry if the TLB is full. The new entry is as recent
-    /// as the lookup that missed.
+    /// recently used entry if the TLB is full. The new entry is the most
+    /// recently used.
     pub fn fill(&mut self, vpage: u64, mapping: Mapping) {
         debug_assert!(self.entries.iter().all(|e| e.vpage != vpage));
-        let e = Entry {
-            vpage,
-            lru: self.tick,
-            mapping,
-        };
-        let mut pos = self.entries.len();
-        if pos < self.capacity {
-            self.entries.push(e);
+        let pos = if self.len == self.capacity {
+            let pos = self.lru;
+            self.unlink_recency(pos);
+            self.unlink_chain(pos);
+            pos
         } else {
-            let lru = |i: &usize| self.entries[*i].lru;
-            pos = (0..pos).min_by_key(lru).expect("non-empty TLB");
-            self.entries[pos] = e;
-        }
-        self.hints[vpage as usize % HINTS] = pos as u16;
+            self.len += 1;
+            match self.free {
+                NIL => {
+                    self.entries.push(Entry {
+                        vpage,
+                        mapping,
+                        newer: NIL,
+                        older: NIL,
+                        chain: NIL,
+                    });
+                    (self.entries.len() - 1) as u16
+                }
+                pos => {
+                    self.free = self.entries[pos as usize].chain;
+                    pos
+                }
+            }
+        };
+        let b = bucket(vpage);
+        let e = &mut self.entries[pos as usize];
+        e.vpage = vpage;
+        e.mapping = mapping;
+        e.chain = self.buckets[b];
+        self.buckets[b] = pos;
+        self.push_mru(pos);
+        self.last = pos;
     }
 
     /// Drop the translation for `vpage` (page remap / migration shootdown).
     pub fn invalidate(&mut self, vpage: u64) {
-        if let Some(pos) = self.entries.iter().position(|e| e.vpage == vpage) {
-            self.entries.swap_remove(pos);
+        let mut pos = self.buckets[bucket(vpage)];
+        while pos != NIL && self.entries[pos as usize].vpage != vpage {
+            pos = self.entries[pos as usize].chain;
         }
+        if pos == NIL {
+            return;
+        }
+        self.unlink_recency(pos);
+        self.unlink_chain(pos);
+        let e = &mut self.entries[pos as usize];
+        e.vpage = NO_PAGE;
+        e.chain = self.free;
+        self.free = pos;
+        self.len -= 1;
     }
 
     /// Drop every cached translation.
     pub fn flush(&mut self) {
-        self.entries.clear();
+        *self = Tlb::new(self.capacity);
     }
 
     /// Number of valid entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// True if no translations are cached.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 }
 
@@ -165,16 +299,34 @@ mod tests {
     }
 
     #[test]
-    fn colliding_hints_fall_back_to_the_scan() {
+    fn pages_of_one_bucket_chain() {
         let mut t = Tlb::new(4);
-        let (a, b) = (5, 5 + HINTS as u64);
+        let a = 5;
+        let b = (a + 1..).find(|&p| bucket(p) == bucket(a)).expect("a colliding page");
         access(&mut t, a);
-        access(&mut t, b); // takes over a's hint
-        assert!(access(&mut t, a), "found by scan, hint repointed");
+        access(&mut t, b); // heads a's chain
+        assert!(access(&mut t, a), "found behind b");
         assert!(access(&mut t, b));
-        t.invalidate(a); // b moves into a's slot; its hint is now stale
+        t.invalidate(a); // unlinked from the middle of the chain
         assert!(access(&mut t, b));
-        assert!(!access(&mut t, a));
+        assert!(!access(&mut t, a), "refilled into the freed slot");
+        assert_eq!(t.len(), 2);
+    }
+
+    #[test]
+    fn remembered_positions_are_checked() {
+        let mut t = Tlb::new(2);
+        access(&mut t, 1);
+        let pos = t.last_pos();
+        assert_eq!(t.hit_at(pos, 1), Some(map(1001)));
+        assert_eq!(t.hit_at(pos, 2), None, "another page");
+        assert_eq!(t.hit_at(9, 1), None, "no such slot");
+        access(&mut t, 2);
+        assert_eq!(t.hit_at(pos, 1), Some(map(1001)), "1 is the MRU again");
+        access(&mut t, 3); // evicts 2, not 1
+        assert!(access(&mut t, 1));
+        t.invalidate(1);
+        assert_eq!(t.hit_at(pos, 1), None, "shot down");
     }
 
     #[test]

@@ -3,7 +3,8 @@
 use dsm_machine::cache::{Probe, Victim};
 use dsm_machine::pagetable::Mapping;
 use dsm_machine::{
-    AccessKind, Cache, CacheConfig, Machine, MachineConfig, MigrationPolicy, NodeId, ProcId, Tlb,
+    AccessKind, Cache, CacheConfig, LineCursor, Machine, MachineConfig, MigrationPolicy, NodeId,
+    ProcId, Tlb,
 };
 use proptest::prelude::*;
 
@@ -458,7 +459,7 @@ proptest! {
 // ---------------------------------------------------------------------
 // Reference models. `Cache` was a `Vec` of resident lines per set and
 // `Tlb` a list of page tags found by scanning; the flat way array and the
-// hinted, translation-carrying TLB replaced them for speed only. The old
+// chained, translation-carrying TLB replaced them for speed only. The old
 // structures live on here, as the oracles the new ones must match move
 // for move.
 // ---------------------------------------------------------------------
@@ -604,25 +605,37 @@ proptest! {
     }
 
     /// Random histories of probes, shootdowns and flushes hit and miss on
-    /// the hinted TLB exactly as on the scan-only reference (so the same
+    /// the chained TLB exactly as on the scan-only reference (so the same
     /// entry was evicted every time), a hit returns the translation of the
     /// page's latest fill, and the two stay the same size — over pages that
-    /// collide on a position hint (equal modulo 256), a one-entry TLB and
-    /// sizes that are not powers of two.
+    /// share hash buckets, a one-entry TLB and sizes that are not powers of
+    /// two. A third of the probes go through `hit_at` first, at the
+    /// position the page was last seen at or at an arbitrary one: a
+    /// remembered position may only ever shortcut the lookup, and a refused
+    /// one must leave the recency order alone.
     #[test]
     fn hinted_tlb_matches_scan_reference(
         capacity in prop_oneof![Just(1usize), Just(2), Just(3), Just(7), Just(8), Just(64)],
-        ops in prop::collection::vec((0u8..16, 0u64..6, 0u64..24), 1..600),
+        ops in prop::collection::vec((0u8..16, 0u64..6, 0u64..24, any::<u16>()), 1..600),
     ) {
         let mut tlb = Tlb::new(capacity);
         let mut reference = RefTlb { entries: Vec::new(), capacity, tick: 0 };
         let mut fills = std::collections::HashMap::new();
-        for (step, &(op, low, high)) in ops.iter().enumerate() {
+        let mut seen_at = std::collections::HashMap::new();
+        for (step, &(op, low, high, garbage)) in ops.iter().enumerate() {
             let vpage = low + 256 * high;
             match op {
                 0..=12 => {
                     let hit = reference.access(vpage);
-                    match tlb.lookup(vpage) {
+                    let guess = match op {
+                        0..=8 => None,
+                        9 | 10 => seen_at.get(&vpage).copied(),
+                        _ => Some(garbage % 80),
+                    };
+                    let found = guess
+                        .and_then(|pos| tlb.hit_at(pos, vpage))
+                        .or_else(|| tlb.lookup(vpage));
+                    match found {
                         Some(m) => {
                             prop_assert!(hit, "step {}: page {} hit, reference missed", step, vpage);
                             prop_assert_eq!(Some(&m), fills.get(&vpage));
@@ -634,6 +647,7 @@ proptest! {
                             fills.insert(vpage, m);
                         }
                     }
+                    seen_at.insert(vpage, tlb.last_pos());
                 }
                 13 | 14 => {
                     tlb.invalidate(vpage);
@@ -713,5 +727,74 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// Words in the region the cursor proptest shares.
+const STREAM_WORDS: u64 = 2048;
+
+proptest! {
+    /// `access_at` is `access` whatever the cursor holds. Twin machines
+    /// take one random history from 4–8 processors sharing sixteen pages (twice the TLB, twice the L2) —
+    /// loads and stores (stores by other processors invalidate lines a
+    /// cursor remembers), `remap_range` of a touched page (shooting down
+    /// the TLB entry and the lines a cursor remembers) — one through
+    /// `access_at` with a cursor drawn per access from a small pool shared
+    /// by every processor and address, or made of arbitrary bits, the
+    /// other through `access`. They must agree on every access's cost and,
+    /// at the end, on every counter and clock, every line's sharers, and —
+    /// through the snapshots, which hold every TLB entry and cache way with
+    /// its recency — on all remaining state, exact and at 1/2 sampling.
+    #[test]
+    fn cursor_accesses_are_plain_accesses(
+        ops in prop::collection::vec(
+            (0usize..8, 0u8..12, 0u64..STREAM_WORDS, 0usize..6, any::<u16>(), any::<u32>()), 1..300),
+        nprocs in 4usize..9,
+        sampled in any::<bool>(),
+    ) {
+        let mut cfg = MachineConfig::small_test(nprocs);
+        if sampled {
+            cfg.sampling = SamplingConfig::new(2).with_seed(1);
+        }
+        let page = cfg.page_size as u64;
+        let line = cfg.l2.line_size as u64;
+        let (mut with_cursors, mut plain) = (Machine::new(cfg.clone()), Machine::new(cfg));
+        let base = with_cursors.alloc_pages(STREAM_WORDS as usize * 8);
+        prop_assert_eq!(base, plain.alloc_pages(STREAM_WORDS as usize * 8));
+        let (nprocs, n_nodes) = (plain.nprocs(), plain.config().n_nodes);
+        let mut pool = [LineCursor::default(); 4];
+        for &(proc, op, word, which, tlb_pos, l1_way) in &ops {
+            let p = ProcId(proc % nprocs);
+            let addr = base + 8 * word;
+            if op == 11 {
+                for m in [&mut with_cursors, &mut plain] {
+                    m.remap_range(p, addr, 8, |_| NodeId(which % n_nodes));
+                }
+                continue;
+            }
+            let kind = if op < 6 { AccessKind::Read } else { AccessKind::Write };
+            let mut garbage = LineCursor::from_raw(tlb_pos % 16, l1_way % 64);
+            let cur = pool.get_mut(which).unwrap_or(&mut garbage);
+            let cost = with_cursors.serial(p, |s| s.access_at(cur, addr, kind));
+            prop_assert_eq!(cost, plain.access(p, addr, kind), "{} {:?} word {}", p, kind, word);
+        }
+        for p in (0..nprocs).map(ProcId) {
+            prop_assert_eq!(with_cursors.counters(p), plain.counters(p), "{} counters", p);
+        }
+        for w in (0..STREAM_WORDS).step_by((line / 8) as usize) {
+            let vpage = (base + 8 * w) / page;
+            let frame = plain.frame_of(vpage);
+            prop_assert_eq!(with_cursors.frame_of(vpage), frame);
+            if let Some(frame) = frame {
+                let paddr = frame * page + (base + 8 * w) % page;
+                prop_assert_eq!(with_cursors.line_sharers(paddr), plain.line_sharers(paddr));
+            }
+        }
+        prop_assert_eq!(with_cursors.total_invalidations(), plain.total_invalidations());
+        prop_assert_eq!(with_cursors.sampling_summary(), plain.sampling_summary());
+        prop_assert_eq!(
+            format!("{:?}", with_cursors.snapshot()),
+            format!("{:?}", plain.snapshot())
+        );
     }
 }
