@@ -44,6 +44,10 @@
 pub mod client;
 pub mod workloads;
 
+use std::sync::Arc;
+
+use dsm_exec::CodeCache;
+
 pub use client::{run_remote, Remote, RemoteError, RemoteRun};
 pub use dsm_advisor::{advise, Advice, AdvisorConfig, AdvisorError};
 pub use dsm_proto::MachineSpec;
@@ -168,7 +172,7 @@ impl Session {
     /// Returns every compile-time and link-time diagnostic.
     pub fn compile(self) -> Result<CompiledProgram, Vec<CompileError>> {
         let compiled = dsm_compile::compile_sources(&self.sources, &self.opt)?;
-        Ok(CompiledProgram { compiled })
+        Ok(CompiledProgram::new(compiled))
     }
 }
 
@@ -186,7 +190,7 @@ pub fn compile_source(
     opt: &OptConfig,
 ) -> Result<CompiledProgram, DsmError> {
     let compiled = dsm_compile::compile_sources(sources, opt)?;
-    Ok(CompiledProgram { compiled })
+    Ok(CompiledProgram::new(compiled))
 }
 
 /// [`compile_source`] over paths: load the files with
@@ -202,12 +206,26 @@ pub fn compile_files(paths: &[String], opt: &OptConfig) -> Result<CompiledProgra
 }
 
 /// A compiled, linked, optimized program ready to run.
+///
+/// Compiled once, run many times: the bytecode engine lowers the program
+/// at its first run and keeps the code for every later run under the
+/// same cost table (see [`dsm_exec::CodeCache`]); clones share it.
+/// Compiling does not lower, so a program that never runs never pays for
+/// it.
 #[derive(Debug, Clone)]
 pub struct CompiledProgram {
     compiled: dsm_compile::pipeline::Compiled,
+    code: Arc<CodeCache>,
 }
 
 impl CompiledProgram {
+    fn new(compiled: dsm_compile::pipeline::Compiled) -> Self {
+        CompiledProgram {
+            compiled,
+            code: Arc::default(),
+        }
+    }
+
     /// The optimized IR.
     pub fn program(&self) -> &Program {
         &self.compiled.program
@@ -253,7 +271,8 @@ impl CompiledProgram {
     ///
     /// Returns runtime failures as [`DsmError::Exec`].
     pub fn run_on(&self, machine: &mut Machine, opts: &ExecOptions) -> Result<RunOutcome, DsmError> {
-        dsm_exec::run_outcome(machine, &self.compiled.program, opts).map_err(DsmError::from)
+        dsm_exec::run_outcome_with(machine, &self.compiled.program, opts, &self.code)
+            .map_err(DsmError::from)
     }
 }
 

@@ -6,8 +6,10 @@
 //! line of JSON to a Unix socket) submit compile/run/advise requests;
 //! the daemon amortizes the two big per-request costs across tenants:
 //!
-//! * **compilation** — a content-addressed [`cache::ProgramCache`]
-//!   keyed on the FNV-1a source hash plus optimization flags;
+//! * **compilation and lowering** — a content-addressed, byte-bounded
+//!   LRU [`cache::ProgramCache`] keyed on a source hash plus optimization
+//!   flags, checked against the stored sources on every hit; a cached
+//!   program keeps the bytecode its first run lowered;
 //! * **machine construction** — a [`pool::MachinePool`] of simulated
 //!   machines, each restored bit-identically to its pristine
 //!   `MachineSnapshot` between runs (page table, directory, word

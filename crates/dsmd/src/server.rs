@@ -39,7 +39,8 @@ fn stats_reply(state: &State) -> String {
     s.push_str(&format!(
         ",\"uptime_ms\":{},\"served\":{},\"errors\":{},\"bad_requests\":{},\
          \"overloaded\":{},\"deadline_expired\":{},\
-         \"cache\":{{\"entries\":{},\"hits\":{},\"misses\":{}}},\
+         \"cache\":{{\"entries\":{},\"hits\":{},\"misses\":{},\"bytes\":{},\
+         \"evictions\":{}}},\
          \"pool\":{{\"pooled\":{},\"created\":{},\"reused\":{},\"discarded\":{}}},\
          \"queue\":{{\"depth\":{},\"capacity\":{},\"peak\":{}}}}}",
         state.start.elapsed().as_millis(),
@@ -51,6 +52,8 @@ fn stats_reply(state: &State) -> String {
         cache.entries,
         cache.hits,
         cache.misses,
+        cache.bytes,
+        cache.evictions,
         pool.pooled,
         pool.created,
         pool.reused,

@@ -12,7 +12,7 @@ use std::path::PathBuf;
 use dsm_core::{
     compile_source, Engine, ExecOptions, MigrationPolicy, OptConfig, SamplingConfig,
 };
-use dsm_daemon::{serve, DaemonConfig, DaemonHandle};
+use dsm_daemon::{serve, DaemonConfig, DaemonHandle, MachinePool, ProgramCache};
 use dsm_proto::{
     advise_request_json, compile_request_json, digest_from_report_value, outcome_from_value, parse,
     run_request_json, MachineSpec, Value,
@@ -141,6 +141,53 @@ fn ping_stats_and_bad_requests() {
     assert_eq!(code_of(&c.roundtrip("{\"op\":\"warp\"}")), "daemon.bad-request");
     handle.shutdown();
     handle.join();
+}
+
+/// A line nested 20 000 arrays deep used to overflow the connection
+/// thread's stack and abort the daemon; it is a bad request, and the
+/// same connection goes on to answer a ping and a run.
+#[test]
+fn deep_nesting_is_a_bad_request_and_the_connection_survives() {
+    let (handle, socket) = start("deep", 1, 4);
+    let mut c = Client::connect(&socket);
+    let reply = c.roundtrip(&"[".repeat(20_000));
+    assert_eq!(code_of(&reply), "daemon.bad-request");
+    let message = reply.get("error").and_then(Value::as_str).unwrap_or_default();
+    assert!(message.contains("nesting deeper than 128"), "{message}");
+    assert_ok(&c.roundtrip("{\"op\":\"ping\"}"));
+    let opts = ExecOptions::new(4).serial_team(true).capture(&["a"]);
+    assert_eq!(remote_run(&mut c, &opts, false).0, local_run(&opts).0);
+    let stats = c.roundtrip("{\"op\":\"stats\"}");
+    assert_eq!(stats.get("bad_requests").and_then(Value::as_u64), Some(1));
+    handle.shutdown();
+    handle.join();
+}
+
+/// One cached program — its bytecode lowered once, at its first run —
+/// run ten times in a row and then two-by-two from two threads on pooled
+/// machines: every digest is a fresh compile-and-run's.
+#[test]
+fn one_program_shares_its_code_across_runs_and_threads() {
+    let (cache, pool) = (ProgramCache::new(), MachinePool::new());
+    let opts = ExecOptions::new(4).serial_team(true).capture(&["a", "b"]);
+    let (fresh, ..) = local_run(&opts);
+    let (program, _) = (cache.get_or_compile(&sources(), &OptConfig::default())).expect("compiles");
+    let run = || {
+        let mut pm = pool.acquire(&spec());
+        let out = program.run_on(&mut pm.machine, &opts).expect("runs");
+        pool.release(pm);
+        out.report.digest_json()
+    };
+    for _ in 0..10 {
+        assert_eq!(run(), fresh);
+    }
+    std::thread::scope(|s| {
+        let threads: Vec<_> = (0..2).map(|_| s.spawn(|| [run(), run()])).collect();
+        for t in threads {
+            assert_eq!(t.join().expect("runs"), [fresh.clone(), fresh.clone()]);
+        }
+    });
+    assert!(pool.stats().reused >= 10);
 }
 
 #[test]

@@ -8,10 +8,15 @@
 //!
 //! Control constructs that need runtime machinery the opcode stream
 //! cannot express — parallel regions, calls, redistribution, loop kernels —
-//! compile to one-word ops indexing side tables that keep references into
-//! the IR; their expression operands (loop bounds, call arguments) compile
-//! to out-of-line blocks terminated by [`Op::Halt`] that the VM runs on
-//! demand, preserving the interpreter's exact evaluation order.
+//! compile to one-word ops indexing side tables; their expression operands
+//! (loop bounds, call arguments) compile to out-of-line blocks terminated
+//! by [`Op::Halt`] that the VM runs on demand, preserving the
+//! interpreter's exact evaluation order.
+//!
+//! Lowered code holds no reference into the IR, so it can be kept beside
+//! its program and shared by every run of it (`super::CodeCache`): a side
+//! table names a subroutine by index and a loop by its [`loop_at`] path,
+//! both resolved through the `&Program` each run is handed.
 //!
 //! Statement-level static costs (barriers, hoisted [`Stmt::Overhead`]
 //! bookkeeping) and the statement count of each straight-line segment are
@@ -24,7 +29,6 @@ use dsm_ir::{
     ActualArg, AddrMode, BinOp, DistKind, Distribution, Expr, Intrinsic, LoopStmt, Param, Program,
     RtExpr, ScalarTy, Stmt, Subroutine, UnOp,
 };
-use dsm_machine::MachineConfig;
 
 use crate::value::Costs;
 
@@ -45,12 +49,14 @@ pub(crate) struct ListRef {
     pub len: u16,
 }
 
-// `ProgramCode::compile` lowers every subroutine of the program on every
-// run, called or not, so on `dsmd`'s 60 KB bodies the op stream's size is
-// request latency: a 24-byte `Op` (a `site: u32` on `Load`/`Store`) alone
-// took the `daemon_mix` benchmark from 3.2 to 2.2 kreq/s and its tail
-// from 1.7 to 3.7 ms.  New per-op state goes in a side table, or is keyed
-// by something the op already carries.
+// `ProgramCode::compile` lowers every subroutine of the program, called or
+// not, once per program and cost table, and the code stays resident while
+// the program does (a `dsmd` cache entry). So on `dsmd`'s 60 KB bodies the
+// op stream's size is first-request latency and cache memory: a 24-byte
+// `Op` (a `site: u32` on `Load`/`Store`) alone took the `daemon_mix`
+// benchmark, when it still lowered per request, from 3.2 to 2.2 kreq/s
+// and its tail from 1.7 to 3.7 ms.  New per-op state goes in a side
+// table, or is keyed by something the op already carries.
 const _: () = assert!(std::mem::size_of::<Op>() == 16);
 
 /// One opcode.
@@ -167,8 +173,9 @@ pub(crate) struct ExprBlock {
 
 /// Side table of one doacross.
 #[derive(Debug)]
-pub(crate) struct ParLoop<'p> {
-    pub l: &'p LoopStmt,
+pub(crate) struct ParLoop {
+    /// The loop statement's [`loop_at`] path in its subroutine.
+    pub path: Box<[u32]>,
     pub lb: ExprBlock,
     pub ub: ExprBlock,
     pub step: ExprBlock,
@@ -202,11 +209,10 @@ pub(crate) enum ArgCode {
 
 /// Side table of one call site.
 #[derive(Debug)]
-pub(crate) struct CallCode<'p> {
-    pub name: &'p str,
-    /// Resolved callee index (`None` → `UnknownSubroutine` at
-    /// execution, as the interpreter).
-    pub callee: Option<usize>,
+pub(crate) struct CallCode {
+    /// Resolved callee index, or the name of a subroutine the program
+    /// lacks (`UnknownSubroutine` at execution, as the interpreter).
+    pub callee: Result<usize, Box<str>>,
     /// Arguments up to the first kind mismatch (the interpreter
     /// processes — and charges — the preceding arguments before
     /// erroring).
@@ -217,8 +223,11 @@ pub(crate) struct CallCode<'p> {
 
 /// Side table of one kernel-shaped serial loop ([`kernel_shaped`]).
 #[derive(Debug)]
-pub(crate) struct KernelSite<'p> {
-    pub l: &'p LoopStmt,
+pub(crate) struct KernelSite {
+    /// The loop statement's [`loop_at`] path in its subroutine.
+    pub path: Box<[u32]>,
+    /// The loop variable.
+    pub var: Reg,
     pub lb: Reg,
     pub ub: Reg,
     pub step: Reg,
@@ -226,16 +235,18 @@ pub(crate) struct KernelSite<'p> {
     /// entries of the body's reference sites: the kernel's cursors — the
     /// same references — keep their tile hints there.
     pub sites: std::ops::Range<u32>,
-    /// Built at the loop's first execution, not at lowering: lowering is
-    /// per request and most loops of a large program never run.
+    /// Built at the loop's first execution, not at lowering: most loops of
+    /// a large program never run. The code is kept across runs, so the
+    /// kernel one run builds serves every later one.
     kernel: OnceLock<Result<Kernel, &'static str>>,
 }
 
-impl KernelSite<'_> {
-    /// The loop's kernel, or why it has none.
+impl KernelSite {
+    /// The loop's kernel, or why it has none; `sub` is the subroutine the
+    /// site was lowered from.
     pub fn kernel(&self, sub: &Subroutine, costs: &Costs) -> Result<&Kernel, &'static str> {
         let built = self.kernel.get_or_init(|| {
-            let k = Kernel::build(self.l, sub, costs)?;
+            let k = Kernel::build(loop_at(&sub.body, &self.path), sub, costs)?;
             if k.cursors.len() > self.sites.len() {
                 return Err("more cursors than reference sites");
             }
@@ -247,57 +258,62 @@ impl KernelSite<'_> {
 
 /// Side table of one redistribute statement.
 #[derive(Debug)]
-pub(crate) struct RedistCode<'p> {
+pub(crate) struct RedistCode {
     pub array: u16,
-    pub dist: &'p Distribution,
+    pub dist: Distribution,
 }
 
 /// One compiled subroutine.
 #[derive(Debug)]
-pub(crate) struct SubCode<'p> {
-    pub sub: &'p Subroutine,
+pub(crate) struct SubCode {
+    /// The subroutine's index in `program.subs`.
+    pub sub: usize,
     pub ops: Vec<Op>,
     pub pool: Vec<Reg>,
     /// Position of this subroutine's site 0 in the VM's hint table (the
     /// pool lengths of the subroutines before it).
     pub hint_base: usize,
     pub n_regs: usize,
-    pub par_loops: Vec<ParLoop<'p>>,
-    pub calls: Vec<CallCode<'p>>,
-    pub kernels: Vec<KernelSite<'p>>,
-    pub redists: Vec<RedistCode<'p>>,
+    pub par_loops: Vec<ParLoop>,
+    pub calls: Vec<CallCode>,
+    pub kernels: Vec<KernelSite>,
+    pub redists: Vec<RedistCode>,
     /// New team size of each `resize_team` statement, in program order.
     pub resizes: Vec<u64>,
 }
 
 /// The whole program, compiled (indexed like `program.subs`).
 #[derive(Debug)]
-pub(crate) struct ProgramCode<'p> {
-    pub subs: Vec<SubCode<'p>>,
+pub(crate) struct ProgramCode {
+    pub subs: Vec<SubCode>,
     /// Hint-table length: one entry per pool position of every
     /// subroutine.
     pub n_sites: usize,
+    /// The cost table baked into the stream and the kernels: the only
+    /// machine input lowering reads (the team size is *not* baked —
+    /// `resize_team` changes it mid-run, so team-dependent values stay
+    /// dynamic).
+    pub costs: Costs,
 }
 
-impl<'p> ProgramCode<'p> {
-    /// Lower every subroutine. Compilation is per-run: the cost table is
-    /// baked into the stream (the team size is *not* — `resize_team`
-    /// changes it mid-run, so team-dependent values stay dynamic).
-    pub fn compile(program: &'p Program, cfg: &MachineConfig) -> ProgramCode<'p> {
-        let costs = Costs::from_config(cfg);
+impl ProgramCode {
+    /// Lower every subroutine of `program` under the cost table `costs`.
+    pub fn compile(program: &Program, costs: Costs) -> ProgramCode {
         let mut n_sites = 0;
-        let subs = program
-            .subs
-            .iter()
-            .map(|s| {
-                let sc = SubCompiler::compile(s, program, costs, n_sites);
+        let subs = (program.subs.iter().enumerate())
+            .map(|(id, s)| {
+                let sc = SubCompiler::compile(id, s, program, costs, n_sites);
                 n_sites += sc.pool.len();
                 sc
             })
             .collect();
-        let code = ProgramCode { subs, n_sites };
+        let code = ProgramCode {
+            subs,
+            n_sites,
+            costs,
+        };
         if dump_ops() {
-            code.dump(&costs);
+            code.dump(program);
         }
         code
     }
@@ -305,9 +321,10 @@ impl<'p> ProgramCode<'p> {
     /// The `DSM_DUMP_OPS` listing: every subroutine's op stream and side
     /// tables, and every kernel-shaped loop's kernel — built here, for the
     /// listing — or the reason it only ever runs generically.
-    fn dump(&self, costs: &Costs) {
+    fn dump(&self, program: &Program) {
         for sc in &self.subs {
-            eprintln!("=== {} (n_regs {}) ===", sc.sub.name, sc.n_regs);
+            let sub = &program.subs[sc.sub];
+            eprintln!("=== {} (n_regs {}) ===", sub.name, sc.n_regs);
             for (pc, op) in sc.ops.iter().enumerate() {
                 eprintln!("{pc:4}: {op:?}");
             }
@@ -318,8 +335,11 @@ impl<'p> ProgramCode<'p> {
                 );
             }
             for (i, site) in sc.kernels.iter().enumerate() {
-                match site.kernel(sc.sub, costs) {
-                    Ok(k) => eprint!("kernel {i}: {}", k.listing(sc.sub, site.l)),
+                match site.kernel(sub, &self.costs) {
+                    Ok(k) => eprint!(
+                        "kernel {i}: {}",
+                        k.listing(sub, loop_at(&sub.body, &site.path))
+                    ),
                     Err(why) => eprintln!("kernel {i}: generic loop only: {why}"),
                 }
             }
@@ -327,8 +347,38 @@ impl<'p> ProgramCode<'p> {
     }
 }
 
-/// Whether `DSM_DUMP_OPS` is set, read once per process (lowering runs
-/// per request).
+/// The loop statement at `path` in a subroutine `body`. Each step of the
+/// path indexes one block: the subroutine's body first, then the body of
+/// the loop reached so far, or the `if` reached so far's then-branch
+/// followed by its else-branch.
+///
+/// # Panics
+///
+/// Panics unless `path` was recorded by lowering this same body.
+pub(crate) fn loop_at<'p>(body: &'p [Stmt], path: &[u32]) -> &'p LoopStmt {
+    let (&first, rest) = path.split_first().expect("a loop path is not empty");
+    let mut st = &body[first as usize];
+    for &i in rest {
+        let i = i as usize;
+        st = match st {
+            Stmt::Loop(l) => &l.body[i],
+            Stmt::If {
+                then_body,
+                else_body,
+                ..
+            } => then_body
+                .get(i)
+                .unwrap_or_else(|| &else_body[i - then_body.len()]),
+            _ => unreachable!("a loop path steps into a simple statement"),
+        };
+    }
+    match st {
+        Stmt::Loop(l) => l,
+        _ => unreachable!("a loop path ends at a statement that is not a loop"),
+    }
+}
+
+/// Whether `DSM_DUMP_OPS` is set, read once per process.
 fn dump_ops() -> bool {
     static ON: OnceLock<bool> = OnceLock::new();
     *ON.get_or_init(|| std::env::var_os("DSM_DUMP_OPS").is_some())
@@ -375,11 +425,13 @@ struct SubCompiler<'p> {
     costs: Costs,
     ops: Vec<Op>,
     pool: Vec<Reg>,
-    par_loops: Vec<ParLoop<'p>>,
-    calls: Vec<CallCode<'p>>,
-    kernels: Vec<KernelSite<'p>>,
-    redists: Vec<RedistCode<'p>>,
+    par_loops: Vec<ParLoop>,
+    calls: Vec<CallCode>,
+    kernels: Vec<KernelSite>,
+    redists: Vec<RedistCode>,
     resizes: Vec<u64>,
+    /// The [`loop_at`] path of the statement being compiled.
+    path: Vec<u32>,
     /// First temporary register (scalars + persistent loop registers).
     tmp_base: u16,
     /// Next temporary within the current statement.
@@ -393,11 +445,12 @@ struct SubCompiler<'p> {
 
 impl<'p> SubCompiler<'p> {
     fn compile(
+        id: usize,
         sub: &'p Subroutine,
         program: &'p Program,
         costs: Costs,
         hint_base: usize,
-    ) -> SubCode<'p> {
+    ) -> SubCode {
         // Pre-pass: every serial loop anywhere in the subroutine gets
         // four persistent registers (bounds survive across its body).
         let mut serial_loops = 0u32;
@@ -423,13 +476,14 @@ impl<'p> SubCompiler<'p> {
             kernels: Vec::new(),
             redists: Vec::new(),
             resizes: Vec::new(),
+            path: Vec::new(),
             tmp_base: tmp_base as u16,
             next_tmp: 0,
             max_tmp: 0,
             next_loop: 0,
             deferred: Vec::new(),
         };
-        c.block(&sub.body);
+        c.block(&sub.body, 0);
         c.ops.push(Op::Halt);
         while let Some(d) = c.deferred.pop() {
             c.emit_deferred(d);
@@ -437,7 +491,7 @@ impl<'p> SubCompiler<'p> {
         let n_regs = tmp_base + c.max_tmp as usize;
         assert!(n_regs <= u16::MAX as usize + 1, "register file overflow");
         SubCode {
-            sub,
+            sub: id,
             ops: c.ops,
             pool: c.pool,
             hint_base,
@@ -494,7 +548,10 @@ impl<'p> SubCompiler<'p> {
     /// would be broadcast to the whole team. Past that point each
     /// static cost is charged at its program position, matching the
     /// interpreter's placement exactly.
-    fn block(&mut self, body: &'p [Stmt]) {
+    ///
+    /// `first` is `body[0]`'s [`loop_at`] path step (an else-branch's
+    /// statements follow its then-branch's).
+    fn block(&mut self, body: &'p [Stmt], first: usize) {
         let compound = |st: &Stmt| {
             matches!(
                 st,
@@ -518,7 +575,9 @@ impl<'p> SubCompiler<'p> {
                     self.emit(Op::Charge { cycles, steps: 0 });
                 }
             }
+            self.path.push((first + i) as u32);
             self.stmt(st);
+            self.path.pop();
         }
     }
 
@@ -559,11 +618,11 @@ impl<'p> SubCompiler<'p> {
                     cond: c,
                     else_target: 0,
                 });
-                self.block(then_body);
+                self.block(then_body, 0);
                 let j = self.emit(Op::Jump { target: 0 });
                 let else_pc = self.here();
                 self.patch(br, else_pc);
-                self.block(else_body);
+                self.block(else_body, then_body.len());
                 let end = self.here();
                 self.patch(j, end);
             }
@@ -572,7 +631,7 @@ impl<'p> SubCompiler<'p> {
                 Some(_) => {
                     let idx = self.par_loops.len();
                     self.par_loops.push(ParLoop {
-                        l,
+                        path: self.path.as_slice().into(),
                         lb: ExprBlock::default(),
                         ub: ExprBlock::default(),
                         step: ExprBlock::default(),
@@ -605,7 +664,7 @@ impl<'p> SubCompiler<'p> {
                 let idx = self.redists.len();
                 self.redists.push(RedistCode {
                     array: array.0 as u16,
-                    dist,
+                    dist: dist.clone(),
                 });
                 self.emit(Op::Redist { idx: idx as u16 });
             }
@@ -637,7 +696,8 @@ impl<'p> SubCompiler<'p> {
             .flatten()
             .map(|idx| {
                 self.kernels.push(KernelSite {
-                    l,
+                    path: self.path.as_slice().into(),
+                    var: l.var.0 as Reg,
                     lb: lb_r,
                     ub: ub_r,
                     step: step_r,
@@ -656,7 +716,7 @@ impl<'p> SubCompiler<'p> {
         });
         let body_start = self.here();
         let first_site = self.pool.len() as u32;
-        self.block(&l.body);
+        self.block(&l.body, 0);
         self.emit(Op::LoopNext {
             var: l.var.0 as Reg,
             cur: cur_r,
@@ -768,8 +828,7 @@ impl<'p> SubCompiler<'p> {
         let ci = self.calls.len();
         let callee_id = self.program.sub_named(name).map(|s| s.0);
         self.calls.push(CallCode {
-            name,
-            callee: callee_id,
+            callee: callee_id.ok_or_else(|| name.into()),
             args: Vec::new(),
             fail: None,
         });
@@ -862,12 +921,14 @@ impl<'p> SubCompiler<'p> {
                 }
             }
             Deferred::Body { body, slot } => {
-                let pc = self.here();
-                self.block(body);
-                self.emit(Op::Halt);
                 let Slot::ParBody(i) = slot else {
                     unreachable!()
                 };
+                let pc = self.here();
+                self.path = self.par_loops[i].path.to_vec();
+                self.block(body, 0);
+                self.path.clear();
+                self.emit(Op::Halt);
                 self.par_loops[i].body_pc = pc;
             }
             Deferred::ExprList { exprs, slot } => {
@@ -892,6 +953,7 @@ impl<'p> SubCompiler<'p> {
 mod tests {
     use super::*;
     use dsm_compile::{compile_strings, OptConfig};
+    use dsm_machine::MachineConfig;
 
     fn compiled(src: &str) -> Program {
         compile_strings(&[("t.f", src)], &OptConfig::none())
@@ -899,10 +961,14 @@ mod tests {
             .program
     }
 
+    fn lowered(program: &Program) -> ProgramCode {
+        ProgramCode::compile(program, Costs::from_config(&MachineConfig::small_test(1)))
+    }
+
     #[test]
     fn literal_operands_ride_in_the_op() {
         let program = compiled("      program main\n      integer i\n      real*8 a(9), x\n      i = 3\n      x = 1.5\n      a(i - 1) = 0.5 * a(i) / 4 + (2 - i) * x\n      end\n");
-        let code = ProgramCode::compile(&program, &MachineConfig::small_test(1));
+        let code = lowered(&program);
         let ops = &code.subs[program.main].ops;
         let count = |pred: fn(&Op) -> bool| ops.iter().filter(|op| pred(op)).count();
         assert_eq!(count(|op| matches!(op, Op::BinRI { .. })), 2, "i - 1, … / 4");
@@ -920,7 +986,7 @@ mod tests {
     #[test]
     fn reference_sites_are_unique() {
         let program = compiled("      program main\n      integer i\n      real*8 a(9), b(9)\n      do i = 1, 9\n        a(i) = 1.0\n      enddo\n      do i = 1, 9\n        b(i) = a(i)\n      enddo\n      call s(a(3), b)\n      a(1) = max(a(2), b(2)) + a(2)\n      end\n      subroutine s(x, y)\n      real*8 x(2), y(9)\n      x(1) = y(1) + x(2)\n      end\n");
-        let code = ProgramCode::compile(&program, &MachineConfig::small_test(1));
+        let code = lowered(&program);
         let mut sites = Vec::new();
         for sc in &code.subs {
             let mut local = Vec::new();
@@ -957,24 +1023,38 @@ mod tests {
     #[test]
     fn kernels_build_lazily_or_refuse_with_a_reason() {
         let program = compiled("      program main\n      integer i, n\n      real*8 a(9), b(9), x\n      n = 3\n      do i = 2, 8\n        x = b(i - 1) + b(i + 1)\n        a(i) = x * 0.5 + b(i - 1)\n      enddo\n      do i = 1, 9\n        a(i) = i / n\n      enddo\n      do i = 1, 9\n        a(i) = 2.5 * n\n      enddo\n      end\n");
-        let cfg = MachineConfig::small_test(1);
-        let costs = Costs::from_config(&cfg);
-        let code = ProgramCode::compile(&program, &cfg);
-        let sc = &code.subs[program.main];
+        let code = lowered(&program);
+        let (sc, sub, costs) = (&code.subs[program.main], program.main_sub(), code.costs);
         let [stencil, division, fill] = sc.kernels.as_slice() else {
             panic!("three kernel-shaped loops, got {}", sc.kernels.len());
         };
-        let k = stencil.kernel(sc.sub, &costs).expect("a stencil is a kernel");
+        let k = stencil.kernel(sub, &costs).expect("a stencil is a kernel");
         assert_eq!(k.cursors.len(), 3, "b(i-1) twice is one cursor");
         assert_eq!((k.steps, k.fill), (2, false));
         let io: Vec<_> = k.scalars.iter().map(|s| (s.input, s.output)).collect();
         assert_eq!(io, [(false, true)], "x is assigned before it is read");
         assert_eq!(
-            division.kernel(sc.sub, &costs).err(),
+            division.kernel(sub, &costs).err(),
             Some("the body can divide by zero")
         );
-        let k = fill.kernel(sc.sub, &costs).expect("a fill is a kernel");
+        let k = fill.kernel(sub, &costs).expect("a fill is a kernel");
         assert!(k.fill && k.cursors.len() == 1);
         assert!(matches!(k.scalars[..], [s] if s.input && !s.output), "n is only read");
+    }
+
+    /// Every loop a side table names resolves, through its path, to that
+    /// loop: inside either branch of an `if`, inside a serial loop, and
+    /// inside a region body lowered out of line.
+    #[test]
+    fn loop_paths_find_their_loops() {
+        let program = compiled("      program main\n      integer i, j, k, n\n      real*8 a(9), b(9)\n      n = 3\n      if (n .gt. 2) then\n        do i = 1, 9\n          a(i) = 1.0\n        enddo\n      else\n        n = 4\n        do j = 1, 9\n          b(j) = 2.0\n        enddo\n      endif\n      do k = 1, 2\nc$doacross local(i, j)\n        do i = 1, 9\n          do j = 1, 9\n            a(j) = b(j) + i\n          enddo\n        enddo\n      enddo\n      end\n");
+        let (code, main) = (lowered(&program), program.main_sub());
+        let sc = &code.subs[program.main];
+        let var = |path: &[u32]| main.scalars[loop_at(&main.body, path).var.0].name.clone();
+        let kernels: Vec<_> = sc.kernels.iter().map(|k| var(&k.path)).collect();
+        assert_eq!(kernels, ["i", "j", "j"], "then-branch, else-branch, region body");
+        assert!(sc.kernels.iter().all(|k| var(&k.path) == main.scalars[k.var as usize].name));
+        let regions: Vec<_> = sc.par_loops.iter().map(|p| var(&p.path)).collect();
+        assert_eq!(regions, ["i"]);
     }
 }

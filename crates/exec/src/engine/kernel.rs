@@ -16,8 +16,9 @@
 //!   element) still does.
 //!
 //! A kernel is built from the IR at its loop's first execution
-//! ([`super::code::KernelSite`]), not when the program is lowered: lowering
-//! happens per request and most subroutines of a large program never run.
+//! ([`super::code::KernelSite`]), not when the program is lowered: most
+//! subroutines of a large program never run. Lowered code is kept across
+//! a program's runs, so the kernel its first entry builds serves them all.
 //! The build refuses — with the reason, which `DSM_DUMP_OPS` prints —
 //! whatever the straight-line form cannot reproduce exactly: an index that
 //! is not affine, a body that can fault (integer division), a value whose

@@ -1,11 +1,13 @@
 //! The compiled bytecode execution engine.
 //!
-//! [`crate::run_outcome`] lowers the post-pipeline IR to a flat,
-//! register-based opcode stream once per run (`code`), interns every
-//! array's address polynomial in a `plan::PlanCache`, and executes the
-//! stream on a small virtual machine (`vm`) that feeds the same
-//! simulated machine model as the tree-walking interpreter — access for
-//! access, charge for charge.  The interpreter survives as
+//! The engine lowers the post-pipeline IR to a flat, register-based
+//! opcode stream (`code`) — once per program and cost table when the
+//! caller keeps a [`CodeCache`] beside the program
+//! ([`crate::run_outcome_with`]), once per run otherwise — interns every
+//! array's address polynomial in a per-run `plan::PlanCache`, and
+//! executes the stream on a small virtual machine (`vm`) that feeds the
+//! same simulated machine model as the tree-walking interpreter — access
+//! for access, charge for charge.  The interpreter survives as
 //! [`Engine::Interp`], the differential reference: both engines produce
 //! bit-identical captures and identical hardware counters.
 //!
@@ -19,7 +21,24 @@ mod kernel;
 mod plan;
 mod vm;
 
+use std::sync::OnceLock;
+
 pub(crate) use vm::run_bytecode;
+
+/// A program's lowered bytecode, kept beside the program for every later
+/// run of it — the compile-once, run-many split of the paper's toolchain.
+///
+/// Lowering reads one machine input, the cost table. The first bytecode
+/// run through the cache lowers under its machine's table and keeps the
+/// code; every later run under the same table shares the op streams, side
+/// tables and lazily built loop kernels, while address plans, tile hints
+/// and kernel registers stay private to each run. A run under a different
+/// table lowers privately and discards its code, as an uncached run does.
+///
+/// A cache belongs to one program: hand it only to runs of the
+/// [`dsm_ir::Program`] it first ran with.
+#[derive(Debug, Default)]
+pub struct CodeCache(OnceLock<code::ProgramCode>);
 
 /// Which executor runs the program (see [`crate::ExecOptions::engine`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]

@@ -40,7 +40,7 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use dsm_ir::{AddrMode, BinOp, Program};
+use dsm_ir::{AddrMode, BinOp, Program, Subroutine};
 use dsm_machine::{AccessKind, AccessRun, AccessTag, ProcId};
 use dsm_runtime::MAX_RANK;
 
@@ -49,23 +49,36 @@ use crate::team::{self, CallBinding, Ctx, LoopSite, Port, RunState, Stream};
 use crate::value::{bin_op, intrinsic, un_op, Costs, Frame, Value};
 use crate::{ExecError, ExecOptions};
 
-use super::code::{ArgCode, KernelSite, ListRef, Op, ParLoop, ProgramCode, Reg, SubCode};
+use super::code::{loop_at, ArgCode, KernelSite, ListRef, Op, ParLoop, ProgramCode, Reg, SubCode};
 use super::kernel::{mode_charge, needs_slot, value, AffVar, Cursor, CursorCode, Kernel, MOp};
 use super::plan::{AddrPlan, PlanCache};
+use super::CodeCache;
 
 /// Run `program` as compiled bytecode (the [`crate::Engine::Bytecode`]
-/// path behind [`crate::run_outcome`]).
+/// path behind [`crate::run_outcome_with`]): on the code `cache` keeps
+/// when it was lowered under this machine's cost table — lowering it now
+/// if the cache is empty — and on privately lowered code otherwise.
 pub(crate) fn run_bytecode(
     machine: &mut dsm_machine::Machine,
     program: &Program,
     opts: &ExecOptions,
+    cache: &CodeCache,
 ) -> Result<RunOutcome, ExecError> {
-    let code = ProgramCode::compile(program, machine.config());
+    let costs = Costs::from_config(machine.config());
+    let private;
+    let code = match cache.0.get_or_init(|| ProgramCode::compile(program, costs)) {
+        kept if kept.costs == costs => kept,
+        _ => {
+            private = ProgramCode::compile(program, costs);
+            &private
+        }
+    };
     let main_sc = &code.subs[program.main];
     let mut frame = Frame::new(program.main_sub());
     frame.scalars.resize(main_sc.n_regs, Value::I(0));
     let eng = Bytecode {
-        code: &code,
+        program,
+        code,
         plans: Arc::new(PlanCache::new()),
         hints: vec![0; code.n_sites],
         pending: 0,
@@ -81,8 +94,10 @@ pub(crate) fn run_bytecode(
 }
 
 /// The VM's private state.
-struct Bytecode<'a, 'p> {
-    code: &'a ProgramCode<'p>,
+struct Bytecode<'a> {
+    /// The program `code` was lowered from, which its side tables index.
+    program: &'a Program,
+    code: &'a ProgramCode,
     /// Interned address plans. Team members share the top-level VM's
     /// cache read-only (their bodies never bind or redistribute), so only
     /// the top level — sole owner between regions — ever mutates it.
@@ -105,10 +120,10 @@ struct Bytecode<'a, 'p> {
 
 /// A doacross as the VM sees it: the enclosing subroutine's code and the
 /// loop's side table.
-type ParHandle<'a, 'p> = (&'a SubCode<'p>, &'a ParLoop<'p>);
+type ParHandle<'a> = (&'a SubCode, &'a ParLoop);
 
-impl<'a, 'p> team::Engine for Bytecode<'a, 'p> {
-    type Handle = ParHandle<'a, 'p>;
+impl<'a> team::Engine for Bytecode<'a> {
+    type Handle = ParHandle<'a>;
 
     /// Each result register is read immediately after its block runs:
     /// the three blocks share scratch registers.
@@ -149,6 +164,7 @@ impl<'a, 'p> team::Engine for Bytecode<'a, 'p> {
 
     fn spawn_member(&self) -> Self {
         Bytecode {
+            program: self.program,
             code: self.code,
             plans: Arc::clone(&self.plans),
             hints: self.hints.clone(),
@@ -173,7 +189,7 @@ impl<'a, 'p> team::Engine for Bytecode<'a, 'p> {
 
 /// The integer values of the index registers in operand list `idx`.
 #[inline]
-fn index_values(sc: &SubCode<'_>, idx: ListRef, frame: &Frame) -> [i64; MAX_RANK] {
+fn index_values(sc: &SubCode, idx: ListRef, frame: &Frame) -> [i64; MAX_RANK] {
     let regs = &sc.pool[idx.start as usize..][..idx.len as usize];
     let mut vals = [0i64; MAX_RANK];
     for (v, &r) in vals.iter_mut().zip(regs) {
@@ -182,14 +198,20 @@ fn index_values(sc: &SubCode<'_>, idx: ListRef, frame: &Frame) -> [i64; MAX_RANK
     vals
 }
 
-impl Bytecode<'_, '_> {
+impl<'a> Bytecode<'a> {
     /// The plan cache, for mutation (top-level VM only).
     fn plans_mut(&mut self) -> &mut PlanCache {
         Arc::get_mut(&mut self.plans).expect("plan mutation inside a parallel member")
     }
+
+    /// The subroutine `sc` was lowered from.
+    #[inline]
+    fn sub(&self, sc: &SubCode) -> &'a Subroutine {
+        &self.program.subs[sc.sub]
+    }
 }
 
-impl<'a, 'p> RunState<'_, Bytecode<'a, 'p>> {
+impl<'a> RunState<'_, Bytecode<'a>> {
     /// Intern plans for the instances bound since the last sync.
     fn sync_plans(&mut self) {
         let RunState { binder, eng, .. } = self;
@@ -230,7 +252,7 @@ impl<'a, 'p> RunState<'_, Bytecode<'a, 'p>> {
     /// Execute from `entry` until the block's `Halt`.
     fn run_block(
         &mut self,
-        sc: &'a SubCode<'p>,
+        sc: &'a SubCode,
         entry: u32,
         frame: &mut Frame,
         ctx: &mut Ctx,
@@ -407,9 +429,10 @@ impl<'a, 'p> RunState<'_, Bytecode<'a, 'p>> {
                 }
                 Op::Fork { idx } => {
                     let pl = &sc.par_loops[idx as usize];
+                    let sub = self.eng.sub(sc);
                     let site = LoopSite {
-                        l: pl.l,
-                        sub: sc.sub,
+                        l: loop_at(&sub.body, &pl.path),
+                        sub,
                         h: (sc, pl),
                     };
                     self.doacross(site, frame, ctx)?;
@@ -419,7 +442,7 @@ impl<'a, 'p> RunState<'_, Bytecode<'a, 'p>> {
                 }
                 Op::Redist { idx } => {
                     let rc = &sc.redists[idx as usize];
-                    self.redistribute(frame.arrays[rc.array as usize], rc.dist, ctx.proc)?;
+                    self.redistribute(frame.arrays[rc.array as usize], &rc.dist, ctx.proc)?;
                 }
                 Op::Resize { idx } => {
                     self.resize_team(sc.resizes[idx as usize] as usize, ctx.proc)?;
@@ -438,7 +461,7 @@ impl<'a, 'p> RunState<'_, Bytecode<'a, 'p>> {
     /// The plan and tile hint of reference `site` of `sc`, bound to
     /// instance `inst`.
     #[inline]
-    fn site(&mut self, sc: &SubCode<'_>, site: u32, inst: usize) -> (&AddrPlan, &mut u8) {
+    fn site(&mut self, sc: &SubCode, site: u32, inst: usize) -> (&AddrPlan, &mut u8) {
         let eng = &mut self.eng;
         let plan = eng.plans.get(inst);
         debug_assert!(plan.is_for(self.binder.get(inst)), "stale address plan");
@@ -452,7 +475,7 @@ impl<'a, 'p> RunState<'_, Bytecode<'a, 'p>> {
     #[inline]
     fn elem_addr(
         &mut self,
-        sc: &'a SubCode<'p>,
+        sc: &'a SubCode,
         array: u16,
         idx: ListRef,
         mode: AddrMode,
@@ -460,10 +483,11 @@ impl<'a, 'p> RunState<'_, Bytecode<'a, 'p>> {
         ctx: &Ctx,
     ) -> Result<u64, ExecError> {
         let vals = &index_values(sc, idx, frame)[..idx.len as usize];
+        let program = self.eng.program;
         let (plan, hint) = self.site(sc, idx.start, frame.arrays[array as usize]);
         let Some((addr, slot)) = plan.locate(vals, hint) else {
             return Err(ExecError::OutOfBounds {
-                array: sc.sub.arrays[array as usize].name.clone(),
+                array: program.subs[sc.sub].arrays[array as usize].name.clone(),
                 indices: vals.to_vec(),
                 extents: plan.desc.extents(),
             });
@@ -494,12 +518,12 @@ impl<'a, 'p> RunState<'_, Bytecode<'a, 'p>> {
     /// was executed or charged, take the generic loop.
     fn kernel_exec(
         &mut self,
-        sc: &'a SubCode<'p>,
-        site: &KernelSite<'p>,
+        sc: &'a SubCode,
+        site: &KernelSite,
         frame: &mut Frame,
         ctx: &Ctx,
     ) -> bool {
-        let Ok(k) = site.kernel(sc.sub, &self.costs) else {
+        let Ok(k) = site.kernel(self.eng.sub(sc), &self.eng.code.costs) else {
             return false;
         };
         let lb = frame.scalars[site.lb as usize].as_i();
@@ -603,7 +627,7 @@ impl<'a, 'p> RunState<'_, Bytecode<'a, 'p>> {
         }
         // The loop variable holds the last executed iteration's value
         // (the body never writes it).
-        frame.scalars[site.l.var.0] = Value::I(last);
+        frame.scalars[site.var as usize] = Value::I(last);
         true
     }
 
@@ -614,18 +638,18 @@ impl<'a, 'p> RunState<'_, Bytecode<'a, 'p>> {
     /// The `CallSub` opcode.
     fn exec_call(
         &mut self,
-        sc: &'a SubCode<'p>,
+        sc: &'a SubCode,
         idx: u16,
         frame: &mut Frame,
         ctx: &mut Ctx,
     ) -> Result<(), ExecError> {
-        let code = self.eng.code;
+        let (program, code) = (self.eng.program, self.eng.code);
         let cc = &sc.calls[idx as usize];
-        let Some(callee_idx) = cc.callee else {
-            return Err(ExecError::UnknownSubroutine(cc.name.to_string()));
+        let callee_idx = match &cc.callee {
+            Ok(callee) => *callee,
+            Err(name) => return Err(ExecError::UnknownSubroutine(name.to_string())),
         };
-        let callee_sc = &code.subs[callee_idx];
-        let callee = callee_sc.sub;
+        let (callee_sc, callee) = (&code.subs[callee_idx], &program.subs[callee_idx]);
         // Binding and entry checks allocate and move data through the
         // machine; bring this processor's clock current first.
         self.flush(ctx.proc);
@@ -766,9 +790,14 @@ mod tests {
     use std::cell::Cell;
 
     use dsm_compile::{compile_strings, OptConfig};
-    use dsm_machine::{Machine, MachineConfig, MigrationPolicy, SamplingConfig};
+    use dsm_ir::Program;
+    use dsm_machine::{
+        CounterSet, Machine, MachineConfig, MigrationPolicy, ProcId, SamplingConfig,
+    };
 
-    use crate::{run_outcome, ExecError, ExecOptions};
+    use super::CodeCache;
+    use crate::value::Costs;
+    use crate::{run_outcome_with, ExecError, ExecOptions};
 
     thread_local! {
         /// Entries of kernel-shaped loops on this thread: (run as a
@@ -795,16 +824,33 @@ mod tests {
         body: &str,
         opts: ExecOptions,
     ) -> ((u64, u64), Result<(), ExecError>) {
+        let (entries, result, _) = run(&program(level, decls, body), &opts, &CodeCache::default());
+        (entries, result)
+    }
+
+    /// `decls` + `body` after `n = 3`, compiled.
+    fn program(level: &OptConfig, decls: &str, body: &str) -> Program {
         let src = format!(
             "      program main\n      integer i, j, n\n      real*8 a(64), b(64), x\n{decls}      n = 3\n{body}      end\n"
         );
-        let program = compile_strings(&[("t.f", &src)], level)
+        compile_strings(&[("t.f", &src)], level)
             .expect("compiles")
-            .program;
+            .program
+    }
+
+    /// Run `program` on one host thread of a fresh `small_test(4)`
+    /// machine through `cache`: how its kernel-shaped loop entries went,
+    /// how the run ended, and the machine's counters however it ended.
+    fn run(
+        program: &Program,
+        opts: &ExecOptions,
+        cache: &CodeCache,
+    ) -> ((u64, u64), Result<(), ExecError>, Vec<CounterSet>) {
         let mut m = Machine::new(MachineConfig::small_test(4));
         ENTRIES.set((0, 0));
-        let result = run_outcome(&mut m, &program, &opts.serial_team(true));
-        (ENTRIES.get(), result.map(|_| ()))
+        let result = run_outcome_with(&mut m, program, &opts.clone().serial_team(true), cache);
+        let counters = (0..m.nprocs()).map(|p| *m.counters(ProcId(p))).collect();
+        (ENTRIES.get(), result.map(|_| ()), counters)
     }
 
     const STENCIL: &str = "      do i = 2, 63\n        a(i) = b(i-1) + b(i+1)\n      enddo\n";
@@ -878,5 +924,55 @@ mod tests {
     fn a_scalar_of_the_wrong_runtime_type_refuses_the_kernel() {
         let body = "      do x = 1, 2\n        a(1) = 0.0\n      enddo\n      do i = 1, 4\n        a(i) = x + 0.5\n      enddo\n      x = 2.0\n      do i = 1, 4\n        a(i) = x + 0.5\n      enddo\n";
         assert_eq!(entries("", body, ExecOptions::new(4)), ((2, 1), Ok(())));
+    }
+
+    /// Kept code aborts on a step budget exactly where fresh code does,
+    /// run after run — the budget short of a loop whose kernel is taken
+    /// and of one whose kernel is refused, both mid-loop and one statement
+    /// short — and fits the whole program as fresh code does.
+    #[test]
+    fn kept_code_keeps_the_step_limit_abort_points() {
+        let div = "      do i = 1, 64\n        a(i) = i / n\n      enddo\n";
+        for (body, total, kernels) in [(STENCIL, 2 + 62, (1, 0)), (div, 2 + 64, (0, 1))] {
+            let program = program(&OptConfig::default(), "", body);
+            let cache = CodeCache::default();
+            for steps in [total / 2, total - 1, total] {
+                let opts = ExecOptions::new(4).max_steps(steps);
+                let fresh = run(&program, &opts, &CodeCache::default());
+                assert_eq!(fresh.1.is_ok(), steps == total);
+                if steps == total {
+                    assert_eq!(fresh.0, kernels);
+                }
+                for _ in 0..3 {
+                    assert_eq!(run(&program, &opts, &cache), fresh, "{steps} steps");
+                }
+            }
+        }
+    }
+
+    /// Kept code belongs to the cost table it was lowered under: a run
+    /// under another table lowers its own, leaves the kept code alone,
+    /// and reports what a run on fresh code reports.
+    #[test]
+    fn a_second_cost_table_lowers_its_own_code() {
+        let program = program(&OptConfig::default(), "", STENCIL);
+        let cheap = MachineConfig::small_test(4);
+        let mut dear = cheap.clone();
+        dear.ops.fp_alu += 3;
+        dear.ops.loop_overhead += 1;
+        let opts = ExecOptions::new(4).serial_team(true).capture(&["a"]);
+        let digest = |cfg: &MachineConfig, cache: &CodeCache| {
+            let mut m = Machine::new(cfg.clone());
+            let out = run_outcome_with(&mut m, &program, &opts, cache).expect("runs");
+            (out.report.digest_json(), out.captures)
+        };
+        let fresh = |cfg| digest(cfg, &CodeCache::default());
+        assert_ne!(fresh(&cheap).0, fresh(&dear).0);
+        let cache = CodeCache::default();
+        for cfg in [&cheap, &dear, &cheap, &dear] {
+            assert_eq!(digest(cfg, &cache), fresh(cfg));
+        }
+        let kept = cache.0.get().map(|code| code.costs);
+        assert_eq!(kept, Some(Costs::from_config(&cheap)));
     }
 }

@@ -16,7 +16,7 @@ use dsm_ir::{
 use dsm_machine::{AccessKind, AccessTag, Machine, MigrationPolicy, ProcId, SamplingConfig};
 use dsm_runtime::RuntimeError;
 
-use crate::engine::Engine;
+use crate::engine::{CodeCache, Engine};
 use crate::report::RunOutcome;
 use crate::team::{self, CallBinding, Ctx, LoopSite, RunState};
 use crate::value::{bin_op, intrinsic, un_op, Frame, Value};
@@ -299,8 +299,25 @@ pub fn run_outcome(
     program: &Program,
     opts: &ExecOptions,
 ) -> Result<RunOutcome, ExecError> {
+    run_outcome_with(machine, program, opts, &CodeCache::default())
+}
+
+/// [`run_outcome`] for a program that runs many times: the bytecode
+/// engine runs on the code `cache` keeps for `program`, lowering it at
+/// the first run that needs it (see [`CodeCache`]). The outcome is the
+/// one [`run_outcome`] produces.
+///
+/// # Errors
+///
+/// As [`run_outcome`].
+pub fn run_outcome_with(
+    machine: &mut Machine,
+    program: &Program,
+    opts: &ExecOptions,
+    cache: &CodeCache,
+) -> Result<RunOutcome, ExecError> {
     match opts.engine {
-        Engine::Bytecode => crate::engine::run_bytecode(machine, program, opts),
+        Engine::Bytecode => crate::engine::run_bytecode(machine, program, opts, cache),
         Engine::Interp => run_interp(machine, program, opts),
     }
 }

@@ -28,8 +28,8 @@ mod team;
 pub mod value;
 pub mod wire;
 
-pub use engine::Engine;
-pub use interp::{run_outcome, ExecError, ExecOptions, RedistMode};
+pub use engine::{CodeCache, Engine};
+pub use interp::{run_outcome, run_outcome_with, ExecError, ExecOptions, RedistMode};
 pub use profile::{
     ArrayProfile, CellProfile, DimSuggestion, HintEvidence, HotPage, PlacementHint, Profile,
     RegionProfile,

@@ -62,7 +62,7 @@ impl Value {
 }
 
 /// Per-run operation costs, baked once from the machine configuration.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Costs {
     pub(crate) int_alu: u64,
     pub(crate) int_mul: u64,

@@ -30,22 +30,39 @@ use crate::interp::ExecOptions;
 use crate::report::{RunOutcome, RunReport};
 use dsm_machine::{CounterSet, SamplingSummary};
 
-/// Append `s` as a JSON string literal (quotes and escapes included).
+/// Append `s` as a JSON string literal (quotes and escapes included):
+/// `"` and `\` backslash-escaped, `\n`, `\r` and `\t` by name, every
+/// other control character as `\u00xx`, everything else verbatim.
+///
+/// Works by runs: every byte that needs an escape is ASCII, so the bytes
+/// between two of them are a valid `str` slice, appended whole (a 60 KB
+/// program text is a few hundred runs, not 60 000 pushes).
 pub fn push_json_str(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.reserve(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let named = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x20.. => continue,
+            _ => "", // any other control character: `\u00xx`, below
+        };
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        if named.is_empty() {
+            out.push_str("\\u00");
+            out.push(char::from(HEX[usize::from(b >> 4)]));
+            out.push(char::from(HEX[usize::from(b & 0xf)]));
+        } else {
+            out.push_str(named);
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 

@@ -146,18 +146,24 @@ impl Value {
 /// JSON.
 pub use dsm_exec::wire::push_json_str as write_json_str;
 
+/// Deepest nesting of arrays and objects [`parse`] accepts. The parser
+/// is recursive descent, one host stack frame per level; a request line
+/// of 20 000 `[` used to overflow the daemon's stack and abort it. No
+/// document of the protocol nests deeper than 5.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse one JSON document, requiring it to span the whole input
 /// (trailing whitespace allowed).
 ///
 /// # Errors
 ///
-/// Returns a byte offset and description on malformed input.
+/// Returns a byte offset and description on malformed input, and on
+/// arrays and objects nested deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Value, String> {
-    let bytes = text.as_bytes();
     let mut pos = 0;
-    let v = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
+    let v = parse_value(text, &mut pos, 0)?;
+    skip_ws(text.as_bytes(), &mut pos);
+    if pos != text.len() {
         return Err(format!("trailing garbage at byte {pos}"));
     }
     Ok(v)
@@ -178,14 +184,20 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+/// The value at `*pos` of `text`, itself nested `depth` arrays and
+/// objects deep.
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Value, String> {
+    let b = text.as_bytes();
     skip_ws(b, pos);
+    if matches!(b.get(*pos), Some(b'[' | b'{')) && depth == MAX_DEPTH {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"));
+    }
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'n') => parse_lit(b, pos, "null", Value::Null),
         Some(b't') => parse_lit(b, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Value::Bool(false)),
-        Some(b'"') => Ok(Value::Str(parse_string(b, pos)?)),
+        Some(b'"') => Ok(Value::Str(parse_string(text, pos)?)),
         Some(b'[') => {
             *pos += 1;
             let mut items = Vec::new();
@@ -195,7 +207,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
                 return Ok(Value::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(text, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -217,10 +229,10 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
             }
             loop {
                 skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
+                let key = parse_string(text, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, b':')?;
-                let val = parse_value(b, pos)?;
+                let val = parse_value(text, pos, depth + 1)?;
                 members.push((key, val));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -241,7 +253,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
             {
                 *pos += 1;
             }
-            let lit = std::str::from_utf8(&b[start..*pos]).expect("digits are ASCII");
+            let lit = &text[start..*pos];
             // Validate: every number literal must parse as f64 (u64-range
             // integers also pass; they are converted from the text later).
             if lit.parse::<f64>().is_err() && lit.parse::<u64>().is_err() {
@@ -262,7 +274,8 @@ fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Value) -> Result<Value, St
     }
 }
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
+    let b = text.as_bytes();
     expect(b, pos, b'"')?;
     let mut s = String::new();
     loop {
@@ -305,17 +318,14 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
             }
             Some(_) => {
                 // Consume a maximal run of unescaped bytes and append it
-                // with one UTF-8 validation. (`"` and `\` can never occur
-                // inside a multi-byte sequence, so scanning raw bytes is
-                // safe; validating per character would rescan the whole
-                // tail each time and go quadratic on large payloads.)
+                // whole. `"` and `\` are ASCII and never occur inside a
+                // multi-byte sequence, so the run starts and ends on
+                // character boundaries of `text`, which is already UTF-8.
                 let start = *pos;
                 while *pos < b.len() && b[*pos] != b'"' && b[*pos] != b'\\' {
                     *pos += 1;
                 }
-                let run = std::str::from_utf8(&b[start..*pos])
-                    .map_err(|_| format!("invalid UTF-8 at byte {start}"))?;
-                s.push_str(run);
+                s.push_str(&text[start..*pos]);
             }
         }
     }
@@ -374,5 +384,57 @@ mod tests {
     fn object_lookup_ignores_non_objects() {
         assert_eq!(parse("[1]").unwrap().get("x"), None);
         assert!(parse("{}").unwrap().get("x").is_none());
+    }
+
+    /// Nesting is refused past `MAX_DEPTH` with an error, never a stack
+    /// overflow, and accepted up to it.
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |open: &str, close: &str, n| format!("{}1{}", open.repeat(n), close.repeat(n));
+        assert!(parse(&nested("[", "]", MAX_DEPTH)).is_ok());
+        assert!(parse(&nested("{\"k\":", "}", MAX_DEPTH)).is_ok());
+        for line in [
+            nested("[", "]", MAX_DEPTH + 1),
+            nested("{\"k\":", "}", MAX_DEPTH + 1),
+            "[".repeat(20_000),
+        ] {
+            let e = parse(&line).expect_err("too deep");
+            assert!(e.starts_with("nesting deeper than 128"), "{e}");
+        }
+    }
+
+    /// The char-by-char writer the run-based one replaced, kept as its
+    /// oracle.
+    fn write_by_char(out: &mut String, s: &str) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    proptest::proptest! {
+        /// Control characters, quotes, backslashes and one- to four-byte
+        /// characters: the writer's bytes are the oracle's, and the parser
+        /// reads back the string written.
+        #[test]
+        fn strings_write_as_before_and_read_back(
+            s in "[\u{0}-\u{7f}\u{7f}-\u{a0}é€中😀]{0,64}",
+            prefix in "[a-z\"]{0,3}",
+        ) {
+            let (mut new, mut old) = (prefix.clone(), prefix.clone());
+            write_json_str(&mut new, &s);
+            write_by_char(&mut old, &s);
+            proptest::prop_assert_eq!(&new, &old);
+            proptest::prop_assert_eq!(parse(&new[prefix.len()..]), Ok(Value::Str(s)));
+        }
     }
 }
