@@ -357,7 +357,6 @@ fn profile_plan(plan: &Plan, an: &Analysis, cfg: &AdvisorConfig) -> Option<Box<P
     let compiled = dsm_compile::compile_sources(&annotated, &cfg.opt).ok()?;
     let mut machine = Machine::new(MachineConfig::scaled_origin2000(cfg.nprocs, cfg.scale));
     let opts = dsm_exec::ExecOptions::new(cfg.nprocs)
-        .serial_team(true)
         .profile(true)
         .max_steps(cfg.max_steps);
     dsm_exec::run_outcome(&mut machine, &compiled.program, &opts)

@@ -10,9 +10,8 @@
 //! captured arrays bit-for-bit or they are rejected outright — the
 //! planner never trades correctness for cycles.
 //!
-//! All candidate runs use `serial_team` mode, which is cycle-exact and
-//! deterministic, so "fewer total cycles" is a meaningful comparison
-//! rather than host-scheduling noise.
+//! Every candidate run is cycle-exact and deterministic, so "fewer total
+//! cycles" is a meaningful comparison rather than host-scheduling noise.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -95,7 +94,6 @@ impl Ctx<'_> {
         let mut machine = Machine::new(self.machine());
         let names: Vec<&str> = self.captures.iter().map(String::as_str).collect();
         let opts = ExecOptions::new(self.cfg.nprocs)
-            .serial_team(true)
             .profile(profile)
             .max_steps(self.cfg.max_steps)
             .capture(&names);
@@ -145,7 +143,6 @@ pub fn search(an: &Analysis, cfg: &AdvisorConfig) -> Result<SearchOutcome, Strin
     let mut machine = Machine::new(ctx.machine());
     let names: Vec<&str> = ctx.captures.iter().map(String::as_str).collect();
     let opts = ExecOptions::new(cfg.nprocs)
-        .serial_team(true)
         .profile(true)
         .max_steps(cfg.max_steps)
         .capture(&names);

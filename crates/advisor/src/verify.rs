@@ -9,7 +9,7 @@ use dsm_conformance::{check_sources, Matrix};
 use dsm_machine::MigrationPolicy;
 
 /// The verification matrix: uniprocessor plus the search's processor
-/// count, default optimization, the three quick modes, migration off
+/// count, default optimization, the two quick modes, migration off
 /// and threshold (plans must stay bit-identical when the daemon moves
 /// their pages around underneath them).
 fn matrix(nprocs: usize) -> Matrix {
@@ -21,11 +21,7 @@ fn matrix(nprocs: usize) -> Matrix {
     Matrix {
         procs,
         opt_variants: vec![("default", OptConfig::default())],
-        modes: vec![
-            (true, false, false),
-            (false, false, false),
-            (true, true, true),
-        ],
+        modes: vec![(false, false), (true, true)],
         policies: vec![MigrationPolicy::Off, MigrationPolicy::threshold(4)],
         // Winner verification checks placement semantics, not cost
         // estimation; the sampling axis is covered by dsmfuzz.

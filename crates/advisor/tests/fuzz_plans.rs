@@ -25,7 +25,7 @@ fn oracle_matrix() -> Matrix {
     Matrix {
         procs: vec![1, 4],
         opt_variants: vec![("default", OptConfig::default())],
-        modes: vec![(true, false, false), (false, false, false)],
+        modes: vec![(false, false)],
         policies: vec![dsm_machine::MigrationPolicy::Off],
         // Plan checking targets placement semantics; the sampling axis
         // is exercised by dsmfuzz and sampling_bounds.

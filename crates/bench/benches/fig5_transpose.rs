@@ -80,7 +80,7 @@ fn main() {
             &transpose_source(n, reps, policy),
             policy,
             scale,
-            &ExecOptions::new(nprocs).profile(true).serial_team(true),
+            &ExecOptions::new(nprocs).profile(true),
         )
         .report
         .profile

@@ -37,7 +37,7 @@ fn run(source: &str, policy: Policy, p: usize, sampling: Option<SamplingConfig>)
         .source("bench.f", source)
         .compile()
         .unwrap_or_else(|e| panic!("paper-scale workload failed to compile: {e:?}"));
-    let mut opts = ExecOptions::new(p).serial_team(true);
+    let mut opts = ExecOptions::new(p);
     if let Some(s) = sampling {
         opts = opts.sampling(s);
     }

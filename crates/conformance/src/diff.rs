@@ -1,8 +1,8 @@
 //! Differential runner: one program, every configuration, one verdict.
 //!
 //! Each program is compiled once per optimization variant and executed
-//! across the processor-count × migration-policy × serial-team × checks
-//! × profile matrix.
+//! across the processor-count × migration-policy × checks × profile
+//! matrix.
 //! Every run is held to three standards:
 //!
 //! 1. **Oracle agreement** — captured arrays are bit-identical to the
@@ -13,10 +13,8 @@
 //!    hierarchy filters monotonically (`l2 ≤ l1 ≤ accesses`), and when
 //!    profiling is on the attribution table sums back to the machine
 //!    counters exactly.
-//! 3. **Determinism** — serial-team runs repeat cycle-exactly; threaded
-//!    runs repeat with identical data and access totals (cycles may
-//!    legitimately wobble only when members falsely share lines, see
-//!    `crates/core/tests/parallel_diff.rs`).
+//! 3. **Determinism** — every run repeats cycle-exactly, and attribution
+//!    profiling leaves cycles and counters alone.
 //! 4. **Sampling transparency** — every cell is additionally re-run
 //!    with statistical set sampling at each rate in the matrix; the
 //!    sampled replica must match the oracle bit-for-bit with the same
@@ -35,8 +33,8 @@ pub struct Matrix {
     pub procs: Vec<usize>,
     /// Named optimization variants.
     pub opt_variants: Vec<(&'static str, OptConfig)>,
-    /// (serial_team, checks, profile) combinations.
-    pub modes: Vec<(bool, bool, bool)>,
+    /// (checks, profile) combinations.
+    pub modes: Vec<(bool, bool)>,
     /// Reactive page-migration policies each mode runs under.
     pub policies: Vec<MigrationPolicy>,
     /// Statistical sampling rates (1/N) each cell additionally runs
@@ -49,17 +47,10 @@ pub struct Matrix {
 
 impl Matrix {
     /// The full acceptance matrix: P ∈ {1, 2, 4, 8}, both optimization
-    /// variants, all eight mode combinations, all three migration
+    /// variants, all four mode combinations, all three migration
     /// policies.
     pub fn full() -> Self {
-        let mut modes = Vec::new();
-        for serial in [true, false] {
-            for checks in [false, true] {
-                for profile in [false, true] {
-                    modes.push((serial, checks, profile));
-                }
-            }
-        }
+        let modes = vec![(false, false), (false, true), (true, false), (true, true)];
         Matrix {
             procs: vec![1, 2, 4, 8],
             opt_variants: vec![
@@ -77,17 +68,13 @@ impl Matrix {
     }
 
     /// A cheap smoke slice for debug-mode tests: default optimizations,
-    /// P ∈ {1, 4}, serial/threaded plain plus one everything-on run,
-    /// migration off and threshold.
+    /// P ∈ {1, 4}, one plain and one everything-on run, migration off and
+    /// threshold.
     pub fn quick() -> Self {
         Matrix {
             procs: vec![1, 4],
             opt_variants: vec![("default", OptConfig::default())],
-            modes: vec![
-                (true, false, false),
-                (false, false, false),
-                (true, true, true),
-            ],
+            modes: vec![(false, false), (true, true)],
             policies: vec![MigrationPolicy::Off, MigrationPolicy::threshold(4)],
             sampling: vec![4],
         }
@@ -161,34 +148,25 @@ pub fn check_sources(
         clones = clones.max(compiled.prelink.clones_created);
         for &p in &matrix.procs {
             for &policy in &matrix.policies {
-                // Reference cycle timings of this (opt, P, policy):
-                // serial-team, plain. Used to pin profiling as purely
-                // observational (migration decisions do not depend on the
-                // profile flag, so the base is compared within one policy).
-                let mut serial_plain: Option<RunOutcome> = None;
-                for &(serial, checks, profile) in &matrix.modes {
+                // Reference cycle timings of this (opt, P, policy): the
+                // plain run. Used to pin profiling as purely observational
+                // (migration decisions do not depend on the profile flag,
+                // so the base is compared within one policy).
+                let mut plain: Option<RunOutcome> = None;
+                for &(checks, profile) in &matrix.modes {
                     let config = format!(
-                        "opt={opt_name} P={p} migrate={policy} serial_team={} checks={} profile={}",
-                        on(serial),
+                        "opt={opt_name} P={p} migrate={policy} checks={} profile={}",
                         on(checks),
                         on(profile)
                     );
-                    let out = execute(
-                        &compiled.program,
-                        p,
-                        policy,
-                        serial,
-                        checks,
-                        profile,
-                        &capture_refs,
-                    )
-                    .map_err(|e| {
-                        Box::new(Divergence {
-                            config: config.clone(),
-                            kind: "exec-error",
-                            detail: e,
-                        })
-                    })?;
+                    let out = execute(&compiled.program, p, policy, checks, profile, &capture_refs)
+                        .map_err(|e| {
+                            Box::new(Divergence {
+                                config: config.clone(),
+                                kind: "exec-error",
+                                detail: e,
+                            })
+                        })?;
                     runs += 1;
                     compare_captures(&out, &expected, captures, &config)?;
                     check_balance(&out, profile, &config)?;
@@ -205,7 +183,6 @@ pub fn check_sources(
                             &compiled.program,
                             p,
                             policy,
-                            serial,
                             checks,
                             profile,
                             &capture_refs,
@@ -242,54 +219,25 @@ pub fn check_sources(
                         }
                     }
 
-                    if serial && !checks && !profile {
-                        // Serial-team simulation has no host concurrency at
-                        // all: a second run must be cycle-exact.
-                        let again = execute(
-                            &compiled.program,
-                            p,
-                            policy,
-                            serial,
-                            checks,
-                            profile,
-                            &capture_refs,
-                        )
-                        .map_err(|e| {
-                            Box::new(Divergence {
-                                config: config.clone(),
-                                kind: "exec-error",
-                                detail: e,
-                            })
-                        })?;
+                    if !checks && !profile {
+                        // Every run is deterministic: a second one must be
+                        // cycle-exact.
+                        let again =
+                            execute(&compiled.program, p, policy, checks, profile, &capture_refs)
+                                .map_err(|e| {
+                                Box::new(Divergence {
+                                    config: config.clone(),
+                                    kind: "exec-error",
+                                    detail: e,
+                                })
+                            })?;
                         runs += 1;
-                        check_replica(&out, &again, true, &config)?;
-                        serial_plain = Some(out);
-                    } else if !serial && !checks && !profile {
-                        // Threaded runs must repeat with identical data and
-                        // access totals; cycles may wobble under false
-                        // sharing, so they are not compared here.
-                        let again = execute(
-                            &compiled.program,
-                            p,
-                            policy,
-                            serial,
-                            checks,
-                            profile,
-                            &capture_refs,
-                        )
-                        .map_err(|e| {
-                            Box::new(Divergence {
-                                config: config.clone(),
-                                kind: "exec-error",
-                                detail: e,
-                            })
-                        })?;
-                        runs += 1;
-                        check_replica(&out, &again, false, &config)?;
-                    } else if serial && !checks && profile {
+                        check_replica(&out, &again, &config)?;
+                        plain = Some(out);
+                    } else if !checks && profile {
                         // Attribution must be observational: identical
                         // simulated time and counters as the plain run.
-                        if let Some(base) = &serial_plain {
+                        if let Some(base) = &plain {
                             if base.report.total_cycles != out.report.total_cycles
                                 || base.report.total != out.report.total
                             {
@@ -323,7 +271,6 @@ fn execute(
     program: &dsm_ir::Program,
     p: usize,
     policy: MigrationPolicy,
-    serial: bool,
     checks: bool,
     profile: bool,
     captures: &[&str],
@@ -332,7 +279,6 @@ fn execute(
         program,
         p,
         policy,
-        serial,
         checks,
         profile,
         captures,
@@ -346,7 +292,6 @@ fn execute_engine(
     program: &dsm_ir::Program,
     p: usize,
     policy: MigrationPolicy,
-    serial: bool,
     checks: bool,
     profile: bool,
     captures: &[&str],
@@ -357,7 +302,6 @@ fn execute_engine(
     cfg.migration = policy;
     let mut machine = Machine::new(cfg);
     let mut opts = ExecOptions::new(p)
-        .serial_team(serial)
         .with_checks(checks)
         .profile(profile)
         .max_steps(100_000_000)
@@ -371,12 +315,9 @@ fn execute_engine(
 
 /// Run `sources` under **both** executors across `matrix` and demand the
 /// tree-walking interpreter and the compiled bytecode engine be
-/// observationally indistinguishable: bit-identical captures, and —
-/// for serial-team runs, where the simulation is fully deterministic —
-/// identical cycles, per-processor counters, page placement, migration
-/// work, and attribution profiles.  Threaded runs are compared on their
-/// deterministic subset (data and access totals), exactly as the
-/// determinism replica check does.
+/// observationally indistinguishable: bit-identical captures, identical
+/// cycles, per-processor counters, page placement, migration work, and
+/// attribution profiles.
 pub fn check_engine_diff(
     sources: &[(String, String)],
     captures: &[String],
@@ -396,11 +337,10 @@ pub fn check_engine_diff(
         clones = clones.max(compiled.prelink.clones_created);
         for &p in &matrix.procs {
             for &policy in &matrix.policies {
-                for &(serial, checks, profile) in &matrix.modes {
+                for &(checks, profile) in &matrix.modes {
                     let config = format!(
                         "engines=bytecode/interp opt={opt_name} P={p} migrate={policy} \
-                         serial_team={} checks={} profile={}",
-                        on(serial),
+                         checks={} profile={}",
                         on(checks),
                         on(profile)
                     );
@@ -409,7 +349,6 @@ pub fn check_engine_diff(
                             &compiled.program,
                             p,
                             policy,
-                            serial,
                             checks,
                             profile,
                             &capture_refs,
@@ -427,7 +366,7 @@ pub fn check_engine_diff(
                     let byte = run(Engine::Bytecode)?;
                     let tree = run(Engine::Interp)?;
                     runs += 2;
-                    compare_engines(&byte, &tree, serial, &config)?;
+                    compare_engines(&byte, &tree, &config)?;
                 }
             }
         }
@@ -441,8 +380,7 @@ pub fn check_engine_diff(
 /// final page placement, and identical hardware counters except the
 /// cycle clocks (the movers price the same moves differently, and the
 /// scheduler moves only the delta pages — `redist_pages` must never
-/// exceed the naive count). Cells run serial-team so every comparison is
-/// deterministic.
+/// exceed the naive count).
 pub fn check_redist_diff(
     sources: &[(String, String)],
     captures: &[String],
@@ -475,7 +413,6 @@ pub fn check_redist_diff(
                     cfg.migration = MigrationPolicy::Off;
                     let mut machine = Machine::new(cfg);
                     let opts = ExecOptions::new(p)
-                        .serial_team(true)
                         .max_steps(100_000_000)
                         .capture(&capture_refs)
                         .engine(engine)
@@ -558,7 +495,6 @@ fn compare_movers(
 fn compare_engines(
     byte: &RunOutcome,
     tree: &RunOutcome,
-    cycle_exact: bool,
     config: &str,
 ) -> Result<(), Box<Divergence>> {
     let fail = |detail: String| {
@@ -590,63 +526,44 @@ fn compare_engines(
         }
     }
     let (rb, rt) = (&byte.report, &tree.report);
-    if cycle_exact {
-        if rb.total_cycles != rt.total_cycles {
-            return fail(format!(
-                "total cycles: bytecode {} vs interp {}",
-                rb.total_cycles, rt.total_cycles
-            ));
-        }
-        if rb.total != rt.total || rb.per_proc != rt.per_proc {
-            return fail(format!(
-                "hardware counters differ\nbytecode: {}\ninterp:   {}",
-                rb.total, rt.total
-            ));
-        }
-        if rb.parallel_regions != rt.parallel_regions || rb.parallel_cycles != rt.parallel_cycles {
-            return fail(format!(
-                "parallel regions/cycles: bytecode {}/{} vs interp {}/{}",
-                rb.parallel_regions, rb.parallel_cycles, rt.parallel_regions, rt.parallel_cycles
-            ));
-        }
-        if rb.pages_per_node != rt.pages_per_node
-            || rb.pages_migrated != rt.pages_migrated
-            || rb.migration_cycles != rt.migration_cycles
-        {
-            return fail("page placement / migration work differs between engines".into());
-        }
-        if rb.redist_pages != rt.redist_pages || rb.redist_cycles != rt.redist_cycles {
-            return fail(format!(
-                "redistribution work differs: bytecode {}p/{}c vs interp {}p/{}c",
-                rb.redist_pages, rb.redist_cycles, rt.redist_pages, rt.redist_cycles
-            ));
-        }
-        if rb.argcheck_ops != rt.argcheck_ops {
-            return fail(format!(
-                "argument-checker traffic: bytecode {:?} vs interp {:?}",
-                rb.argcheck_ops, rt.argcheck_ops
-            ));
-        }
-        if rb.profile != rt.profile {
-            return fail("attribution profiles differ between engines".into());
-        }
-    } else {
-        let access = |r: &dsm_exec::RunReport| {
-            (
-                r.total.loads,
-                r.total.stores,
-                r.total.page_faults,
-                r.parallel_regions,
-                r.argcheck_ops,
-            )
-        };
-        if access(rb) != access(rt) {
-            return fail(format!(
-                "access totals differ between engines: bytecode {:?} vs interp {:?}",
-                access(rb),
-                access(rt)
-            ));
-        }
+    if rb.total_cycles != rt.total_cycles {
+        return fail(format!(
+            "total cycles: bytecode {} vs interp {}",
+            rb.total_cycles, rt.total_cycles
+        ));
+    }
+    if rb.total != rt.total || rb.per_proc != rt.per_proc {
+        return fail(format!(
+            "hardware counters differ\nbytecode: {}\ninterp:   {}",
+            rb.total, rt.total
+        ));
+    }
+    if rb.parallel_regions != rt.parallel_regions || rb.parallel_cycles != rt.parallel_cycles {
+        return fail(format!(
+            "parallel regions/cycles: bytecode {}/{} vs interp {}/{}",
+            rb.parallel_regions, rb.parallel_cycles, rt.parallel_regions, rt.parallel_cycles
+        ));
+    }
+    if rb.pages_per_node != rt.pages_per_node
+        || rb.pages_migrated != rt.pages_migrated
+        || rb.migration_cycles != rt.migration_cycles
+    {
+        return fail("page placement / migration work differs between engines".into());
+    }
+    if rb.redist_pages != rt.redist_pages || rb.redist_cycles != rt.redist_cycles {
+        return fail(format!(
+            "redistribution work differs: bytecode {}p/{}c vs interp {}p/{}c",
+            rb.redist_pages, rb.redist_cycles, rt.redist_pages, rt.redist_cycles
+        ));
+    }
+    if rb.argcheck_ops != rt.argcheck_ops {
+        return fail(format!(
+            "argument-checker traffic: bytecode {:?} vs interp {:?}",
+            rb.argcheck_ops, rt.argcheck_ops
+        ));
+    }
+    if rb.profile != rt.profile {
+        return fail("attribution profiles differ between engines".into());
     }
     Ok(())
 }
@@ -791,12 +708,7 @@ fn check_balance(out: &RunOutcome, profile: bool, config: &str) -> Result<(), Bo
 }
 
 /// Compare a run against its immediate re-execution.
-fn check_replica(
-    a: &RunOutcome,
-    b: &RunOutcome,
-    cycle_exact: bool,
-    config: &str,
-) -> Result<(), Box<Divergence>> {
+fn check_replica(a: &RunOutcome, b: &RunOutcome, config: &str) -> Result<(), Box<Divergence>> {
     let fail = |detail: String| {
         Err(Box::new(Divergence {
             config: config.into(),
@@ -815,35 +727,17 @@ fn check_replica(
         return fail("captured arrays differ between identical runs".into());
     }
     let (ra, rb) = (&a.report, &b.report);
-    if cycle_exact {
-        if ra.total_cycles != rb.total_cycles {
-            return fail(format!(
-                "total cycles {} vs {}",
-                ra.total_cycles, rb.total_cycles
-            ));
-        }
-        if ra.total != rb.total || ra.per_proc != rb.per_proc {
-            return fail("counters differ between identical serial-team runs".into());
-        }
-        if ra.parallel_cycles != rb.parallel_cycles || ra.pages_per_node != rb.pages_per_node {
-            return fail("region cycles / page placement differ between runs".into());
-        }
-    } else {
-        let access = |r: &dsm_exec::RunReport| {
-            (
-                r.total.loads,
-                r.total.stores,
-                r.total.page_faults,
-                r.parallel_regions,
-            )
-        };
-        if access(ra) != access(rb) {
-            return fail(format!(
-                "access totals differ between identical threaded runs: {:?} vs {:?}",
-                access(ra),
-                access(rb)
-            ));
-        }
+    if ra.total_cycles != rb.total_cycles {
+        return fail(format!(
+            "total cycles {} vs {}",
+            ra.total_cycles, rb.total_cycles
+        ));
+    }
+    if ra.total != rb.total || ra.per_proc != rb.per_proc {
+        return fail("counters differ between identical runs".into());
+    }
+    if ra.parallel_cycles != rb.parallel_cycles || ra.pages_per_node != rb.pages_per_node {
+        return fail("region cycles / page placement differ between runs".into());
     }
     Ok(())
 }
@@ -872,7 +766,7 @@ mod tests {
         let f = Matrix::full();
         assert_eq!(f.policies.len(), 3);
         // Base cells times (exact + one replica per sampling rate).
-        assert_eq!(f.runs(), 4 * 2 * 8 * 3 * (1 + 2));
+        assert_eq!(f.runs(), 4 * 2 * 4 * 3 * (1 + 2));
         assert!(!q.sampling.is_empty(), "quick slice exercises sampling");
     }
 

@@ -14,7 +14,7 @@
 //!   expected final array contents directly from the AST;
 //! * [`diff`] — a runner that compiles each program once per
 //!   optimization variant and executes it across P ∈ {1, 2, 4, 8} ×
-//!   serial-team × checks × profile, asserting bit-identical captures,
+//!   checks × profile, asserting bit-identical captures,
 //!   run-to-run determinism, and machine counter balance;
 //! * [`mod@shrink`] — a greedy minimizer that turns any diverging seed into
 //!   a paste-able few-line reproducer.

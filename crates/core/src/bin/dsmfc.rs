@@ -13,7 +13,6 @@
 //!       --check         enable the Section-6 runtime argument checks
 //!       --round-robin   round-robin page placement instead of first-touch
 //!       --counters      print per-processor hardware counters
-//!       --serial-team   simulate team members sequentially (reference mode)
 //!       --engine E      executor: bytecode (default) | interp
 //!       --migrate POLICY      reactive page migration: off |
 //!                             threshold[:N] | competitive[:N]
@@ -55,7 +54,6 @@ struct Options {
     checks: bool,
     round_robin: bool,
     counters: bool,
-    serial_team: bool,
     engine: Engine,
     migrate: Option<MigrationPolicy>,
     sample: Option<SamplingConfig>,
@@ -77,7 +75,7 @@ struct Options {
 fn usage() -> ! {
     eprintln!(
         "usage: dsmfc [-p N] [--scale N] [-O none|tile|hoist|full] [--dump-ir] \
-         [--check] [--round-robin] [--counters] [--serial-team] [--engine bytecode|interp] \
+         [--check] [--round-robin] [--counters] [--engine bytecode|interp] \
          [--migrate off|threshold[:N]|competitive[:N]] [--sample 1/N] [--sample-seed N] \
          [--strip-placement] [--profile] \
          [--profile-json FILE] [--auto] [--budget N] [--plan-json FILE] \
@@ -163,7 +161,6 @@ fn parse_args() -> Options {
         checks: false,
         round_robin: false,
         counters: false,
-        serial_team: false,
         engine: Engine::default(),
         migrate: None,
         sample: None,
@@ -209,7 +206,6 @@ fn parse_args() -> Options {
             "--check" => o.checks = true,
             "--round-robin" => o.round_robin = true,
             "--counters" => o.counters = true,
-            "--serial-team" => o.serial_team = true,
             "--engine" => o.engine = engine_arg(args.next().as_deref()),
             e if e.starts_with("--engine=") => {
                 o.engine = engine_arg(e.strip_prefix("--engine="));
@@ -331,7 +327,6 @@ fn build_exec(o: &Options, cfg: &MachineConfig) -> ExecOptions {
     let want_profile = o.profile || o.profile_json.is_some();
     let mut exec = ExecOptions::new(o.procs)
         .with_checks(o.checks)
-        .serial_team(o.serial_team)
         .engine(o.engine)
         .profile(want_profile);
     if let Some(policy) = o.migrate {

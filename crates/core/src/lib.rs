@@ -263,9 +263,7 @@ impl CompiledProgram {
     /// Run on an existing machine — the daemon's pooled-machine path.
     /// The machine must be in its post-construction (or
     /// [`Machine::restore`]d-to-pristine) state; the run mutates it, so
-    /// a pooling caller restores on success and discards on error (an
-    /// errored run may leave mailbox messages in flight, which a
-    /// snapshot-restore cycle refuses to touch).
+    /// a pooling caller restores on success and discards on error.
     ///
     /// # Errors
     ///

@@ -24,11 +24,11 @@ fn cfg(nprocs: usize, budget: usize) -> AdvisorConfig {
 }
 
 /// Compile and run `src` exactly as the advisor's search does
-/// (serial-team, scaled Origin-2000), profiled.
+/// (scaled Origin-2000), profiled.
 fn run_annotated(src: &str, nprocs: usize) -> RunOutcome {
     let compiled = compile_strings(&[("hand.f", src)], &OptConfig::default()).expect("compiles");
     let mut machine = Machine::new(MachineConfig::scaled_origin2000(nprocs, SCALE));
-    let opts = ExecOptions::new(nprocs).serial_team(true).profile(true);
+    let opts = ExecOptions::new(nprocs).profile(true);
     dsm_exec::run_outcome(&mut machine, &compiled.program, &opts).expect("runs")
 }
 

@@ -181,12 +181,11 @@ fn dump_ir_prints_ir_and_skips_execution() {
     assert!(!s.contains("cycles:"), "--dump-ir must not run the program");
 }
 
-/// Golden output for the quickstart program. `--serial-team` keeps the
-/// simulation on one host thread, so every line here is deterministic
-/// except the host wall-clock (which the test skips).
+/// Golden output for the quickstart program. Every line here is
+/// deterministic except the host wall-clock (which the test skips).
 #[test]
 fn quickstart_golden_stdout() {
-    let out = dsmfc(&["-p", "4", "--serial-team", quickstart().to_str().unwrap()]);
+    let out = dsmfc(&["-p", "4", quickstart().to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(0));
     let s = String::from_utf8_lossy(&out.stdout);
     let lines: Vec<&str> = s.lines().collect();
@@ -204,17 +203,16 @@ fn quickstart_golden_stdout() {
     assert_eq!(lines[4], "pages/node: [33, 32]");
 }
 
-/// At P=1 there is only one team member, so serializing the team must
-/// change nothing observable: the whole stdout (minus the wall-clock
-/// line) matches the default threaded run exactly.
+/// Every run is deterministic: a second run of a parallel program prints
+/// the same stdout (minus the wall-clock line), counters and all.
 #[test]
-fn serial_team_at_p1_matches_threaded_run() {
+fn a_run_repeats_its_stdout_exactly() {
     let path = quickstart();
     let path = path.to_str().unwrap();
-    let serial = dsmfc(&["-p", "1", "--serial-team", path]);
-    let plain = dsmfc(&["-p", "1", path]);
-    assert_eq!(serial.status.code(), Some(0));
-    assert_eq!(plain.status.code(), Some(0));
+    let first = dsmfc(&["-p", "4", "--counters", path]);
+    let second = dsmfc(&["-p", "4", "--counters", path]);
+    assert_eq!(first.status.code(), Some(0));
+    assert_eq!(second.status.code(), Some(0));
     let strip = |out: &Output| -> Vec<String> {
         String::from_utf8_lossy(&out.stdout)
             .lines()
@@ -222,8 +220,8 @@ fn serial_team_at_p1_matches_threaded_run() {
             .map(str::to_owned)
             .collect()
     };
-    assert_eq!(strip(&serial), strip(&plain));
-    let s = String::from_utf8_lossy(&serial.stdout);
+    assert_eq!(strip(&first), strip(&second));
+    let s = String::from_utf8_lossy(&first.stdout);
     assert!(s.starts_with("cycles:"), "{s}");
 }
 

@@ -3,11 +3,8 @@
 //! on the shipped example workloads — bit-identical captured arrays and
 //! identical machine counters — with the expensive options all on
 //! (runtime argument checks, attribution profiling, reactive page
-//! migration) across P ∈ {1, 4, 8}.
-//!
-//! Serial-team runs are compared cycle-exactly on the full report;
-//! threaded runs on their deterministic subset (data plus access
-//! totals), matching `dsmfuzz`'s determinism standard.
+//! migration) across P ∈ {1, 4, 8}. Every run is deterministic, so the
+//! full reports are compared cycle-exactly.
 
 use dsm_core::{
     CompiledProgram, Engine, ExecOptions, MachineConfig, MigrationPolicy, RunOutcome, Session,
@@ -25,17 +22,10 @@ fn example(name: &str) -> CompiledProgram {
         .unwrap_or_else(|e| panic!("{name} failed to compile: {e:?}"))
 }
 
-fn run(
-    prog: &CompiledProgram,
-    p: usize,
-    engine: Engine,
-    captures: &[&str],
-    serial: bool,
-) -> RunOutcome {
+fn run(prog: &CompiledProgram, p: usize, engine: Engine, captures: &[&str]) -> RunOutcome {
     prog.run(
         &MachineConfig::scaled_origin2000(p, 64),
         &ExecOptions::new(p)
-            .serial_team(serial)
             .with_checks(true)
             .profile(true)
             .migration(MigrationPolicy::threshold(4))
@@ -91,30 +81,11 @@ fn assert_reports_identical(byte: &RunOutcome, tree: &RunOutcome, ctx: &str) {
 fn diff_workload(name: &str, captures: &[&str]) {
     let prog = example(name);
     for p in [1usize, 4, 8] {
-        // Serial team: the simulation is fully deterministic, so the
-        // engines must agree on everything.
-        let ctx = format!("{name} P={p} serial");
-        let byte = run(&prog, p, Engine::Bytecode, captures, true);
-        let tree = run(&prog, p, Engine::Interp, captures, true);
+        let ctx = format!("{name} P={p}");
+        let byte = run(&prog, p, Engine::Bytecode, captures);
+        let tree = run(&prog, p, Engine::Interp, captures);
         assert_captures_identical(&byte, &tree, &ctx);
         assert_reports_identical(&byte, &tree, &ctx);
-
-        // Threaded team: host scheduling may legally reorder coherence
-        // traffic, so compare data and the deterministic access totals.
-        let ctx = format!("{name} P={p} threaded");
-        let byte = run(&prog, p, Engine::Bytecode, captures, false);
-        let tree = run(&prog, p, Engine::Interp, captures, false);
-        assert_captures_identical(&byte, &tree, &ctx);
-        let access = |o: &RunOutcome| {
-            (
-                o.report.total.loads,
-                o.report.total.stores,
-                o.report.total.page_faults,
-                o.report.parallel_regions,
-                o.report.argcheck_ops,
-            )
-        };
-        assert_eq!(access(&byte), access(&tree), "{ctx}: access totals");
     }
 }
 

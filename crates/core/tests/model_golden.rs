@@ -1,16 +1,15 @@
 //! Golden digests of the machine *model*.
 //!
-//! Every differential suite in this workspace (`engine_diff`,
-//! `parallel_diff`, the conformance mover axis, the daemon's remote-vs-
-//! local identity) compares two engines, two movers or two transports on
+//! Every differential suite in this workspace (`engine_diff`, the
+//! conformance mover axis, the daemon's remote-vs-local identity)
+//! compares two engines, two movers or two transports on
 //! the **same** machine model, so if the model itself drifted — a cache
 //! that evicts a different way, a TLB that forgets a shootdown, a
 //! directory that loses a sharer — both sides would drift together and
 //! nothing but `cli.rs::quickstart_golden_stdout` would notice. These
 //! files pin [`RunReport::digest_json`] (every counter of every
 //! processor, cycles, placement, migration, redistribution and sampling
-//! totals) of small paper kernels under `serial_team(true)` and the
-//! bytecode engine, so a change to `dsm-machine`'s data structures has to
+//! totals) of small paper kernels under the bytecode engine, so a change to `dsm-machine`'s data structures has to
 //! reproduce the committed numbers exactly. They were generated at the
 //! commit *before* the flat cache / translation-carrying TLB landed.
 //!
@@ -27,7 +26,7 @@ const NPROCS: usize = 8;
 const SCALE: usize = 64;
 
 fn opts() -> ExecOptions {
-    ExecOptions::new(NPROCS).serial_team(true)
+    ExecOptions::new(NPROCS)
 }
 
 fn check(name: &str, file: &str, source: String, policy: Policy, opts: ExecOptions) {

@@ -20,8 +20,7 @@
 //! scale: a 1/8 sampled run of the paper-size input must land within
 //! the documented error bounds of the exact run.
 //!
-//! Runs are serial-team, so every pinned number is deterministic and
-//! exactly repeatable. Each test costs tens of seconds in release, so
+//! Every pinned number is deterministic and exactly repeatable. Each test costs tens of seconds in release, so
 //! the file is gated behind `DSM_PAPER_SCALE=1` (run by the nightly
 //! `paper-scale-smoke` CI job):
 //!
@@ -59,7 +58,7 @@ fn run_conv(
         .source("conv.f", &src)
         .compile()
         .unwrap_or_else(|e| panic!("conv2d failed to compile: {e:?}"));
-    let mut opts = ExecOptions::new(P).serial_team(true);
+    let mut opts = ExecOptions::new(P);
     if let Some(s) = sampling {
         opts = opts.sampling(s);
     }

@@ -65,17 +65,10 @@ fn heat_attribution_sums_to_machine_counters() {
 fn profile_off_reports_none_and_matches_cycles() {
     let prog = compile_heat();
     let cfg = MachineConfig::scaled_origin2000(4, 64);
-    // Serial-team replay: heat.f overflows the scaled L2, and capacity
-    // evictions silently racing a neighbour's seam write give threaded
-    // runs a few cycles of legitimate timing jitter (see
-    // docs/SIMULATOR.md). The deterministic replay isolates the claim
-    // under test — attribution is observational.
     let profiled = prog
-        .run(&cfg, &ExecOptions::new(4).serial_team(true).profile(true))
+        .run(&cfg, &ExecOptions::new(4).profile(true))
         .expect("runs");
-    let plain = prog
-        .run(&cfg, &ExecOptions::new(4).serial_team(true))
-        .expect("runs");
+    let plain = prog.run(&cfg, &ExecOptions::new(4)).expect("runs");
     assert!(plain.profile().is_none());
     // Attribution is observational: simulated time must be identical.
     assert_eq!(plain.report.total_cycles, profiled.report.total_cycles);

@@ -305,7 +305,7 @@ mod tests {
     }
 
     fn digest(p: &CompiledProgram) -> String {
-        let out = p.run(&MachineConfig::small_test(2), &ExecOptions::new(2).serial_team(true));
+        let out = p.run(&MachineConfig::small_test(2), &ExecOptions::new(2));
         out.expect("runs").report.digest_json()
     }
 

@@ -8,10 +8,9 @@
 //! that snapshot (page table, directory, word store, counters — see
 //! `Machine::restore`) and parked for the next tenant.
 //!
-//! A machine whose run *errored* is discarded instead: an aborted run
-//! may leave mailbox messages in flight, and the snapshot layer
-//! (correctly) refuses to capture or overwrite a machine with
-//! undelivered mail.
+//! A machine whose run *errored* is discarded instead: a run can stop
+//! anywhere, and a fresh machine is the one state that cannot depend on
+//! where.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -101,8 +100,7 @@ impl MachinePool {
         }
     }
 
-    /// Drop a machine whose run errored (it may hold in-flight mail and
-    /// cannot be restored).
+    /// Drop a machine whose run errored instead of restoring it.
     pub fn discard(&self, pm: PooledMachine) {
         self.discarded.fetch_add(1, Ordering::Relaxed);
         drop(pm);

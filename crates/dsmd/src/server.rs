@@ -19,6 +19,55 @@ use crate::State;
 /// search budget exhausted without a verified winner, …).
 pub const CODE_ADVISE: &str = "advise";
 
+/// Longest request line the daemon reads, newline excluded: 4 MiB, about
+/// sixty times the largest request of the `daemon_mix` benchmark. A longer
+/// line is answered with `daemon.bad-request` and skipped up to its
+/// newline, so one client cannot grow the daemon's memory without limit.
+pub const MAX_LINE_BYTES: usize = 4 << 20;
+
+/// One request line read by [`read_line`].
+enum Line {
+    /// The line, newline stripped, in the caller's buffer.
+    Read,
+    /// The line ran past [`MAX_LINE_BYTES`]; it was read to its newline
+    /// and dropped.
+    TooLong,
+    /// The client closed the connection.
+    Eof,
+}
+
+/// Read one newline-terminated line into `buf`, keeping at most
+/// [`MAX_LINE_BYTES`] of it. A final line without a newline counts as a
+/// line.
+fn read_line(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> std::io::Result<Line> {
+    buf.clear();
+    let mut too_long = false;
+    loop {
+        let chunk = reader.fill_buf()?;
+        if chunk.is_empty() {
+            return Ok(match (too_long, buf.is_empty()) {
+                (true, _) => Line::TooLong,
+                (false, true) => Line::Eof,
+                (false, false) => Line::Read,
+            });
+        }
+        let (part, used, done) = match chunk.iter().position(|&b| b == b'\n') {
+            Some(i) => (&chunk[..i], i + 1, true),
+            None => (chunk, chunk.len(), false),
+        };
+        if !too_long && buf.len() + part.len() <= MAX_LINE_BYTES {
+            buf.extend_from_slice(part);
+        } else {
+            too_long = true;
+            buf.clear();
+        }
+        reader.consume(used);
+        if done {
+            return Ok(if too_long { Line::TooLong } else { Line::Read });
+        }
+    }
+}
+
 fn ok_head(op: &str) -> String {
     format!("{{\"ok\":true,\"op\":\"{op}\"")
 }
@@ -246,13 +295,25 @@ pub fn handle_connection(state: &State, stream: UnixStream) {
         return;
     };
     let mut writer = stream;
-    for line in BufReader::new(read_half).lines() {
-        let Ok(line) = line else { return };
-        if line.trim().is_empty() {
-            continue;
-        }
+    let mut reader = BufReader::new(read_half);
+    let mut buf = Vec::new();
+    loop {
+        let parsed = match read_line(&mut reader, &mut buf) {
+            Err(_) | Ok(Line::Eof) => return,
+            Ok(Line::TooLong) => Err(format!("request line longer than {MAX_LINE_BYTES} bytes")),
+            Ok(Line::Read) => {
+                let Ok(line) = std::str::from_utf8(&buf) else {
+                    return;
+                };
+                let line = line.strip_suffix('\r').unwrap_or(line);
+                if line.trim().is_empty() {
+                    continue;
+                }
+                parse_request(line)
+            }
+        };
         let mut shutdown_after_reply = false;
-        let reply = match parse_request(&line) {
+        let reply = match parsed {
             Err(msg) => {
                 state.bad_requests.fetch_add(1, Ordering::Relaxed);
                 error_reply(CODE_BAD_REQUEST, &msg)
@@ -297,5 +358,49 @@ pub fn handle_connection(state: &State, stream: UnixStream) {
             state.initiate_shutdown();
             return;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every line `read_line` yields from `input`, read through a
+    /// four-byte buffer so lines straddle refills.
+    fn lines(input: &[u8]) -> Vec<Option<String>> {
+        let mut reader = BufReader::with_capacity(4, input);
+        let mut buf = Vec::new();
+        let mut out = Vec::new();
+        loop {
+            match read_line(&mut reader, &mut buf).expect("in-memory read") {
+                Line::Eof => return out,
+                Line::TooLong => out.push(None),
+                Line::Read => out.push(Some(String::from_utf8(buf.clone()).unwrap())),
+            }
+        }
+    }
+
+    #[test]
+    fn lines_split_at_newlines_and_a_final_unterminated_line_counts() {
+        assert_eq!(
+            lines(b"ping\n\n{\"op\":1}\nlast"),
+            [Some("ping"), Some(""), Some("{\"op\":1}"), Some("last")]
+                .map(|l| l.map(str::to_owned))
+        );
+        assert!(lines(b"").is_empty());
+    }
+
+    #[test]
+    fn an_over_long_line_is_dropped_to_its_newline() {
+        let mut input = vec![b'x'; MAX_LINE_BYTES];
+        input.extend_from_slice(b"\nok\n");
+        input.extend(std::iter::repeat_n(b'y', MAX_LINE_BYTES + 1));
+        input.extend_from_slice(b"\nafter");
+        let got = lines(&input);
+        assert_eq!(got.len(), 4);
+        assert_eq!(got[0].as_ref().map(String::len), Some(MAX_LINE_BYTES));
+        assert_eq!(got[1].as_deref(), Some("ok"));
+        assert_eq!(got[2], None);
+        assert_eq!(got[3].as_deref(), Some("after"));
     }
 }

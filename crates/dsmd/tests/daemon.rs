@@ -155,10 +155,69 @@ fn deep_nesting_is_a_bad_request_and_the_connection_survives() {
     let message = reply.get("error").and_then(Value::as_str).unwrap_or_default();
     assert!(message.contains("nesting deeper than 128"), "{message}");
     assert_ok(&c.roundtrip("{\"op\":\"ping\"}"));
-    let opts = ExecOptions::new(4).serial_team(true).capture(&["a"]);
+    let opts = ExecOptions::new(4).capture(&["a"]);
     assert_eq!(remote_run(&mut c, &opts, false).0, local_run(&opts).0);
     let stats = c.roundtrip("{\"op\":\"stats\"}");
     assert_eq!(stats.get("bad_requests").and_then(Value::as_u64), Some(1));
+    handle.shutdown();
+    handle.join();
+}
+
+/// A request line past the byte cap is a bad request, skipped to its
+/// newline; the same connection goes on to answer a ping, and a run
+/// whose report is a fresh daemon's, bit for bit.
+#[test]
+fn an_oversized_line_is_a_bad_request_and_the_connection_survives() {
+    let opts = ExecOptions::new(4).capture(&["a", "b"]).profile(true);
+    let (fresh_handle, fresh_socket) = start("fresh", 1, 4);
+    let fresh = remote_run(&mut Client::connect(&fresh_socket), &opts, false);
+    fresh_handle.shutdown();
+    fresh_handle.join();
+
+    let (handle, socket) = start("oversized", 1, 4);
+    let mut c = Client::connect(&socket);
+    let reply = c.roundtrip(&"x".repeat(dsm_daemon::server::MAX_LINE_BYTES + 1));
+    assert_eq!(code_of(&reply), "daemon.bad-request");
+    let message = reply
+        .get("error")
+        .and_then(Value::as_str)
+        .unwrap_or_default();
+    assert!(message.contains("longer than"), "{message}");
+    assert_ok(&c.roundtrip("{\"op\":\"ping\"}"));
+    assert_eq!(remote_run(&mut c, &opts, false), fresh);
+    let stats = c.roundtrip("{\"op\":\"stats\"}");
+    assert_eq!(stats.get("bad_requests").and_then(Value::as_u64), Some(1));
+    handle.shutdown();
+    handle.join();
+}
+
+/// Requests from clients that still send the retired `serial_team`
+/// option decode, and run exactly as the same request without it.
+#[test]
+fn a_request_carrying_serial_team_runs_as_one_without_it() {
+    let (handle, socket) = start("serialteam", 1, 4);
+    let mut c = Client::connect(&socket);
+    let opts = ExecOptions::new(4).capture(&["a"]);
+    let options = opts.to_json();
+    assert!(!options.contains("serial_team"), "{options}");
+    let old = options.replacen('{', "{\"serial_team\":false,", 1);
+    let digest = |c: &mut Client, options: &str| {
+        let line = run_request_json(
+            &sources(),
+            &OptConfig::default(),
+            &spec(),
+            options,
+            0,
+            None,
+            false,
+        );
+        let reply = c.roundtrip(&line);
+        assert_ok(&reply);
+        let report = reply.get("outcome").and_then(|o| o.get("report")).unwrap();
+        digest_from_report_value(report).unwrap()
+    };
+    assert_eq!(digest(&mut c, &old), digest(&mut c, &options));
+    assert_eq!(digest(&mut c, &old), local_run(&opts).0);
     handle.shutdown();
     handle.join();
 }
@@ -169,7 +228,7 @@ fn deep_nesting_is_a_bad_request_and_the_connection_survives() {
 #[test]
 fn one_program_shares_its_code_across_runs_and_threads() {
     let (cache, pool) = (ProgramCache::new(), MachinePool::new());
-    let opts = ExecOptions::new(4).serial_team(true).capture(&["a", "b"]);
+    let opts = ExecOptions::new(4).capture(&["a", "b"]);
     let (fresh, ..) = local_run(&opts);
     let (program, _) = (cache.get_or_compile(&sources(), &OptConfig::default())).expect("compiles");
     let run = || {
@@ -194,27 +253,18 @@ fn one_program_shares_its_code_across_runs_and_threads() {
 fn remote_reports_are_bit_identical_to_local() {
     let (handle, socket) = start("bitid", 2, 16);
     let mut c = Client::connect(&socket);
-    // Serial-team: the deterministic reference mode (docs/SIMULATOR.md)
-    // — with parallel host threads, coherence-event counters legitimately
-    // vary run to run, so full-report bit-comparison needs serial teams.
-    // Parallel-team data determinism is covered by the captures variant
-    // below.
+    // Every run is deterministic (docs/SIMULATOR.md), so whole reports
+    // compare bit for bit.
     let variants: Vec<ExecOptions> = vec![
+        ExecOptions::new(4).capture(&["a", "b"]).profile(true),
         ExecOptions::new(4)
-            .serial_team(true)
-            .capture(&["a", "b"])
-            .profile(true),
-        ExecOptions::new(4)
-            .serial_team(true)
             .engine(Engine::Interp)
             .capture(&["b"])
             .migration(MigrationPolicy::threshold(2)),
         ExecOptions::new(4)
-            .serial_team(true)
             .capture(&["a"])
             .sampling(SamplingConfig { rate: 4, seed: 1 }),
         ExecOptions::new(4)
-            .serial_team(true)
             .engine(Engine::Interp)
             .sampling(SamplingConfig { rate: 4, seed: 1 })
             .migration(MigrationPolicy::competitive(4)),
@@ -236,15 +286,6 @@ fn remote_reports_are_bit_identical_to_local() {
         assert_eq!(rp1, lp);
         assert_eq!(rp2, lp);
     }
-    // Parallel teams: counters may vary with host thread interleaving,
-    // but the *data* must not — captures stay bit-identical.
-    let par = ExecOptions::new(4).capture(&["a", "b"]);
-    let (_, lc, _) = local_run(&par);
-    let (_, rc, _) = remote_run(&mut c, &par, false);
-    let bits = |c: &Vec<Vec<f64>>| -> Vec<Vec<u64>> {
-        c.iter().map(|v| v.iter().map(|x| x.to_bits()).collect()).collect()
-    };
-    assert_eq!(bits(&rc), bits(&lc), "parallel-team captures diverged");
     let pool = handle.state().pool.stats();
     assert!(pool.reused >= 1, "pooled machines were reused");
     let cache = handle.state().cache.stats();
@@ -257,7 +298,7 @@ fn remote_reports_are_bit_identical_to_local() {
 fn cold_runs_bypass_cache_and_pool_but_match() {
     let (handle, socket) = start("cold", 1, 8);
     let mut c = Client::connect(&socket);
-    let opts = ExecOptions::new(4).serial_team(true).capture(&["a"]);
+    let opts = ExecOptions::new(4).capture(&["a"]);
     let (ld, lc, _) = local_run(&opts);
     let (rd, rc, _) = remote_run(&mut c, &opts, true);
     let (rd2, _, _) = remote_run(&mut c, &opts, true);
@@ -323,7 +364,7 @@ fn errors_carry_stable_codes_and_discard_the_machine() {
     ));
     assert_eq!(code_of(&reply), "exec.step-limit");
     assert_eq!(handle.state().pool.stats().discarded, 1);
-    let opts = ExecOptions::new(4).serial_team(true).capture(&["a"]);
+    let opts = ExecOptions::new(4).capture(&["a"]);
     let (ld, ..) = local_run(&opts);
     let (rd, ..) = remote_run(&mut c, &opts, false);
     assert_eq!(rd, ld, "run after a discarded machine still matches local");
@@ -364,7 +405,7 @@ fn more_than_128_processors_is_a_bad_request() {
         assert_eq!(code_of(&reply), "daemon.bad-request", "cold={cold}");
     }
     assert_eq!(handle.state().pool.stats().created, 0);
-    let opts = ExecOptions::new(4).serial_team(true).capture(&["a"]);
+    let opts = ExecOptions::new(4).capture(&["a"]);
     assert_eq!(remote_run(&mut c, &opts, false).0, local_run(&opts).0);
     handle.shutdown();
     handle.join();
@@ -396,7 +437,7 @@ fn zero_scale_or_procs_is_a_bad_request() {
         }
     }
     assert_eq!(handle.state().pool.stats().created, 0);
-    let opts = ExecOptions::new(4).serial_team(true).capture(&["a"]);
+    let opts = ExecOptions::new(4).capture(&["a"]);
     assert_eq!(remote_run(&mut c, &opts, false).0, local_run(&opts).0);
     handle.shutdown();
     handle.join();
@@ -433,7 +474,7 @@ fn rank_above_max_rank_is_a_compile_error() {
     assert_eq!(code_of(&reply), "advise");
     let message = reply.get("error").and_then(Value::as_str).unwrap_or_default();
     assert!(message.contains("rank 9, the maximum is 8"), "{message}");
-    let opts = ExecOptions::new(4).serial_team(true).capture(&["a"]);
+    let opts = ExecOptions::new(4).capture(&["a"]);
     assert_eq!(remote_run(&mut c, &opts, false).0, local_run(&opts).0);
     handle.shutdown();
     handle.join();

@@ -22,7 +22,7 @@
 //!   cursor (address + byte stride), the index arithmetic is charged but
 //!   not executed, the rest of the body runs as typed micro-ops in
 //!   program order, and the whole loop enters the machine once
-//!   ([`Mach::stream`]) through `MachineShard::access_at`. A loop that is
+//!   ([`team::stream`]) through `MachineShard::access_at`. A loop that is
 //!   one loop-invariant store over a contiguous array is shorter still:
 //!   one [`AccessRun`] handed to the machine's page-segmented walker.
 //!
@@ -36,9 +36,6 @@
 //! tiles); a scalar whose runtime type is not its declared one; a step
 //! budget the whole loop does not fit in. Live migration keeps the kernel
 //! but enters the machine per access.
-
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
 use dsm_ir::{AddrMode, BinOp, Program, Subroutine};
 use dsm_machine::{AccessKind, AccessRun, AccessTag, ProcId};
@@ -79,7 +76,7 @@ pub(crate) fn run_bytecode(
     let eng = Bytecode {
         program,
         code,
-        plans: Arc::new(PlanCache::new()),
+        plans: PlanCache::new(),
         hints: vec![0; code.n_sites],
         pending: 0,
         kregs: Vec::new(),
@@ -98,13 +95,10 @@ struct Bytecode<'a> {
     /// The program `code` was lowered from, which its side tables index.
     program: &'a Program,
     code: &'a ProgramCode,
-    /// Interned address plans. Team members share the top-level VM's
-    /// cache read-only (their bodies never bind or redistribute), so only
-    /// the top level — sole owner between regions — ever mutates it.
-    plans: Arc<PlanCache>,
+    /// Interned address plans.
+    plans: PlanCache,
     /// The tile each reference site found its element in last, indexed
-    /// `SubCode::hint_base + site`. Private per engine — a member
-    /// starts from a copy of its parent's — and only ever a guess that
+    /// `SubCode::hint_base + site`. Only ever a guess that
     /// `AddrPlan::locate` validates, so nothing that changes the plan
     /// under a site (redistribute, resize, call rebinding) resets it.
     hints: Vec<u8>,
@@ -162,26 +156,14 @@ impl<'a> team::Engine for Bytecode<'a> {
         vm.flush(proc);
     }
 
-    fn spawn_member(&self) -> Self {
-        Bytecode {
-            program: self.program,
-            code: self.code,
-            plans: Arc::clone(&self.plans),
-            hints: self.hints.clone(),
-            pending: 0,
-            kregs: Vec::new(),
-            cursors: Vec::new(),
-        }
-    }
-
     fn rebind(vm: &mut RunState<'_, Self>, inst: Option<usize>) {
         let RunState { binder, eng, .. } = vm;
-        let plans = eng.plans_mut();
+        let plans = &mut eng.plans;
         match inst {
-            Some(inst) => plans.rebuild(inst, binder.shared()),
+            Some(inst) => plans.rebuild(inst, binder),
             None => {
                 *plans = PlanCache::new();
-                plans.sync(binder.shared());
+                plans.sync(binder);
             }
         }
     }
@@ -199,11 +181,6 @@ fn index_values(sc: &SubCode, idx: ListRef, frame: &Frame) -> [i64; MAX_RANK] {
 }
 
 impl<'a> Bytecode<'a> {
-    /// The plan cache, for mutation (top-level VM only).
-    fn plans_mut(&mut self) -> &mut PlanCache {
-        Arc::get_mut(&mut self.plans).expect("plan mutation inside a parallel member")
-    }
-
     /// The subroutine `sc` was lowered from.
     #[inline]
     fn sub(&self, sc: &SubCode) -> &'a Subroutine {
@@ -215,14 +192,14 @@ impl<'a> RunState<'_, Bytecode<'a>> {
     /// Intern plans for the instances bound since the last sync.
     fn sync_plans(&mut self) {
         let RunState { binder, eng, .. } = self;
-        eng.plans_mut().sync(binder.shared());
+        eng.plans.sync(binder);
     }
 
     #[inline]
     fn flush(&mut self, proc: ProcId) {
         if self.eng.pending > 0 {
             let p = std::mem::take(&mut self.eng.pending);
-            self.mach.on(proc, |sh| sh.charge(p));
+            self.mach.charge(proc, p);
         }
     }
 
@@ -267,9 +244,8 @@ impl<'a> RunState<'_, Bytecode<'a>> {
                 Op::Charge { cycles, steps } => {
                     self.eng.pending += cycles;
                     if track_steps && steps > 0 {
-                        let s = self.steps.fetch_add(u64::from(steps), Ordering::Relaxed)
-                            + u64::from(steps);
-                        if s > self.opts.max_steps {
+                        self.steps += u64::from(steps);
+                        if self.steps > self.opts.max_steps {
                             return Err(ExecError::StepLimit);
                         }
                     }
@@ -356,9 +332,9 @@ impl<'a> RunState<'_, Bytecode<'a>> {
                 } => {
                     let addr = self.elem_addr(sc, array, idx, mode, frame, ctx)?;
                     frame.scalars[dst as usize] = if is_f {
-                        Value::F(self.mach.on(ctx.proc, |sh| sh.read_f64(addr)).0)
+                        Value::F(self.mach.read_f64(ctx.proc, addr).0)
                     } else {
-                        Value::I(self.mach.on(ctx.proc, |sh| sh.read_i64(addr)).0)
+                        Value::I(self.mach.read_i64(ctx.proc, addr).0)
                     };
                 }
                 Op::Store {
@@ -371,9 +347,9 @@ impl<'a> RunState<'_, Bytecode<'a>> {
                     let v = frame.scalars[src as usize];
                     let addr = self.elem_addr(sc, array, idx, mode, frame, ctx)?;
                     if is_f {
-                        self.mach.on(ctx.proc, |sh| sh.write_f64(addr, v.as_f()));
+                        self.mach.write_f64(ctx.proc, addr, v.as_f());
                     } else {
-                        self.mach.on(ctx.proc, |sh| sh.write_i64(addr, v.as_i()));
+                        self.mach.write_i64(ctx.proc, addr, v.as_i());
                     }
                 }
                 Op::LoopHead {
@@ -498,12 +474,11 @@ impl<'a> RunState<'_, Bytecode<'a>> {
                 sym,
                 region: ctx.region,
             };
-            self.mach.on(ctx.proc, |sh| sh.set_tag(tag));
+            self.mach.set_tag(ctx.proc, tag);
         }
         self.eng.pending += self.mode_cost(mode, n_dist);
         if let (true, Some(slot)) = (needs_slot(mode), slot) {
-            self.mach
-                .on(ctx.proc, |sh| sh.access(slot, AccessKind::Read));
+            self.mach.access(ctx.proc, slot, AccessKind::Read);
         }
         Ok(addr)
     }
@@ -576,11 +551,10 @@ impl<'a> RunState<'_, Bytecode<'a>> {
         // The whole loop inside the step budget, or the generic loop, whose
         // `StepLimit` fires at the interpreter's exact statement.
         if self.opts.max_steps != u64::MAX {
-            let used = self.steps.load(Ordering::Relaxed);
-            if used.saturating_add(n * k.steps) > self.opts.max_steps {
+            if self.steps.saturating_add(n * k.steps) > self.opts.max_steps {
                 return false;
             }
-            self.steps.fetch_add(n * k.steps, Ordering::Relaxed);
+            self.steps += n * k.steps;
         }
 
         let addressing: u64 = (k.arrays.iter())
@@ -600,7 +574,7 @@ impl<'a> RunState<'_, Bytecode<'a>> {
                     k.alu(op, &mut eng.kregs, &self.costs);
                 }
                 if self.opts.profile {
-                    self.mach.on(ctx.proc, |sh| sh.set_tag(c.tag));
+                    self.mach.set_tag(ctx.proc, c.tag);
                 }
                 let run = AccessRun {
                     base: c.addr,
@@ -608,9 +582,11 @@ impl<'a> RunState<'_, Bytecode<'a>> {
                     count: n,
                     kind: AccessKind::Write,
                 };
-                self.mach.fill_run(ctx.proc, &run, eng.kregs[src as usize]);
+                self.mach
+                    .fill_run_u64(ctx.proc, &run, eng.kregs[src as usize]);
             }
-            _ => self.mach.stream(
+            _ => team::stream(
+                self.mach,
                 ctx.proc,
                 KernelRun {
                     k,
@@ -725,7 +701,7 @@ impl<'a> RunState<'_, Bytecode<'a>> {
     }
 }
 
-/// One run of a kernel, for [`Mach::stream`](team::Mach::stream).
+/// One run of a kernel, for [`team::stream`].
 struct KernelRun<'r> {
     k: &'r Kernel,
     cursors: &'r mut [Cursor],
@@ -848,7 +824,7 @@ mod tests {
     ) -> ((u64, u64), Result<(), ExecError>, Vec<CounterSet>) {
         let mut m = Machine::new(MachineConfig::small_test(4));
         ENTRIES.set((0, 0));
-        let result = run_outcome_with(&mut m, program, &opts.clone().serial_team(true), cache);
+        let result = run_outcome_with(&mut m, program, opts, cache);
         let counters = (0..m.nprocs()).map(|p| *m.counters(ProcId(p))).collect();
         (ENTRIES.get(), result.map(|_| ()), counters)
     }
@@ -960,7 +936,7 @@ mod tests {
         let mut dear = cheap.clone();
         dear.ops.fp_alu += 3;
         dear.ops.loop_overhead += 1;
-        let opts = ExecOptions::new(4).serial_team(true).capture(&["a"]);
+        let opts = ExecOptions::new(4).capture(&["a"]);
         let digest = |cfg: &MachineConfig, cache: &CodeCache| {
             let mut m = Machine::new(cfg.clone());
             let out = run_outcome_with(&mut m, &program, &opts, cache).expect("runs");

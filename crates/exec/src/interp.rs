@@ -8,8 +8,6 @@
 //! shared core in `team.rs`, and the scalar operators are `value.rs`'s —
 //! one definition for both engines, reached through `team::Engine`.
 
-use std::sync::atomic::Ordering;
-
 use dsm_ir::{
     ActualArg, AddrMode, DistKind, Expr, Param, Program, RtExpr, ScalarTy, Stmt, Subroutine,
 };
@@ -66,8 +64,8 @@ impl std::str::FromStr for RedistMode {
 ///
 /// ```
 /// use dsm_exec::ExecOptions;
-/// let opts = ExecOptions::new(8).with_checks(true).serial_team(true).profile(true);
-/// assert!(opts.runtime_checks && opts.serial_team && opts.profile);
+/// let opts = ExecOptions::new(8).with_checks(true).profile(true);
+/// assert!(opts.runtime_checks && opts.profile);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecOptions {
@@ -77,10 +75,6 @@ pub struct ExecOptions {
     pub runtime_checks: bool,
     /// Safety valve: abort after this many executed statements.
     pub max_steps: u64,
-    /// Simulate team members one after another on the host thread instead
-    /// of in parallel (reference mode; also the automatic fallback for
-    /// region bodies that are not parallel-safe).
-    pub serial_team: bool,
     /// Attribute every access to its (array, parallel region) and return a
     /// [`crate::Profile`] in the report.
     pub profile: bool,
@@ -123,7 +117,6 @@ impl ExecOptions {
             nprocs,
             runtime_checks: false,
             max_steps: u64::MAX,
-            serial_team: false,
             profile: false,
             captures: Vec::new(),
             migration: None,
@@ -141,10 +134,11 @@ impl ExecOptions {
         self
     }
 
-    /// Force serial (one member at a time) team simulation.
+    /// Does nothing: team members always run one after another, so every
+    /// run is deterministic. Kept so that callers written when a threaded
+    /// team existed still compile.
     #[must_use]
-    pub fn serial_team(mut self, on: bool) -> Self {
-        self.serial_team = on;
+    pub fn serial_team(self, _on: bool) -> Self {
         self
     }
 
@@ -370,16 +364,10 @@ impl team::Engine for Tree<'_> {
 
     /// The reference engine charges at once; there is nothing to flush.
     fn charge(rs: &mut RunState<'_, Self>, proc: ProcId, cycles: u64) {
-        rs.mach.on(proc, |sh| sh.charge(cycles));
+        rs.mach.charge(proc, cycles);
     }
 
     fn flush(_rs: &mut RunState<'_, Self>, _proc: ProcId) {}
-
-    fn spawn_member(&self) -> Self {
-        Tree {
-            program: self.program,
-        }
-    }
 }
 
 impl RunState<'_, Tree<'_>> {
@@ -403,8 +391,8 @@ impl RunState<'_, Tree<'_>> {
         frame: &mut Frame,
         ctx: &mut Ctx,
     ) -> Result<(), ExecError> {
-        let steps = self.steps.fetch_add(1, Ordering::Relaxed) + 1;
-        if steps > self.opts.max_steps {
+        self.steps += 1;
+        if self.steps > self.opts.max_steps {
             return Err(ExecError::StepLimit);
         }
         match st {
@@ -423,10 +411,10 @@ impl RunState<'_, Tree<'_>> {
                 let addr = self.element_addr(*array, indices, *mode, sub, frame, ctx)?;
                 match sub.arrays[array.0].ty {
                     ScalarTy::Real => {
-                        self.mach.on(ctx.proc, |sh| sh.write_f64(addr, v.as_f()));
+                        self.mach.write_f64(ctx.proc, addr, v.as_f());
                     }
                     ScalarTy::Int => {
-                        self.mach.on(ctx.proc, |sh| sh.write_i64(addr, v.as_i()));
+                        self.mach.write_i64(ctx.proc, addr, v.as_i());
                     }
                 }
                 Ok(())
@@ -437,7 +425,7 @@ impl RunState<'_, Tree<'_>> {
                 else_body,
             } => {
                 let c = self.eval(cond, sub, frame, ctx)?;
-                self.mach.on(ctx.proc, |sh| sh.charge(self.costs.int_alu));
+                self.mach.charge(ctx.proc, self.costs.int_alu);
                 if c.is_true() {
                     self.exec_block(then_body, sub, frame, ctx)
                 } else {
@@ -460,7 +448,7 @@ impl RunState<'_, Tree<'_>> {
             Stmt::Barrier => {
                 // Explicit barriers only make sense between regions; in
                 // this serialized interpreter they only cost time.
-                self.mach.on(ctx.proc, |sh| sh.charge(self.costs.barrier));
+                self.mach.charge(ctx.proc, self.costs.barrier);
                 Ok(())
             }
             Stmt::Overhead {
@@ -472,7 +460,7 @@ impl RunState<'_, Tree<'_>> {
                 let cost = u64::from(*int_divs) * c.int_div
                     + u64::from(*indirect_loads) * (c.l1_hit + c.int_alu)
                     + u64::from(*int_alu) * c.int_alu;
-                self.mach.on(ctx.proc, |sh| sh.charge(cost));
+                self.mach.charge(ctx.proc, cost);
                 Ok(())
             }
         }
@@ -597,12 +585,12 @@ impl RunState<'_, Tree<'_>> {
             } => {
                 let addr = self.element_addr(*array, indices, *mode, sub, frame, ctx)?;
                 return Ok(match sub.arrays[array.0].ty {
-                    ScalarTy::Real => Value::F(self.mach.on(ctx.proc, |sh| sh.read_f64(addr)).0),
-                    ScalarTy::Int => Value::I(self.mach.on(ctx.proc, |sh| sh.read_i64(addr)).0),
+                    ScalarTy::Real => Value::F(self.mach.read_f64(ctx.proc, addr).0),
+                    ScalarTy::Int => Value::I(self.mach.read_i64(ctx.proc, addr).0),
                 });
             }
         };
-        self.mach.on(ctx.proc, |sh| sh.charge(cost));
+        self.mach.charge(ctx.proc, cost);
         Ok(v)
     }
 
@@ -672,7 +660,7 @@ impl RunState<'_, Tree<'_>> {
                 sym: arr.sym,
                 region: ctx.region,
             };
-            self.mach.on(ctx.proc, |sh| sh.set_tag(tag));
+            self.mach.set_tag(ctx.proc, tag);
         }
         // The owner's portion-pointer slot is loaded by the raw, tiled
         // and shared-div modes only (`None` for contiguous layouts).
@@ -682,7 +670,7 @@ impl RunState<'_, Tree<'_>> {
         match mode {
             AddrMode::Direct | AddrMode::ReshapedHoisted | AddrMode::ReshapedSharedAll => {
                 // Strength-reduced column-major walk: one address add.
-                self.mach.on(ctx.proc, |sh| sh.charge(c.int_alu));
+                self.mach.charge(ctx.proc, c.int_alu);
             }
             AddrMode::ReshapedRaw | AddrMode::ReshapedRawFp => {
                 // One divide per distributed dimension — a MIPS `div`
@@ -695,20 +683,18 @@ impl RunState<'_, Tree<'_>> {
                     c.fp_emulated_div
                 };
                 let addressing = n_dist * (div + c.int_alu) + 2 * c.int_alu;
-                self.mach.on(ctx.proc, |sh| sh.charge(addressing));
+                self.mach.charge(ctx.proc, addressing);
                 if let Some(slot) = slot {
-                    self.mach
-                        .on(ctx.proc, |sh| sh.access(slot, AccessKind::Read));
+                    self.mach.access(ctx.proc, slot, AccessKind::Read);
                 }
             }
             AddrMode::ReshapedTiled | AddrMode::ReshapedSharedDiv => {
                 // No div/mod, but the pointer is re-loaded every access
                 // (indirect loads cannot be speculated / were CSE-shared
                 // only for the divide).
-                self.mach.on(ctx.proc, |sh| sh.charge(2 * c.int_alu));
+                self.mach.charge(ctx.proc, 2 * c.int_alu);
                 if let Some(slot) = slot {
-                    self.mach
-                        .on(ctx.proc, |sh| sh.access(slot, AccessKind::Read));
+                    self.mach.access(ctx.proc, slot, AccessKind::Read);
                 }
             }
         }

@@ -38,8 +38,7 @@ pub struct RunReport {
     /// not simulated time).
     pub host_wall: std::time::Duration,
     /// Host-side wall-clock time spent inside parallel regions (fork to
-    /// join, summed over regions) — the part the host-threaded team
-    /// simulation accelerates.
+    /// join, summed over regions).
     pub host_region_wall: std::time::Duration,
     /// Memory-behavior attribution; `Some` iff the run was executed with
     /// [`crate::ExecOptions::profile`] on.

@@ -10,21 +10,17 @@
 //! bytecode VM) differ only in how they evaluate expressions and run a
 //! loop body, which is all the [`Engine`] trait asks of them.
 //!
-//! Team members are simulated on real host threads whenever the region
-//! body is parallel-safe (no calls, no redistribution): each member runs
-//! against a [`MachineShard`] — its own caches, TLB and clock, plus
-//! thread-safe shared memory/page-table/directory state.
-//! [`ExecOptions::serial_team`] forces one-member-at-a-time execution,
-//! which remains the fallback for unsafe bodies.
+//! Team members are simulated one after another in team order, each to
+//! completion, against its own caches, TLB and clock. A run has no host
+//! concurrency, so every run is deterministic.
 
-use std::sync::atomic::AtomicU64;
 use std::time::{Duration, Instant};
 
 use dsm_ir::{
-    AffIdx, ArrayDecl, Distribution, Extent, LoopStmt, Param, Program, SchedType, Stmt, Subroutine,
+    AffIdx, ArrayDecl, Distribution, Extent, LoopStmt, Param, Program, SchedType, Subroutine,
 };
 use dsm_machine::{
-    AccessKind, AccessRun, AccessTag, LineCursor, Machine, MachineShard, ProcId, SERIAL_REGION,
+    AccessKind, AccessTag, LineCursor, Machine, MachineShard, ProcId, SERIAL_REGION,
 };
 use dsm_runtime::epoch::{join_epoch, EpochClock};
 use dsm_runtime::{
@@ -46,61 +42,18 @@ pub(crate) struct Ctx {
     pub(crate) region: u32,
 }
 
-/// An engine's handle on the machine: either the whole thing (serial
-/// sections and the team leader) or one member's shard during a parallel
-/// region.
-pub(crate) enum Mach<'m> {
-    Whole(&'m mut Machine),
-    Shard(MachineShard<'m>),
-}
-
-impl Mach<'_> {
-    /// The whole machine; only reachable outside parallel members (region
-    /// bodies containing whole-machine operations are executed serially).
-    pub(crate) fn whole(&mut self) -> &mut Machine {
-        match self {
-            Mach::Whole(m) => m,
-            Mach::Shard(_) => unreachable!("whole-machine operation inside a parallel member"),
-        }
-    }
-
-    /// Run one timed operation as `proc`: a [`Machine::serial`] step on
-    /// the whole machine, or directly on the member's own shard.
-    #[inline(always)]
-    pub(crate) fn on<R>(&mut self, proc: ProcId, op: impl FnOnce(&mut MachineShard<'_>) -> R) -> R {
-        match self {
-            Mach::Whole(m) => m.serial(proc, op),
-            Mach::Shard(s) => op(own(s, proc)),
-        }
-    }
-
-    /// A bulk write run (access + raw store per element). Not an
-    /// [`Mach::on`] operation: under migration the whole machine walks it
-    /// element by element, one epoch step each.
-    #[inline]
-    pub(crate) fn fill_run(&mut self, proc: ProcId, run: &AccessRun, word: u64) {
-        match self {
-            Mach::Whole(m) => m.fill_run_u64(proc, run, word),
-            Mach::Shard(s) => own(s, proc).fill_run_u64(run, word),
-        };
-    }
-
-    /// Run a whole stream of `proc`'s accesses — an innermost loop — as
-    /// **one** timed operation: a single [`Machine::serial`] step on the
-    /// whole machine, or directly on the member's own shard. One step for
-    /// many accesses is exact for the reason a bulk run is
-    /// (`MachineShard::run_segment`): no other processor runs during it,
-    /// so the only mail in flight is what this one posts, and delivering
-    /// an invalidation commutes with everything but its target's own
-    /// accesses. Not under live migration, where epochs fire on access
-    /// counts: there every access stays a step of its own ([`Stepped`]).
-    #[inline]
-    pub(crate) fn stream(&mut self, proc: ProcId, body: impl Stream) {
-        match self {
-            Mach::Whole(m) if !m.config().migration.is_off() => body.run(&mut Stepped(m, proc)),
-            Mach::Whole(m) => m.serial(proc, |sh| body.run(sh)),
-            Mach::Shard(s) => body.run(own(s, proc)),
-        }
+/// Run a whole stream of `proc`'s accesses — an innermost loop — as
+/// **one** timed operation: a single [`Machine::serial`] step. One step
+/// for many accesses is exact for the reason a bulk run is
+/// (`MachineShard::run_segment`): no other processor runs during it. Not
+/// under live migration, where epochs fire on access counts: there every
+/// access stays a step of its own ([`Stepped`]).
+#[inline]
+pub(crate) fn stream(m: &mut Machine, proc: ProcId, body: impl Stream) {
+    if m.config().migration.is_off() {
+        m.serial(proc, |sh| body.run(sh));
+    } else {
+        body.run(&mut Stepped(m, proc));
     }
 }
 
@@ -117,7 +70,7 @@ pub(crate) trait Port {
     fn store(&mut self, cur: &mut LineCursor, addr: u64, word: u64);
 }
 
-/// A body of accesses for [`Mach::stream`], generic in the port it is
+/// A body of accesses for [`stream`], generic in the port it is
 /// handed (which a closure cannot be).
 pub(crate) trait Stream {
     fn run<P: Port>(self, port: &mut P);
@@ -168,64 +121,6 @@ impl Port for Stepped<'_> {
     }
 }
 
-/// A member's shard, which acts only as its own processor.
-#[inline(always)]
-fn own<'s, 'm>(s: &'s mut MachineShard<'m>, proc: ProcId) -> &'s mut MachineShard<'m> {
-    assert_eq!(proc, s.proc(), "team member acting as another processor");
-    s
-}
-
-/// An engine's handle on the binder: the top-level engine owns it;
-/// parallel members share it read-only (their bodies are gated to never
-/// bind, view, or redistribute arrays).
-pub(crate) enum BinderRef<'a> {
-    Owned(Binder),
-    Borrowed(&'a Binder),
-}
-
-impl BinderRef<'_> {
-    #[inline]
-    pub(crate) fn get(&self, idx: usize) -> &RtArray {
-        self.shared().get(idx)
-    }
-
-    /// Read-only view for sharing with team members.
-    #[inline]
-    pub(crate) fn shared(&self) -> &Binder {
-        match self {
-            BinderRef::Owned(b) => b,
-            BinderRef::Borrowed(b) => b,
-        }
-    }
-
-    /// Mutable access; only reachable outside parallel members.
-    pub(crate) fn owned(&mut self) -> &mut Binder {
-        match self {
-            BinderRef::Owned(b) => b,
-            BinderRef::Borrowed(_) => {
-                unreachable!("binder mutation inside a parallel member")
-            }
-        }
-    }
-}
-
-/// A region body is parallel-safe when it cannot touch whole-machine or
-/// binder state: no subroutine calls (they bind declarations and run
-/// argument checks) and no redistribution. Such bodies are the compiled
-/// doacross kernels; anything else falls back to serial team simulation.
-fn body_parallel_safe(body: &[Stmt]) -> bool {
-    body.iter().all(|st| match st {
-        Stmt::Call { .. } | Stmt::Redistribute { .. } | Stmt::ResizeTeam { .. } => false,
-        Stmt::If {
-            then_body,
-            else_body,
-            ..
-        } => body_parallel_safe(then_body) && body_parallel_safe(else_body),
-        Stmt::Loop(l) => body_parallel_safe(&l.body),
-        _ => true,
-    })
-}
-
 /// One loop as both engines see it: the IR statement, its subroutine, and
 /// the engine's own handle on the compiled bounds and body.
 #[derive(Clone, Copy)]
@@ -237,10 +132,10 @@ pub(crate) struct LoopSite<'p, H> {
 
 /// What an execution engine supplies to the shared core. Everything else
 /// about fork/join, calls, redistribution and resizing is engine-neutral.
-pub(crate) trait Engine: Sized + Send {
+pub(crate) trait Engine: Sized {
     /// Engine-private handle on a loop (nothing for the tree walker; the
     /// compiled side tables for the VM).
-    type Handle: Copy + Send + Sync;
+    type Handle: Copy;
 
     /// Evaluate the loop's `(lb, ub, step)`, in that order.
     fn eval_bounds(
@@ -265,9 +160,6 @@ pub(crate) trait Engine: Sized + Send {
     /// Bring `proc`'s simulated clock current (deliver deferred charges).
     fn flush(rs: &mut RunState<'_, Self>, proc: ProcId);
 
-    /// The engine-private state of a team member forked from this engine.
-    fn spawn_member(&self) -> Self;
-
     /// Array instance `inst` — or, with `None`, every live instance — got
     /// a new descriptor: refresh whatever the engine derived from it.
     fn rebind(_rs: &mut RunState<'_, Self>, _inst: Option<usize>) {}
@@ -275,9 +167,9 @@ pub(crate) trait Engine: Sized + Send {
 
 /// Everything a running engine carries besides its private state `E`.
 pub(crate) struct RunState<'a, E> {
-    pub(crate) mach: Mach<'a>,
+    pub(crate) mach: &'a mut Machine,
     pub(crate) opts: &'a ExecOptions,
-    pub(crate) binder: BinderRef<'a>,
+    pub(crate) binder: Binder,
     pub(crate) checker: ArgChecker,
     pub(crate) costs: Costs,
     /// Parallel regions forked so far (the next region's id).
@@ -285,17 +177,14 @@ pub(crate) struct RunState<'a, E> {
     region_cycles: u64,
     /// Host wall-clock accumulated across parallel regions (fork to join).
     region_wall: Duration,
-    /// Label of each parallel region executed so far, indexed by region id
-    /// (only the top-level engine forks, so only it appends).
+    /// Label of each parallel region executed so far, indexed by region id.
     region_names: Vec<String>,
-    /// Statement counter, shared across the team for the step limit.
-    pub(crate) steps: &'a AtomicU64,
-    /// Migration-epoch cadence at team joins (top-level engine only;
-    /// members never fork).
+    /// Statements executed so far, for the step limit.
+    pub(crate) steps: u64,
+    /// Migration-epoch cadence at team joins.
     epoch: EpochClock,
     /// Current team size: starts at `opts.nprocs`, changed by
-    /// `resize_team` (directive or [`ExecOptions::resize_to`]). Members
-    /// inherit the value at fork; only the top-level engine resizes.
+    /// `resize_team` (directive or [`ExecOptions::resize_to`]).
     pub(crate) team: usize,
     pub(crate) eng: E,
 }
@@ -329,14 +218,24 @@ pub(crate) fn run<E: Engine>(
         machine.set_sampling(sampling).map_err(ExecError::Options)?;
     }
     let costs = Costs::from_config(machine.config());
-    let binder = BinderRef::Owned(Binder::new(machine, program, opts.nprocs));
-    let steps = AtomicU64::new(0);
-    let mach = Mach::Whole(machine);
-    let mut rs = RunState::new(mach, opts, binder, costs, &steps, opts.nprocs, eng);
+    let binder = Binder::new(machine, program, opts.nprocs);
+    let mut rs = RunState {
+        mach: machine,
+        opts,
+        binder,
+        checker: ArgChecker::new(),
+        costs,
+        regions: 0,
+        region_cycles: 0,
+        region_wall: Duration::ZERO,
+        region_names: Vec::new(),
+        steps: 0,
+        epoch: EpochClock::default(),
+        team: opts.nprocs,
+        eng,
+    };
     let main = program.main_sub();
-    rs.binder
-        .owned()
-        .bind_declarations(rs.mach.whole(), main, &mut frame);
+    rs.binder.bind_declarations(rs.mach, main, &mut frame);
     let mut ctx = Ctx {
         proc: ProcId(0),
         in_region: false,
@@ -349,42 +248,13 @@ pub(crate) fn run<E: Engine>(
     Ok(rs.collect_outcome(main, &frame, host_t0))
 }
 
-impl<'a, E: Engine> RunState<'a, E> {
-    /// A fresh state — the top-level engine's, or a team member's — that
-    /// has checked no argument and forked no region yet.
-    fn new(
-        mach: Mach<'a>,
-        opts: &'a ExecOptions,
-        binder: BinderRef<'a>,
-        costs: Costs,
-        steps: &'a AtomicU64,
-        team: usize,
-        eng: E,
-    ) -> Self {
-        RunState {
-            mach,
-            opts,
-            binder,
-            checker: ArgChecker::new(),
-            costs,
-            regions: 0,
-            region_cycles: 0,
-            region_wall: Duration::ZERO,
-            region_names: Vec::new(),
-            steps,
-            epoch: EpochClock::default(),
-            team,
-            eng,
-        }
-    }
-
-    /// Postamble: drain in-flight invalidations, gather counters and the
-    /// attribution profile, and read back captured arrays.
-    fn collect_outcome(mut self, main: &Subroutine, frame: &Frame, host_t0: Instant) -> RunOutcome {
+impl<E: Engine> RunState<'_, E> {
+    /// Postamble: gather counters and the attribution profile, and read
+    /// back captured arrays.
+    fn collect_outcome(self, main: &Subroutine, frame: &Frame, host_t0: Instant) -> RunOutcome {
         let opts = self.opts;
-        let machine = self.mach.whole();
-        let binder = self.binder.shared();
-        machine.drain_mail();
+        let machine = self.mach;
+        let binder = &self.binder;
         let per_proc: Vec<_> = (0..machine.nprocs())
             .map(|p| *machine.counters(ProcId(p)))
             .collect();
@@ -473,8 +343,8 @@ impl<'a, E: Engine> RunState<'a, E> {
     ) -> Result<(), ExecError> {
         // The mover runs on the machine's clocks: bring this one current.
         E::flush(self, proc);
-        let arr = self.binder.owned().get_mut(inst);
-        let m = self.mach.whole();
+        let arr = self.binder.get_mut(inst);
+        let m = &mut *self.mach;
         let moved = match self.opts.redist {
             RedistMode::Scheduled => arr.redistribute_scheduled(m, proc, dist, self.team),
             RedistMode::Naive => arr.redistribute(m, proc, dist, self.team),
@@ -491,9 +361,8 @@ impl<'a, E: Engine> RunState<'a, E> {
     pub(crate) fn resize_team(&mut self, new: usize, proc: ProcId) -> Result<(), ExecError> {
         E::flush(self, proc);
         let scheduled = self.opts.redist == RedistMode::Scheduled;
-        let m = self.mach.whole();
-        let new = new.clamp(1, m.nprocs());
-        self.binder.owned().resize_team(m, proc, new, scheduled)?;
+        let new = new.clamp(1, self.mach.nprocs());
+        self.binder.resize_team(self.mach, proc, new, scheduled)?;
         self.team = new;
         E::rebind(self, None);
         Ok(())
@@ -584,27 +453,24 @@ impl<'a, E: Engine> RunState<'a, E> {
     }
 
     /// One member's share of a region, start to finish.
-    fn run_works(
+    fn run_work(
         &mut self,
         site: LoopSite<'_, E::Handle>,
-        works: &[&Work],
+        work: &Work,
         frame: &mut Frame,
         ctx: &mut Ctx,
     ) -> Result<(), ExecError> {
         let d = site.l.par.as_ref().expect("doacross site");
         let dispatch = matches!(d.sched, SchedType::Dynamic(_));
-        for work in works {
-            match work {
-                Work::ProcTile => self.proctile_member(site, frame, ctx)?,
-                Work::Chunks(chunks) => {
-                    for &c in chunks {
-                        if dispatch {
-                            // Work-queue grab per chunk.
-                            self.mach
-                                .on(ctx.proc, |sh| sh.charge(6 * self.costs.int_alu));
-                        }
-                        self.run_chunk(site, frame, ctx, c)?;
+        match work {
+            Work::ProcTile => self.proctile_member(site, frame, ctx)?,
+            Work::Chunks(chunks) => {
+                for &c in chunks {
+                    if dispatch {
+                        // Work-queue grab per chunk.
+                        self.mach.charge(ctx.proc, 6 * self.costs.int_alu);
                     }
+                    self.run_chunk(site, frame, ctx, c)?;
                 }
             }
         }
@@ -688,126 +554,50 @@ impl<'a, E: Engine> RunState<'a, E> {
         ));
         let costs = self.costs;
         E::flush(self, ctx.proc);
-        let start = self.mach.whole().cycles(ctx.proc) + costs.parallel_fork;
+        let start = self.mach.cycles(ctx.proc) + costs.parallel_fork;
         // Per-node memory-service demand before the region: deltas bound
         // region time by the bottleneck node's throughput (the hot-node
         // effect of the paper's Figure 5).
-        let served_before: Vec<u64> = self.mach.whole().node_served();
+        let served_before: Vec<u64> = self.mach.node_served();
 
         let team = self.build_team(site, frame, ctx)?;
         E::flush(self, ctx.proc);
 
-        // Host-parallel simulation is sound only when the body cannot
-        // mutate whole-machine/binder state. (Migration is compatible:
-        // shards only bump lock-free reference counters; the daemon
-        // itself runs at the join below, with the whole machine back in
-        // hand.) Merge duplicate members so each processor's state is
-        // owned by exactly one host thread; with fewer than two distinct
-        // members there is nothing to overlap.
-        let mut merged: Vec<(ProcId, Vec<&Work>)> = Vec::new();
-        for (p, w) in &team {
-            match merged.iter_mut().find(|(q, _)| q == p) {
-                Some((_, ws)) => ws.push(w),
-                None => merged.push((*p, vec![w])),
-            }
-        }
-        let run_parallel =
-            !self.opts.serial_team && merged.len() >= 2 && body_parallel_safe(&l.body);
-
+        // Level every member to the fork point and run its share to
+        // completion before the next member.
+        //
+        // Access-count migration epochs are paused here: replaying members
+        // one at a time means the reference counters are transiently
+        // dominated by whichever member is current, and a mid-region epoch
+        // would chase each member in turn. The daemon instead fires at the
+        // join below with whole-team counts.
         let fork_t0 = Instant::now();
-        if run_parallel {
-            let RunState {
-                mach,
-                opts,
-                binder,
-                steps,
-                team: team_size,
-                eng,
-                ..
-            } = self;
-            let (opts, steps, team_size) = (*opts, *steps, *team_size);
-            let binder = binder.shared();
-            let machine = mach.whole();
-            for (p, _) in &merged {
-                if machine.cycles(*p) < start {
-                    machine.set_cycles(*p, start);
-                }
+        self.mach.pause_epochs(true);
+        let replayed = team.iter().try_for_each(|(p, work)| {
+            if self.mach.cycles(*p) < start {
+                self.mach.set_cycles(*p, start);
             }
-            let ids: Vec<ProcId> = merged.iter().map(|(p, _)| *p).collect();
-            let shards = machine.team_shards(&ids);
-            let results: Vec<Result<(), ExecError>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = shards
-                    .into_iter()
-                    .zip(&merged)
-                    .map(|(shard, (proc, works))| {
-                        let mach = Mach::Shard(shard);
-                        let binder = BinderRef::Borrowed(binder);
-                        let eng = eng.spawn_member();
-                        let mut member =
-                            RunState::new(mach, opts, binder, costs, steps, team_size, eng);
-                        let mut member_ctx = Ctx {
-                            proc: *proc,
-                            in_region: true,
-                            region: region_id,
-                        };
-                        // Private copy of all scalars (covers the `local`
-                        // clause; in-region writes to shared scalars are
-                        // discarded at join, as in the serial path).
-                        let mut member_frame = frame.clone();
-                        scope.spawn(move || {
-                            member.run_works(site, works, &mut member_frame, &mut member_ctx)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("team member thread panicked"))
-                    .collect()
-            });
-            // Deliver invalidations still in flight at the join.
-            machine.drain_mail();
-            for r in results {
-                r?;
-            }
-        } else {
-            // Serial reference path: level every member to the fork point
-            // and run its share to completion before the next member.
-            //
-            // Access-count migration epochs are paused here: replaying
-            // members one at a time means the reference counters are
-            // transiently dominated by whichever member is current, and a
-            // mid-region epoch would chase each member in turn (page
-            // thrash the threaded path can't exhibit). The daemon instead
-            // fires at the join below with whole-team counts.
-            self.mach.whole().pause_epochs(true);
-            let replayed = team.iter().try_for_each(|(p, work)| {
-                let machine = self.mach.whole();
-                if machine.cycles(*p) < start {
-                    machine.set_cycles(*p, start);
-                }
-                let mut member_ctx = Ctx {
-                    proc: *p,
-                    in_region: true,
-                    region: region_id,
-                };
-                // Private copy of all scalars (covers the `local` clause;
-                // the model discards in-region writes to shared scalars at
-                // join).
-                let mut member_frame = frame.clone();
-                self.run_works(site, &[work], &mut member_frame, &mut member_ctx)
-            });
-            // Resume on every exit path: a faulting member must not leave
-            // the machine deaf to access-count epochs for its next run.
-            self.mach.whole().pause_epochs(false);
-            replayed?;
-        }
+            let mut member_ctx = Ctx {
+                proc: *p,
+                in_region: true,
+                region: region_id,
+            };
+            // Private copy of all scalars (covers the `local` clause; the
+            // model discards in-region writes to shared scalars at join).
+            let mut member_frame = frame.clone();
+            self.run_work(site, work, &mut member_frame, &mut member_ctx)
+        });
+        // Resume on every exit path: a faulting member must not leave the
+        // machine deaf to access-count epochs for its next run.
+        self.mach.pause_epochs(false);
+        replayed?;
         self.region_wall += fork_t0.elapsed();
 
         // Implicit barrier: everyone (team and idle processors alike)
         // advances to the slowest member — or, if some node's memory had
         // to service more line fills than fit in that window, to the end
         // of the bottleneck node's service demand (throughput bound).
-        let machine = self.mach.whole();
+        let machine = &mut *self.mach;
         let occupancy = machine.config().lat.mem_occupancy;
         let node_demand = machine
             .node_served()
@@ -829,8 +619,8 @@ impl<'a, E: Engine> RunState<'a, E> {
             machine.set_cycles(ctx.proc, t_end);
         }
         self.region_cycles += t_end - (start - costs.parallel_fork);
-        // Team join = migration epoch boundary: the shards sampled the
-        // reference counters; the daemon itself needs the whole machine.
+        // Team join = migration epoch boundary, with the whole team's
+        // references counted.
         join_epoch(machine, &mut self.epoch);
         // Sequential semantics for the loop variable after the region
         // (what `lastlocal` guarantees on the real system): the value it
@@ -862,7 +652,7 @@ impl<'a, E: Engine> RunState<'a, E> {
     fn register_actual(&mut self, call: &mut CallBinding, addr: u64, info: ArgInfo, proc: ProcId) {
         self.checker.register(addr, info);
         call.registered.push(addr);
-        self.mach.on(proc, |sh| sh.charge(40));
+        self.mach.charge(proc, 40);
     }
 
     /// Whole-array actual: the callee's `formal` sees the same instance
@@ -911,10 +701,7 @@ impl<'a, E: Engine> RunState<'a, E> {
             };
             self.register_actual(call, addr, info, proc);
         }
-        let view = self
-            .binder
-            .owned()
-            .bind_view(self.mach.whole(), formal, addr, callee_frame);
+        let view = self.binder.bind_view(self.mach, formal, addr, callee_frame);
         call.arrays.push((formal_id, view));
     }
 
@@ -944,16 +731,15 @@ impl<'a, E: Engine> RunState<'a, E> {
                         Extent::Var(v) => callee_frame.scalars[v.0].as_i().max(0) as u64,
                     })
                     .collect();
-                self.mach.on(proc, |sh| sh.charge(40));
+                self.mach.charge(proc, 40);
                 self.checker
                     .check_formal(&callee.name, pos, base, &declared)
                     .map_err(|e| ExecError::Runtime(RuntimeError::ArgCheck(e)))?;
             }
         }
         self.binder
-            .owned()
-            .bind_declarations(self.mach.whole(), callee, callee_frame);
-        self.mach.on(proc, |sh| sh.charge(10 * self.costs.int_alu));
+            .bind_declarations(self.mach, callee, callee_frame);
+        self.mach.charge(proc, 10 * self.costs.int_alu);
         Ok(())
     }
 

@@ -219,9 +219,8 @@ impl ExecOptions {
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(256);
         s.push_str(&format!(
-            "{{\"nprocs\":{},\"runtime_checks\":{},\"max_steps\":{},\
-             \"serial_team\":{},\"profile\":{}",
-            self.nprocs, self.runtime_checks, self.max_steps, self.serial_team, self.profile
+            "{{\"nprocs\":{},\"runtime_checks\":{},\"max_steps\":{},\"profile\":{}",
+            self.nprocs, self.runtime_checks, self.max_steps, self.profile
         ));
         s.push_str(",\"captures\":[");
         for (i, name) in self.captures.iter().enumerate() {

@@ -401,8 +401,8 @@ fn nprocs_out_of_range_is_an_options_error() {
 /// does: an array of kind `None` that a `redistribute` nevertheless
 /// distributes over four processors, which `resize_team(2)` then leaves
 /// alone. The runtime-affinity loop's four grid coordinates clamp onto a
-/// team of two — P1 stands in for coordinates 1, 2 and 3 — and all four
-/// engine × team-mode cells must agree.
+/// team of two — P1 stands in for coordinates 1, 2 and 3 — and both
+/// engines must agree.
 #[test]
 fn clamped_affinity_members_merge_identically_in_every_cell() {
     let src = "      program main\n      integer i\n      real*8 a(256)\nc$distribute a(block)\nc$redistribute a(block)\nc$resize_team(2)\nc$doacross local(i) affinity(i) = data(a(i))\n      do i = 1, 256\n        a(i) = 2*i\n      enddo\n      end\n";
@@ -414,39 +414,23 @@ fn clamped_affinity_members_merge_identically_in_every_cell() {
     let expect: Vec<f64> = (1..=256).map(|i| f64::from(2 * i)).collect();
     let mut cells = Vec::new();
     for engine in [Engine::Bytecode, Engine::Interp] {
-        for serial in [true, false] {
-            let mut m = Machine::new(MachineConfig::small_test(4));
-            let opts = ExecOptions::new(4)
-                .engine(engine)
-                .serial_team(serial)
-                .capture(&["a"]);
-            let o = run_outcome(&mut m, &program, &opts).expect("runs");
-            assert_eq!(o.captures[0], expect, "{engine} serial={serial}");
-            let stores: Vec<u64> = o.report.per_proc.iter().map(|c| c.stores).collect();
-            assert_eq!(stores, [64, 192, 0, 0], "{engine} serial={serial}");
-            // Interventions are the one counter threaded mode leaves to
-            // the host scheduler (docs/SIMULATOR.md).
-            let per_proc: Vec<_> = o
-                .report
-                .per_proc
-                .iter()
-                .map(|c| dsm_machine::CounterSet {
-                    interventions: 0,
-                    ..*c
-                })
-                .collect();
-            cells.push((
-                o.report.total_cycles,
-                o.report.parallel_cycles,
-                o.report.parallel_regions,
-                per_proc,
-            ));
-        }
+        let mut m = Machine::new(MachineConfig::small_test(4));
+        let opts = ExecOptions::new(4).engine(engine).capture(&["a"]);
+        let o = run_outcome(&mut m, &program, &opts).expect("runs");
+        assert_eq!(o.captures[0], expect, "{engine}");
+        let stores: Vec<u64> = o.report.per_proc.iter().map(|c| c.stores).collect();
+        assert_eq!(stores, [64, 192, 0, 0], "{engine}");
+        cells.push((
+            o.report.total_cycles,
+            o.report.parallel_cycles,
+            o.report.parallel_regions,
+            o.report.per_proc,
+        ));
     }
     assert!(cells.windows(2).all(|w| w[0] == w[1]), "{cells:#?}");
 }
 
-/// A member that faults inside a serial-team region must not leave the
+/// A member that faults inside a parallel region must not leave the
 /// machine with access-count migration epochs paused: the next run on the
 /// same `Machine` would never fire one in its serial sections. Report
 /// counters are machine totals, so the reference is not a fresh machine
@@ -468,9 +452,7 @@ fn faulting_serial_team_member_leaves_epochs_running() {
     // Small caches so the sweeps keep missing to memory.
     cfg.l2 = dsm_machine::CacheConfig::new(2048, 64, 2);
     cfg.l1 = dsm_machine::CacheConfig::new(512, 32, 2);
-    let opts = ExecOptions::new(8)
-        .serial_team(true)
-        .migration(dsm_machine::MigrationPolicy::threshold(4));
+    let opts = ExecOptions::new(8).migration(dsm_machine::MigrationPolicy::threshold(4));
     let second_run = |resume_by_hand: bool| {
         let mut m = Machine::new(cfg.clone());
         let err = run_outcome(&mut m, &faulty, &opts).unwrap_err();
@@ -489,7 +471,7 @@ fn faulting_serial_team_member_leaves_epochs_running() {
 // Bytecode against the interpreter: literal operands and tile hints.
 // ---------------------------------------------------------------------
 
-/// One engine × team-mode run of a program on a fresh machine.
+/// One engine's run of a program on a fresh machine.
 #[derive(PartialEq)]
 struct Cell {
     /// Captured arrays, as bits.
@@ -508,10 +490,9 @@ fn cell(
     nprocs: usize,
     opts: &ExecOptions,
     engine: Engine,
-    serial: bool,
 ) -> Result<Cell, ExecError> {
     let mut m = Machine::new(MachineConfig::small_test(nprocs));
-    let opts = opts.clone().engine(engine).serial_team(serial);
+    let opts = opts.clone().engine(engine);
     let o = run_outcome(&mut m, program, &opts)?;
     let bits = |c: &Vec<f64>| c.iter().map(|x| x.to_bits()).collect();
     Ok(Cell {
@@ -522,38 +503,29 @@ fn cell(
     })
 }
 
-/// All four cells agree with the serial-team interpreter: on the error,
-/// or on the captures and every processor's loads and stores — and, on
-/// one host thread, where every number is pinned (docs/SIMULATOR.md), on
-/// the whole report digest. Returns the captures.
+/// The bytecode engine agrees with the interpreter: on the error, or on
+/// the captures, every processor's loads and stores, and the whole report
+/// digest (every run is deterministic, docs/SIMULATOR.md). Returns the
+/// captures.
 fn cells_agree(
     program: &dsm_ir::Program,
     nprocs: usize,
     opts: &ExecOptions,
 ) -> Result<Vec<Vec<f64>>, ExecError> {
-    let reference = cell(program, nprocs, opts, Engine::Interp, true);
-    for (engine, serial) in [
-        (Engine::Bytecode, true),
-        (Engine::Bytecode, false),
-        (Engine::Interp, false),
-    ] {
-        let at = format!("{engine} serial_team={serial}");
-        match (cell(program, nprocs, opts, engine, serial), &reference) {
-            (Ok(got), Ok(want)) => {
-                assert!(got.captures == want.captures, "{at}: captures differ");
-                assert_eq!(got.traffic, want.traffic, "{at}");
-                if serial {
-                    assert_eq!(got.digest, want.digest, "{at}");
-                    assert_eq!(got.profile, want.profile, "{at}");
-                }
-            }
-            (Err(got), Err(want)) => assert_eq!(&got, want, "{at}"),
-            (got, _) => panic!(
-                "{at}: {:?}, the reference {:?}",
-                got.map(|_| ()),
-                reference.as_ref().map(|_| ())
-            ),
+    let reference = cell(program, nprocs, opts, Engine::Interp);
+    match (cell(program, nprocs, opts, Engine::Bytecode), &reference) {
+        (Ok(got), Ok(want)) => {
+            assert!(got.captures == want.captures, "captures differ");
+            assert_eq!(got.traffic, want.traffic);
+            assert_eq!(got.digest, want.digest);
+            assert_eq!(got.profile, want.profile);
         }
+        (Err(got), Err(want)) => assert_eq!(&got, want),
+        (got, _) => panic!(
+            "bytecode: {:?}, the reference {:?}",
+            got.map(|_| ()),
+            reference.as_ref().map(|_| ())
+        ),
     }
     let floats = |c: &Vec<u64>| c.iter().map(|&b| f64::from_bits(b)).collect();
     Ok(reference?.captures.iter().map(floats).collect())

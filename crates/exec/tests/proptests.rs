@@ -119,7 +119,7 @@ proptest! {
         );
         let c = compile_strings(&[("t.f", src.as_str())], &OptConfig::default())
             .expect("compiles");
-        let mut opts = ExecOptions::new(nprocs).serial_team(true).capture(&["a"]);
+        let mut opts = ExecOptions::new(nprocs).capture(&["a"]);
         if engine_interp {
             opts = opts.engine(dsm_exec::Engine::Interp);
         }

@@ -71,7 +71,7 @@ pub use sample::{SamplingConfig, SamplingSummary};
 pub use profile::{
     AccessTag, AttributionTable, FillLevel, PageAttr, TagStats, SERIAL_REGION, UNTAGGED_SYM,
 };
-pub use shared::{ShardedDirectory, SharedSnapshot, SharedState, WordMem, DIR_SHARDS};
+pub use shared::{SharedState, WordMem};
 pub use tlb::Tlb;
 pub use topology::{hops, NodeId};
 

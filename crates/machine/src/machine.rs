@@ -17,22 +17,20 @@
 //! [`Machine::set_cycles`] at barriers.
 //!
 //! The machine is split into per-processor state (caches, TLB, counters,
-//! clock) and thread-safe shared state ([`crate::shared::SharedState`]:
-//! page table, directory, data store). A [`MachineShard`] — exclusive
-//! `&mut` access to one processor plus shared access to everything else —
-//! *is* the access pipeline: the five timed steps, the typed loads and
-//! stores and the bulk-run walker are its methods and exist nowhere else.
-//! [`Machine::team_shards`] hands each member of a parallel team its
-//! shard, so members can be simulated on real host threads. `Machine`'s
-//! own per-processor methods are each the shard operation of the same
-//! name wrapped in [`Machine::serial`]: run it, deliver every processor's
-//! mailbox (so cross-processor invalidations are synchronous in
-//! single-threaded use), and count its accesses toward the migration
+//! clock) and shared state ([`crate::shared::SharedState`]: page table,
+//! directory, data store), all plain owned data. A [`MachineShard`] — the
+//! whole machine, borrowed to act as one processor — *is* the access
+//! pipeline: the five timed steps, the typed loads and stores and the
+//! bulk-run walker are its methods and exist nowhere else. A writer's
+//! coherence action purges the other sharers' caches at once, so
+//! invalidations are synchronous. `Machine`'s own per-processor methods
+//! are each the shard operation of the same name wrapped in
+//! [`Machine::serial`], which counts its accesses toward the migration
 //! epoch. Bulk runs batch only with migration off; with it on they fall
 //! back to one `serial` step per element, so epochs fire on the same
 //! access they would in the plain loop.
 
-use std::sync::atomic::Ordering;
+use std::cmp::Ordering;
 
 use crate::cache::{Cache, Probe};
 use crate::config::MachineConfig;
@@ -41,7 +39,7 @@ use crate::migrate::MigrationStats;
 use crate::pagetable::{Mapping, PageTable, Translate};
 use crate::profile::{AccessTag, AttributionTable, FillLevel, UNTAGGED_SYM};
 use crate::sample::{SampleStats, SamplingConfig, SamplingSummary};
-use crate::shared::{SharedSnapshot, SharedState};
+use crate::shared::{SharedState, WordMem};
 use crate::tlb::Tlb;
 use crate::topology::{hops, NodeId};
 use crate::ProcId;
@@ -61,7 +59,7 @@ pub enum AccessKind {
 /// A run of uniformly-strided element accesses, handed to the machine in
 /// one call so the per-access dispatch and lookup overhead amortizes.
 /// Element `i` touches `base + i*stride`; every access keeps full
-/// per-access semantics (coherence, mail delivery, migration counting),
+/// per-access semantics (coherence, migration counting),
 /// so a run is observationally identical to the equivalent access loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccessRun {
@@ -144,6 +142,14 @@ impl Processor {
             attr.note_access(self.cur_tag, kind, tlb_miss, level);
         }
     }
+
+    /// Inclusion: drop the L1 lines inside L2 line `dir_line`.
+    fn purge_l1(&mut self, cfg: &MachineConfig, dir_line: u64) {
+        let (l1, l2) = (cfg.l1.line_size as u64, cfg.l2.line_size as u64);
+        for byte in (dir_line * l2..(dir_line + 1) * l2).step_by(l1 as usize) {
+            self.l1.invalidate_line(byte >> l1.trailing_zeros());
+        }
+    }
 }
 
 /// Running totals of explicit redistribution work (`c$redistribute`,
@@ -188,15 +194,13 @@ pub struct Machine {
 /// A deep copy of a [`Machine`]'s complete state, captured by
 /// [`Machine::snapshot`] and written back by [`Machine::restore`].
 ///
-/// Snapshots are plain owned data (no atomics, no locks), so they are
-/// `Send`/`Sync`/`Clone` and can sit in a pool shared across daemon
-/// worker threads. They are only valid between runs: both `snapshot`
-/// and `restore` insist that every invalidation mailbox is empty.
+/// Snapshots are plain owned data, so they are `Send`/`Sync`/`Clone` and
+/// can sit in a pool shared across daemon worker threads.
 #[derive(Debug, Clone)]
 pub struct MachineSnapshot {
     cfg: MachineConfig,
     procs: Vec<Processor>,
-    shared: SharedSnapshot,
+    shared: SharedState,
     brk: u64,
     mig: MigrationStats,
     redist: RedistStats,
@@ -243,7 +247,7 @@ impl Machine {
             cfg.page_coloring,
             page_bits,
         );
-        let shared = SharedState::new(pt, procs.len(), cfg.n_nodes);
+        let shared = SharedState::new(pt, cfg.page_size / cfg.l2.line_size, cfg.n_nodes);
         Machine {
             cfg,
             procs,
@@ -303,21 +307,15 @@ impl Machine {
     /// second-guesses placement the program asked for, so directive-placed
     /// arrays cannot be dragged around by reference-counter noise).
     pub fn place_page(&mut self, vpage: u64, node: NodeId) -> bool {
-        self.shared
-            .pt
-            .write()
-            .expect("page table poisoned")
-            .pin(vpage);
+        self.shared.pt.pin(vpage);
         self.remap_page(vpage, node)
     }
 
     /// Remap `vpage` to `node` without pinning it (the migration daemon's
     /// path; explicit placement wraps this in [`Machine::place_page`]).
     fn remap_page(&mut self, vpage: u64, node: NodeId) -> bool {
-        let mut pt = self.shared.pt.write().expect("page table poisoned");
-        let old = pt.lookup(vpage);
-        let (_m, remapped) = pt.place(vpage, node);
-        drop(pt);
+        let old = self.shared.pt.lookup(vpage);
+        let (_m, remapped) = self.shared.pt.place(vpage, node);
         if remapped {
             let old = old.expect("remap implies prior mapping");
             self.retire_frame(vpage, old.frame);
@@ -430,12 +428,12 @@ impl Machine {
     /// Home node of the page containing `addr`, if mapped.
     pub fn home_of(&self, addr: VAddr) -> Option<NodeId> {
         let vpage = addr >> self.page_bits;
-        self.shared.page_table().lookup(vpage).map(|m| m.node)
+        self.shared.pt.lookup(vpage).map(|m| m.node)
     }
 
     /// Pages currently resident on each node (placement histogram).
     pub fn pages_per_node(&self) -> Vec<usize> {
-        self.shared.page_table().pages_per_node()
+        self.shared.pt.pages_per_node()
     }
 
     // ---------------------------------------------------------------
@@ -445,30 +443,31 @@ impl Machine {
     /// `proc`'s shard of the machine.
     #[inline]
     fn shard(&mut self, proc: ProcId) -> MachineShard<'_> {
+        let (before, rest) = self.procs.split_at_mut(proc.0);
+        let (p, after) = rest
+            .split_first_mut()
+            .unwrap_or_else(|| panic!("no processor {proc}"));
         MachineShard {
             cfg: &self.cfg,
-            shared: &self.shared,
+            shared: &mut self.shared,
             page_bits: self.page_bits,
             proc,
-            p: &mut self.procs[proc.0],
+            p,
+            before,
+            after,
         }
     }
 
-    /// Run one [`MachineShard`] operation as `proc` from serial code —
-    /// every per-processor method below is this around the shard method of
-    /// the same name. It is the only place that knows what serial mode
-    /// adds to a shard operation: afterwards every processor's mailbox is
-    /// delivered, so invalidations of other processors' caches take effect
-    /// before this returns (single-threaded use sees fully synchronous
-    /// coherence), and the accesses `op` performed count toward the
-    /// migration epoch ([`MachineConfig::migration_epoch`]) unless epochs
-    /// are paused. The epoch fires after `op`, so an `op` is one epoch
-    /// step however many accesses it makes.
+    /// Run one [`MachineShard`] operation as `proc` — every
+    /// per-processor method below is this around the shard method of the
+    /// same name. The accesses `op` performed count toward the migration
+    /// epoch ([`MachineConfig::migration_epoch`]) unless epochs are
+    /// paused. The epoch fires after `op`, so an `op` is one epoch step
+    /// however many accesses it makes.
     #[inline(always)]
     pub fn serial<R>(&mut self, proc: ProcId, op: impl FnOnce(&mut MachineShard<'_>) -> R) -> R {
         let before = self.procs[proc.0].counters.accesses();
         let r = op(&mut self.shard(proc));
-        self.drain_mail();
         if !self.cfg.migration.is_off() && !self.epochs_paused {
             let n = self.procs[proc.0].counters.accesses() - before;
             self.epoch_accesses += n;
@@ -480,7 +479,7 @@ impl Machine {
     }
 
     /// A bulk [`AccessRun`] from serial code: `count` timed accesses of
-    /// uniform byte stride, each followed by `data(shared, addr, index)`,
+    /// uniform byte stride, each followed by `data(mem, addr, index)`,
     /// observationally identical to the equivalent loop of
     /// [`Machine::access`] calls. With migration off the run is one shard
     /// operation through the page-segmented batch walker; with migration
@@ -489,7 +488,7 @@ impl Machine {
         &mut self,
         proc: ProcId,
         run: &AccessRun,
-        mut data: impl FnMut(&SharedState, VAddr, u64),
+        mut data: impl FnMut(&mut WordMem, VAddr, u64),
     ) -> u64 {
         if self.cfg.migration.is_off() {
             return self.serial(proc, |s| s.run_batched(run, data));
@@ -500,7 +499,7 @@ impl Machine {
         for i in 0..run.count {
             let addr = run.addr(i);
             total += self.access(proc, addr, run.kind);
-            data(&self.shared, addr, i);
+            data(&mut self.shared.mem, addr, i);
         }
         total
     }
@@ -551,8 +550,8 @@ impl Machine {
     /// an allocated region.
     pub fn write_run_f64(&mut self, proc: ProcId, run: &AccessRun, vals: &[f64]) -> u64 {
         debug_assert_eq!(run.kind, AccessKind::Write);
-        self.serial_run(proc, run, |s, a, i| {
-            s.mem.store_u64(a, vals[i as usize].to_bits());
+        self.serial_run(proc, run, |mem, a, i| {
+            mem.store_u64(a, vals[i as usize].to_bits());
         })
     }
 
@@ -560,7 +559,7 @@ impl Machine {
     /// [`AccessRun`]; see [`MachineShard::fill_run_u64`].
     pub fn fill_run_u64(&mut self, proc: ProcId, run: &AccessRun, word: u64) -> u64 {
         debug_assert_eq!(run.kind, AccessKind::Write);
-        self.serial_run(proc, run, |s, a, _| s.mem.store_u64(a, word))
+        self.serial_run(proc, run, |mem, a, _| mem.store_u64(a, word))
     }
 
     /// Suspend (or resume) access-count migration epochs. The executor
@@ -569,49 +568,6 @@ impl Machine {
     /// reflect the whole team's epoch rather than one member's replay.
     pub fn pause_epochs(&mut self, on: bool) {
         self.epochs_paused = on;
-    }
-
-    /// Deliver all pending cross-processor invalidations. Called after
-    /// every serial operation and at parallel-team join points.
-    #[inline]
-    pub fn drain_mail(&mut self) {
-        if self.shared.mail_pending() != 0 {
-            self.deliver_all_mail();
-        }
-    }
-
-    /// The slow half of [`Machine::drain_mail`], kept out of line so the
-    /// serial hot path inlines only the pending check.
-    fn deliver_all_mail(&mut self) {
-        for i in 0..self.procs.len() {
-            self.shard(ProcId(i)).deliver_mail();
-        }
-    }
-
-    /// Split off a [`MachineShard`] per team member, giving each exclusive
-    /// access to its own processor and shared access to memory, page table
-    /// and directory. The shards borrow the machine, so the whole-machine
-    /// API is unavailable until they drop (typically at team join).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ids` contains a duplicate processor.
-    pub fn team_shards(&mut self, ids: &[ProcId]) -> Vec<MachineShard<'_>> {
-        let cfg = &self.cfg;
-        let shared = &self.shared;
-        let page_bits = self.page_bits;
-        let mut slots: Vec<Option<&mut Processor>> = self.procs.iter_mut().map(Some).collect();
-        ids.iter()
-            .map(|&id| MachineShard {
-                cfg,
-                shared,
-                page_bits,
-                proc: id,
-                p: slots[id.0]
-                    .take()
-                    .unwrap_or_else(|| panic!("duplicate team member {id}")),
-            })
-            .collect()
     }
 
     /// Switch the reactive migration policy (e.g. from
@@ -668,17 +624,11 @@ impl Machine {
     /// (counters, cycles, captures) to one replayed from a fresh clone.
     /// The daemon's machine pool snapshots each pristine machine once
     /// and restores it after every run instead of re-allocating.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any mailbox still holds undelivered invalidations —
-    /// snapshots are only meaningful at quiescent points (between runs,
-    /// never mid-team).
     pub fn snapshot(&self) -> MachineSnapshot {
         MachineSnapshot {
             cfg: self.cfg.clone(),
             procs: self.procs.clone(),
-            shared: self.shared.snapshot(),
+            shared: self.shared.clone(),
             brk: self.brk,
             mig: self.mig.clone(),
             redist: self.redist.clone(),
@@ -689,8 +639,8 @@ impl Machine {
     }
 
     /// Overwrite this machine's state from a snapshot taken on a machine
-    /// with the same geometry (node count, processor count, directory
-    /// sharding). Reuses existing allocations where shapes match, so
+    /// with the same geometry (node and processor count). Reuses existing
+    /// allocations where shapes match, so
     /// restoring a pooled machine is much cheaper than `Machine::new`.
     ///
     /// The configuration is restored too: `run` applies per-request
@@ -699,8 +649,7 @@ impl Machine {
     ///
     /// # Panics
     ///
-    /// Panics if any mailbox still holds undelivered invalidations or
-    /// the snapshot's geometry differs from this machine's.
+    /// Panics if the snapshot's geometry differs from this machine's.
     pub fn restore(&mut self, snap: &MachineSnapshot) {
         assert_eq!(
             snap.procs.len(),
@@ -727,9 +676,8 @@ impl Machine {
     ///
     /// The serial access path calls this every
     /// [`MachineConfig::migration_epoch`] accesses; the executor calls it
-    /// at parallel-team join points (the shards only bump counters — the
-    /// daemon itself needs the whole machine). A no-op when migration is
-    /// off.
+    /// at parallel-team join points, where the counters hold the whole
+    /// team's references. A no-op when migration is off.
     pub fn migration_epoch(&mut self) {
         self.epoch_accesses = 0;
         let policy = self.cfg.migration;
@@ -741,7 +689,7 @@ impl Machine {
         let pages = self.shared.refs.pages();
         let mut moves: Vec<(u64, NodeId, NodeId)> = Vec::new();
         {
-            let pt = self.shared.page_table();
+            let pt = &self.shared.pt;
             for vpage in 0..pages {
                 let Some(mapping) = pt.lookup(vpage) else {
                     continue;
@@ -819,7 +767,7 @@ impl Machine {
     /// Whether `vpage` is pinned against reactive migration (explicit
     /// placement and redistribution both pin).
     pub fn page_pinned(&self, vpage: u64) -> bool {
-        self.shared.page_table().is_pinned(vpage)
+        self.shared.pt.is_pinned(vpage)
     }
 
     /// Migration count per virtual page, ascending by page (feeds the
@@ -846,7 +794,7 @@ impl Machine {
 
     /// Current physical frame of a virtual page, if mapped.
     pub fn frame_of(&self, vpage: u64) -> Option<u64> {
-        self.shared.page_table().lookup(vpage).map(|m| m.frame)
+        self.shared.pt.lookup(vpage).map(|m| m.frame)
     }
 
     /// Misses serviced by each node's memory since construction. A
@@ -854,11 +802,7 @@ impl Machine {
     /// by the bottleneck node's service demand
     /// (`misses × lat.mem_occupancy`).
     pub fn node_served(&self) -> Vec<u64> {
-        self.shared
-            .node_served
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect()
+        self.shared.node_served.clone()
     }
 
     /// Untimed read of the backing store (verification / debugging).
@@ -1006,24 +950,22 @@ impl Machine {
 }
 
 /// One processor's view of the machine — and the access pipeline itself:
-/// exclusive ownership of its own processor's state (caches, TLB,
-/// counters, clock), shared (thread-safe) access to memory, the page
-/// table and the directory.
-///
-/// A shard is `Send`, so each member of a parallel team can be simulated
-/// on its own host thread ([`Machine::team_shards`]). It always acts as
-/// the processor it was split off for. Invalidations posted by other
-/// processors are applied at the start of every [`MachineShard::access`];
-/// the team must call [`Machine::drain_mail`] after joining to deliver any
-/// stragglers. Serial code reaches the same methods one operation at a
-/// time through [`Machine::serial`].
+/// the whole machine, borrowed through [`Machine::serial`] to act as the
+/// processor it was made for. Its own state (caches, TLB, counters,
+/// clock) is `p`; memory, the page table and the directory are `shared`;
+/// the other processors are reached only to apply the invalidations this
+/// one's writes send them.
 #[derive(Debug)]
 pub struct MachineShard<'m> {
     cfg: &'m MachineConfig,
-    shared: &'m SharedState,
+    shared: &'m mut SharedState,
     page_bits: u32,
     proc: ProcId,
     p: &'m mut Processor,
+    /// Processors numbered below `proc`.
+    before: &'m mut [Processor],
+    /// Processors numbered above `proc`.
+    after: &'m mut [Processor],
 }
 
 impl MachineShard<'_> {
@@ -1042,35 +984,27 @@ impl MachineShard<'_> {
         self.cfg
     }
 
-    /// Apply the invalidations other processors posted to this one: purge
-    /// each directory line (L2-line granularity) from both caches and
-    /// count it as received.
-    #[inline]
-    fn deliver_mail(&mut self) {
-        for dir_line in self.shared.take_mail(self.proc) {
-            self.p.l2.invalidate_line(dir_line);
-            self.purge_l1(dir_line);
-            self.p.counters.invalidations_received += 1;
-        }
-    }
-
-    /// Inclusion: drop the L1 lines inside L2 line `dir_line`.
-    fn purge_l1(&mut self, dir_line: u64) {
-        let (l1, l2) = (self.cfg.l1.line_size as u64, self.cfg.l2.line_size as u64);
-        for byte in (dir_line * l2..(dir_line + 1) * l2).step_by(l1 as usize) {
-            self.p.l1.invalidate_line(byte >> l1.trailing_zeros());
+    /// Apply the invalidations this processor's write sends: purge L2
+    /// line `dir_line` (and the L1 lines inside it) from each target's
+    /// caches and count it as received. Exact at once, because no other
+    /// processor runs during this one's operation.
+    fn invalidate_others(&mut self, targets: &[ProcId], dir_line: u64) {
+        for &t in targets {
+            let q = match t.0.cmp(&self.proc.0) {
+                Ordering::Less => &mut self.before[t.0],
+                Ordering::Greater => &mut self.after[t.0 - self.proc.0 - 1],
+                Ordering::Equal => unreachable!("{t} invalidated by its own write"),
+            };
+            q.l2.invalidate_line(dir_line);
+            q.purge_l1(self.cfg, dir_line);
+            q.counters.invalidations_received += 1;
         }
     }
 
     /// Timed access through the five-step pipeline (TLB → translation →
     /// L1 → L2 → memory + coherence); returns the cycle cost, already
-    /// charged to this processor. Pending invalidations are delivered
-    /// first, so remote writes ordered before this access are honoured.
-    /// Mutates only this processor and the thread-safe shared state:
-    /// invalidations of *other* processors' caches are posted to their
-    /// mailboxes.
+    /// charged to this processor.
     pub fn access(&mut self, addr: VAddr, kind: AccessKind) -> u64 {
-        self.deliver_mail();
         let vpage = addr >> self.page_bits;
         let offset = addr & ((1 << self.page_bits) - 1);
         let (mapping, tlb_miss, cost) = self.translate(vpage, kind);
@@ -1094,7 +1028,6 @@ impl MachineShard<'_> {
     /// counter, cycle, cache, TLB and directory state is therefore that of
     /// `access(addr, kind)`.
     pub fn access_at(&mut self, cur: &mut LineCursor, addr: VAddr, kind: AccessKind) -> u64 {
-        self.deliver_mail();
         let vpage = addr >> self.page_bits;
         let offset = addr & ((1 << self.page_bits) - 1);
         let (mapping, tlb_miss, mut cost) = match self.p.tlb.hit_at(cur.tlb_pos, vpage) {
@@ -1144,7 +1077,7 @@ impl MachineShard<'_> {
         if let Some(m) = p.tlb.lookup(vpage) {
             debug_assert_eq!(
                 Some(m),
-                self.shared.page_table().lookup(vpage),
+                self.shared.pt.lookup(vpage),
                 "stale translation for page {vpage} in {}'s TLB",
                 self.proc
             );
@@ -1152,7 +1085,7 @@ impl MachineShard<'_> {
         }
         p.counters.tlb_misses += 1;
         let mut cost = self.cfg.lat.tlb_miss;
-        let tr = self.shared.translate(vpage, p.node, self.cfg.policy);
+        let tr = self.shared.pt.translate(vpage, p.node, self.cfg.policy);
         if let Translate::Faulted(_) = tr {
             p.counters.page_faults += 1;
             cost += self.cfg.lat.page_fault;
@@ -1232,7 +1165,7 @@ impl MachineShard<'_> {
     }
 
     /// Writer found its line clean: consult the directory for ownership
-    /// and post invalidations to other sharers. Returns the extra cycles.
+    /// and invalidate the other sharers. Returns the extra cycles.
     fn coherence_write(&mut self, paddr: u64) -> u64 {
         let dir_line = paddr >> self.cfg.l2.line_size.trailing_zeros();
         let coh = self.shared.dir.write(dir_line, self.proc);
@@ -1240,7 +1173,7 @@ impl MachineShard<'_> {
         if n == 0 {
             return 0;
         }
-        self.shared.post_invalidations(&coh.invalidate, dir_line);
+        self.invalidate_others(&coh.invalidate, dir_line);
         self.p.counters.invalidations_sent += n;
         if let Some(attr) = self.p.attr.as_deref_mut() {
             attr.note_invalidations(self.p.cur_tag, n);
@@ -1259,7 +1192,7 @@ impl MachineShard<'_> {
         mut cost: u64,
     ) -> u64 {
         let write = kind == AccessKind::Write;
-        let (cfg, shared, proc) = (self.cfg, self.shared, self.proc);
+        let (cfg, proc) = (self.cfg, self.proc);
         let lat = &cfg.lat;
         let local = self.p.node;
 
@@ -1304,8 +1237,8 @@ impl MachineShard<'_> {
             Probe::Miss { victim } => {
                 self.p.counters.l2_misses += 1;
                 if let Some(v) = victim {
-                    self.purge_l1(v.tag);
-                    shared.dir.evict(v.tag, proc);
+                    self.p.purge_l1(cfg, v.tag);
+                    self.shared.dir.evict(v.tag, proc);
                     if v.dirty {
                         self.p.counters.writebacks += 1;
                         cost += lat.writeback;
@@ -1315,19 +1248,19 @@ impl MachineShard<'_> {
         }
 
         // 5. Memory + coherence.
-        let p = &mut *self.p;
         let dir_line = paddr >> cfg.l2.line_size.trailing_zeros();
         let coh = if write {
-            shared.dir.write(dir_line, proc)
+            self.shared.dir.write(dir_line, proc)
         } else {
-            shared.dir.read(dir_line, proc)
+            self.shared.dir.read(dir_line, proc)
         };
         let n_inval = coh.invalidate.len() as u64;
         if n_inval > 0 {
-            shared.post_invalidations(&coh.invalidate, dir_line);
-            p.counters.invalidations_sent += n_inval;
+            self.invalidate_others(&coh.invalidate, dir_line);
+            self.p.counters.invalidations_sent += n_inval;
             cost += n_inval * lat.invalidation;
         }
+        let p = &mut *self.p;
         if coh.intervention {
             p.counters.interventions += 1;
         }
@@ -1364,11 +1297,10 @@ impl MachineShard<'_> {
                 attr.note_invalidations(tag, n_inval);
             }
         }
-        shared.node_served[home.0].fetch_add(1, Ordering::Relaxed);
+        self.shared.node_served[home.0] += 1;
         if !cfg.migration.is_off() {
-            // Per-page reference counter for the migration daemon; lock-free,
-            // so shards on host threads sample concurrently.
-            shared.refs.record(vpage, local);
+            // Per-page reference counter for the migration daemon.
+            self.shared.refs.record(vpage, local);
         }
         p.counters.cycles += cost;
         cost
@@ -1378,8 +1310,7 @@ impl MachineShard<'_> {
     /// `start`.
     ///
     /// The first element takes the full five-step pipeline. After it,
-    /// while the run stays on the same page and this processor has no
-    /// invalidation mail, two exact shortcuts apply:
+    /// while the run stays on the same page, two exact shortcuts apply:
     ///
     /// * **same L1 line as the previous element** — the previous access
     ///   left the line resident and MRU (and, for writes, dirty), so the
@@ -1395,21 +1326,17 @@ impl MachineShard<'_> {
     /// Re-probing would merely re-touch already-MRU recency state, so
     /// every observable outcome — counters, cycles, cache/directory/TLB
     /// contents — is element-for-element identical to the plain access
-    /// loop. The segment ends at a page boundary or as soon as this
-    /// processor has mail; the caller delivers it and re-enters, so
-    /// bailing at any element boundary reproduces the per-element
-    /// delivery points. Mail this run posts to *other* processors never
-    /// ends a segment: nothing here reads their caches, and applying an
-    /// invalidation commutes with everything but its target's own
-    /// accesses. `data` runs after each element's accounting with
-    /// `(shared, addr, index)` — the data movement of the run.
+    /// loop. No other processor runs during the run, so nothing can
+    /// invalidate the line a shortcut relies on. The segment ends at a
+    /// page boundary. `data` runs after each element's accounting with
+    /// `(mem, addr, index)` — the data movement of the run.
     ///
     /// Returns `(next_element, cycles)`.
     fn run_segment(
         &mut self,
         run: &AccessRun,
         start: u64,
-        mut data: impl FnMut(&SharedState, VAddr, u64),
+        mut data: impl FnMut(&mut WordMem, VAddr, u64),
     ) -> (u64, u64) {
         let page_bits = self.page_bits;
         let line_bits = self.cfg.l1.line_size.trailing_zeros();
@@ -1429,10 +1356,10 @@ impl MachineShard<'_> {
         let paddr = frame_base | (addr & mask);
         let mut cur_selected = sel.is_none_or(|s| s.sampled(paddr));
         let mut total = self.cache_stage(paddr, vpage, mapping.node, kind, tlb_miss, cost);
-        data(self.shared, addr, i);
+        data(&mut self.shared.mem, addr, i);
         let mut line = addr >> line_bits;
         i += 1;
-        while i < run.count && !self.shared.has_mail(self.proc) {
+        while i < run.count {
             let a = run.addr(i);
             if a >> page_bits != vpage {
                 break;
@@ -1458,14 +1385,14 @@ impl MachineShard<'_> {
                 cur_selected = sel.is_none_or(|s| s.sampled(paddr));
                 total += self.cache_stage(paddr, vpage, mapping.node, kind, false, 0);
             }
-            data(self.shared, a, i);
+            data(&mut self.shared.mem, a, i);
             i += 1;
         }
         (i, total)
     }
 
-    /// Page-segmented bulk walk of an [`AccessRun`]: deliver this
-    /// processor's mail, run one [`Self::run_segment`], repeat —
+    /// Page-segmented bulk walk of an [`AccessRun`]: run one
+    /// [`Self::run_segment`] per page —
     /// observationally identical to the equivalent loop of
     /// [`MachineShard::access`] calls, with the TLB probe and page-table
     /// lookup hoisted to once per page and same-line repeats skipping the
@@ -1474,12 +1401,11 @@ impl MachineShard<'_> {
     fn run_batched(
         &mut self,
         run: &AccessRun,
-        mut data: impl FnMut(&SharedState, VAddr, u64),
+        mut data: impl FnMut(&mut WordMem, VAddr, u64),
     ) -> u64 {
         let mut total = 0;
         let mut i = 0;
         while i < run.count {
-            self.deliver_mail();
             let (next, cost) = self.run_segment(run, i, &mut data);
             total += cost;
             i = next;
@@ -1495,7 +1421,7 @@ impl MachineShard<'_> {
     /// Panics if any address is outside an allocated region.
     pub fn fill_run_u64(&mut self, run: &AccessRun, word: u64) -> u64 {
         debug_assert_eq!(run.kind, AccessKind::Write);
-        self.run_batched(run, |s, a, _| s.mem.store_u64(a, word))
+        self.run_batched(run, |mem, a, _| mem.store_u64(a, word))
     }
 
     /// Timed load of an `f64`. Returns `(value, cycles)`.
@@ -1550,9 +1476,8 @@ impl MachineShard<'_> {
     }
 
     /// Stamp the tag applied to this processor's subsequent accesses.
-    /// Cheap (two word stores) and touches only the shard's own processor,
-    /// so it is safe (and lock-free) from the member's host thread;
-    /// callers typically guard it on their own profiling flag anyway.
+    /// Cheap (two word stores); callers typically guard it on their own
+    /// profiling flag anyway.
     #[inline]
     pub fn set_tag(&mut self, tag: AccessTag) {
         self.p.cur_tag = tag;
@@ -2036,63 +1961,19 @@ mod tests {
     }
 
     #[test]
-    fn shards_run_disjoint_writes_on_threads() {
-        let mut m = machine(4);
-        // One private page per member (page size 1024 in small_test).
-        let a = m.alloc_pages(4 * 1024);
-        let ids: Vec<ProcId> = (0..4).map(ProcId).collect();
-        let shards = m.team_shards(&ids);
-        std::thread::scope(|s| {
-            for (i, mut sh) in shards.into_iter().enumerate() {
-                s.spawn(move || {
-                    let base = a + i as u64 * 1024;
-                    for k in 0..16u64 {
-                        sh.write_f64(base + k * 8, (i as u64 * 100 + k) as f64);
-                    }
-                });
-            }
-        });
-        m.drain_mail();
-        for i in 0..4u64 {
-            for k in 0..16u64 {
-                assert_eq!(m.peek_f64(a + i * 1024 + k * 8), (i * 100 + k) as f64);
-            }
-        }
-        // Each member's time advanced and the stores were counted.
-        for i in 0..4 {
-            assert!(m.cycles(ProcId(i)) > 0);
-            assert_eq!(m.counters(ProcId(i)).stores, 16);
-        }
-    }
-
-    #[test]
     fn shard_sees_invalidations_from_other_member() {
         let mut m = machine(2);
         let a = m.alloc_pages(1024);
-        // Both read the same line serially first.
-        m.access(ProcId(0), a, AccessKind::Read);
-        m.access(ProcId(1), a, AccessKind::Read);
-        let mut shards = m.team_shards(&[ProcId(0), ProcId(1)]);
-        let mut s1 = shards.pop().unwrap();
-        let mut s0 = shards.pop().unwrap();
-        // Member 0 writes the shared line: invalidation is posted.
-        s0.access(a, AccessKind::Write);
-        // Member 1's next access drains its mailbox and must miss.
-        let cost = s1.access(a, AccessKind::Read);
-        assert!(
-            cost > s1.config().lat.l1_hit,
-            "stale hit after remote write"
-        );
-        assert_eq!(s1.counters().invalidations_received, 1);
-        let _ = s0;
-        m.drain_mail();
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate team member")]
-    fn duplicate_shard_ids_rejected() {
-        let mut m = machine(2);
-        let _ = m.team_shards(&[ProcId(1), ProcId(1)]);
+        // Both read the same line.
+        m.serial(ProcId(0), |s| s.access(a, AccessKind::Read));
+        m.serial(ProcId(1), |s| s.access(a, AccessKind::Read));
+        // P0 writes the shared line: P1's copy dies with the write, and
+        // nothing runs in between.
+        m.serial(ProcId(0), |s| s.access(a, AccessKind::Write));
+        assert_eq!(m.counters(ProcId(1)).invalidations_received, 1);
+        let cost = m.serial(ProcId(1), |s| s.access(a, AccessKind::Read));
+        assert!(cost > m.config().lat.l1_hit, "stale hit after remote write");
+        assert_eq!(m.counters(ProcId(1)).invalidations_received, 1);
     }
 
     #[test]
@@ -2195,7 +2076,7 @@ mod tests {
 
     /// Drive a little workload that touches every snapshotted table:
     /// allocation (brk, word store), placement (page table pins),
-    /// cross-processor sharing (directory, mailboxes, invalidation
+    /// cross-processor sharing (directory, invalidation
     /// counters), and per-page reference counters.
     fn scribble(m: &mut Machine) -> u64 {
         let a = m.alloc_pages(4 * 4096);

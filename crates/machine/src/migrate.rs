@@ -5,10 +5,9 @@
 //!
 //! The machine keeps a per-page, per-node table of L2-miss reference
 //! counters ([`RefCounters`]).  Every memory fill bumps the accessor
-//! node's counter for the touched page — lock-free, so team shards
-//! running on host threads sample them concurrently.  At *epoch*
-//! boundaries (every [`crate::MachineConfig::migration_epoch`] serial
-//! accesses, and at every parallel-team join) the machine scans the
+//! node's counter for the touched page.  At *epoch* boundaries (every
+//! [`crate::MachineConfig::migration_epoch`] serial accesses, and at
+//! every parallel-team join) the machine scans the
 //! counters and asks the configured [`MigrationPolicy`] whether any
 //! page should move.  A migrating page is remapped to the dominant
 //! node through the same frame-free/shoot-down path as explicit
@@ -18,8 +17,6 @@
 //! Counter hygiene: a migrated page's counters reset to zero; every
 //! other page's counters halve each epoch, so stale history decays and
 //! a page cannot ping-pong on ancient reference patterns.
-
-use std::sync::atomic::{AtomicU32, Ordering};
 
 use crate::topology::NodeId;
 
@@ -133,17 +130,15 @@ impl std::fmt::Display for MigrationPolicy {
 }
 
 /// Per-page, per-node reference counters (the Origin-2000 hub's
-/// per-page counters), sampled lock-free by every [`crate::MachineShard`].
+/// per-page counters), bumped by every memory fill.
 ///
 /// Stored flat as `counts[vpage * n_nodes + node]`.  The table grows
-/// only from serial allocation code (`&mut self`, like
-/// [`crate::WordMem`]); increments are saturating atomic updates, so a
-/// counter can neither overflow nor — being add/reset-only — underflow
-/// no matter how shards interleave.
-#[derive(Debug, Default)]
+/// with allocation (like [`crate::WordMem`]); increments saturate, so a
+/// counter can neither overflow nor — being add/reset-only — underflow.
+#[derive(Debug, Default, Clone)]
 pub struct RefCounters {
     n_nodes: usize,
-    counts: Vec<AtomicU32>,
+    counts: Vec<u32>,
 }
 
 impl RefCounters {
@@ -157,8 +152,8 @@ impl RefCounters {
     /// Ensure the table covers virtual pages `0..pages`.
     pub(crate) fn grow_to(&mut self, pages: u64) {
         let need = pages as usize * self.n_nodes;
-        while self.counts.len() < need {
-            self.counts.push(AtomicU32::new(0));
+        if self.counts.len() < need {
+            self.counts.resize(need, 0);
         }
     }
 
@@ -167,14 +162,13 @@ impl RefCounters {
         self.counts.len().checked_div(self.n_nodes).unwrap_or(0) as u64
     }
 
-    /// Record one reference to `vpage` from `node` (saturating;
-    /// lock-free). References to pages beyond the table are ignored.
+    /// Record one reference to `vpage` from `node` (saturating).
+    /// References to pages beyond the table are ignored.
     #[inline]
-    pub fn record(&self, vpage: u64, node: NodeId) {
+    pub fn record(&mut self, vpage: u64, node: NodeId) {
         let idx = vpage as usize * self.n_nodes + node.0;
-        if let Some(c) = self.counts.get(idx) {
-            // Saturate at u32::MAX instead of wrapping.
-            let _ = c.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| v.checked_add(1));
+        if let Some(c) = self.counts.get_mut(idx) {
+            *c = c.saturating_add(1);
         }
     }
 
@@ -183,61 +177,37 @@ impl RefCounters {
     pub fn counts(&self, vpage: u64) -> Vec<u32> {
         let base = vpage as usize * self.n_nodes;
         (0..self.n_nodes)
-            .map(|n| {
-                self.counts
-                    .get(base + n)
-                    .map_or(0, |c| c.load(Ordering::Relaxed))
-            })
+            .map(|n| self.counts.get(base + n).copied().unwrap_or(0))
             .collect()
     }
 
     /// Sum of every counter in the table.
     pub fn total(&self) -> u64 {
-        self.counts
-            .iter()
-            .map(|c| u64::from(c.load(Ordering::Relaxed)))
-            .sum()
+        self.counts.iter().map(|&c| u64::from(c)).sum()
+    }
+
+    /// One page's counters, for update (empty beyond the table).
+    fn page_mut(&mut self, vpage: u64) -> &mut [u32] {
+        let base = (vpage as usize * self.n_nodes).min(self.counts.len());
+        let end = (base + self.n_nodes).min(self.counts.len());
+        &mut self.counts[base..end]
     }
 
     /// Zero one page's counters (it just migrated; history restarts).
-    pub(crate) fn reset_page(&self, vpage: u64) {
-        let base = vpage as usize * self.n_nodes;
-        for n in 0..self.n_nodes {
-            if let Some(c) = self.counts.get(base + n) {
-                c.store(0, Ordering::Relaxed);
-            }
-        }
+    pub(crate) fn reset_page(&mut self, vpage: u64) {
+        self.page_mut(vpage).fill(0);
     }
 
-    /// Copy every counter out as plain values (snapshot support).
-    pub(crate) fn snapshot(&self) -> Vec<u32> {
-        self.counts
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// Overwrite the table from a snapshot, shrinking or growing it to
-    /// match (the node count never changes for a given machine).
-    pub(crate) fn restore(&mut self, counts: &[u32]) {
-        while self.counts.len() > counts.len() {
-            self.counts.pop();
-        }
-        while self.counts.len() < counts.len() {
-            self.counts.push(AtomicU32::new(0));
-        }
-        for (c, v) in self.counts.iter_mut().zip(counts) {
-            *c.get_mut() = *v;
-        }
+    /// Overwrite the table from a snapshot, reusing the allocation (the
+    /// node count never changes for a given machine).
+    pub(crate) fn restore(&mut self, other: &RefCounters) {
+        self.counts.clone_from(&other.counts);
     }
 
     /// Halve one page's counters (end-of-epoch decay).
-    pub(crate) fn decay_page(&self, vpage: u64) {
-        let base = vpage as usize * self.n_nodes;
-        for n in 0..self.n_nodes {
-            if let Some(c) = self.counts.get(base + n) {
-                c.store(c.load(Ordering::Relaxed) / 2, Ordering::Relaxed);
-            }
+    pub(crate) fn decay_page(&mut self, vpage: u64) {
+        for c in self.page_mut(vpage) {
+            *c /= 2;
         }
     }
 }
@@ -299,7 +269,7 @@ mod tests {
     fn counters_saturate_and_reset() {
         let mut r = RefCounters::new(2);
         r.grow_to(2);
-        r.counts[2].store(u32::MAX, Ordering::Relaxed);
+        r.counts[2] = u32::MAX;
         r.record(1, NodeId(0));
         assert_eq!(r.counts(1), vec![u32::MAX, 0]);
         r.record(1, NodeId(1));

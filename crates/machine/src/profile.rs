@@ -14,12 +14,10 @@
 //! miss, invalidations sent) to that tag in the issuing processor's private
 //! [`AttributionTable`].
 //!
-//! Tables are strictly per-processor — a [`crate::MachineShard`] carries its
-//! own — so the hot path takes **no locks** beyond what an untagged access
-//! already takes; tables are merged with [`AttributionTable::merge`] only
-//! when a report is assembled (the same ownership discipline as the shard
-//! split itself). When profiling is off (`Processor::attr == None`) the
-//! entire machinery costs one branch per pipeline exit.
+//! Tables are strictly per-processor — each processor's state carries its
+//! own — and are merged with [`AttributionTable::merge`] only when a
+//! report is assembled. When profiling is off (`Processor::attr == None`)
+//! the entire machinery costs one branch per pipeline exit.
 //!
 //! Besides per-tag counters the table keeps a per-page record of which
 //! *node* missed to each page ([`PageAttr`]), which lets a report compare a

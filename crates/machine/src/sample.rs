@@ -30,9 +30,9 @@
 //! * `log2(l2_line) + log2(N) ≤ log2(l1_line) + log2(n_l1_sets)` — the
 //!   selection bits lie inside the L1 set-index field too, so every L1 set
 //!   is either fully selected or fully unselected. L1 victims writing back
-//!   into L2, L2 victims invalidating their L1 lines, and invalidation
-//!   mail (L2-line granules) therefore never cross the sampled/unsampled
-//!   boundary.
+//!   into L2, L2 victims invalidating their L1 lines, and coherence
+//!   invalidations (L2-line granules) therefore never cross the
+//!   sampled/unsampled boundary.
 //!
 //! [`SamplingConfig::validate_geometry`] enforces both conditions.
 //!
@@ -40,7 +40,7 @@
 //!
 //! Unselected accesses skip the cache, directory and memory stages
 //! entirely (their directory events are coalesced away — no per-line
-//! transactions, no invalidation mail). They still pay exact translation
+//! transactions, no invalidations). They still pay exact translation
 //! (TLB probe + page walk + first-touch fault) and are charged the
 //! guaranteed L1-hit latency. The miss cycles of the unselected sets are
 //! charged by a *catch-up estimator*: under the systematic-sampling
@@ -472,7 +472,9 @@ mod tests {
         for n in [1u32, 2, 4, 8, 16, 64, 128] {
             assert!(SamplingConfig::new(n).validate_geometry(&l1, &l2).is_ok());
         }
-        assert!(SamplingConfig::new(256).validate_geometry(&l1, &l2).is_err());
+        assert!(SamplingConfig::new(256)
+            .validate_geometry(&l1, &l2)
+            .is_err());
         // small_test geometry: L1 1K/32B/2 (16 sets, bits [5,9)), L2
         // 8K/64B/2 (64 sets, line bits 6): N ≤ 8.
         let l1 = CacheConfig::new(1024, 32, 2);

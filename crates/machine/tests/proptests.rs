@@ -128,123 +128,6 @@ proptest! {
         prop_assert_eq!(t.invalidations_sent, t.invalidations_received);
     }
 
-    /// Concurrent first-touch placement: a team of host threads faults the
-    /// same set of pages simultaneously (every member walks the page list in
-    /// a different rotation, maximizing same-page races). Every touched
-    /// vpage must end up with exactly one home node — no duplicate or ghost
-    /// mappings — and an explicit `place_page` between rounds must stick
-    /// even while other pages keep faulting around it.
-    #[test]
-    fn concurrent_first_touch_unique_home(
-        pages in prop::collection::vec(0u64..64, 8..64),
-        nthreads in 2usize..8,
-    ) {
-        let mut m = Machine::new(MachineConfig::small_test(8)); // 4 nodes
-        let page = m.config().page_size as u64; // 1 KiB
-        let base = m.alloc_pages(64 * page as usize);
-        let ids: Vec<ProcId> = (0..nthreads).map(ProcId).collect();
-
-        let shards = m.team_shards(&ids);
-        std::thread::scope(|s| {
-            for (t, mut shard) in shards.into_iter().enumerate() {
-                let pages = &pages;
-                s.spawn(move || {
-                    for i in 0..pages.len() {
-                        let pg = pages[(i + t * 7) % pages.len()];
-                        shard.access(base + pg * page, AccessKind::Read);
-                    }
-                });
-            }
-        });
-        m.drain_mail();
-
-        let distinct: std::collections::BTreeSet<u64> = pages.iter().copied().collect();
-        // Exactly one mapping per touched page, and none invented.
-        prop_assert_eq!(
-            m.pages_per_node().iter().sum::<usize>(),
-            distinct.len(),
-            "mapped page count != distinct touched pages"
-        );
-        let homes: Vec<NodeId> = distinct
-            .iter()
-            .map(|&pg| m.home_of(base + pg * page).expect("touched page unmapped"))
-            .collect();
-
-        // Explicitly re-place the first touched page, then race another
-        // round of faults/accesses over everything.
-        let target = *distinct.iter().next().unwrap();
-        let moved_to = NodeId((m.home_of(base + target * page).unwrap().0 + 1) % 4);
-        prop_assert!(m.place_page((base + target * page) >> page.trailing_zeros(), moved_to));
-
-        let shards = m.team_shards(&ids);
-        std::thread::scope(|s| {
-            for (t, mut shard) in shards.into_iter().enumerate() {
-                let pages = &pages;
-                s.spawn(move || {
-                    for i in 0..pages.len() {
-                        let pg = pages[(i + t * 3) % pages.len()];
-                        shard.access(base + pg * page, AccessKind::Write);
-                    }
-                });
-            }
-        });
-        m.drain_mail();
-
-        // Homes are sticky: unchanged except the explicit move.
-        prop_assert_eq!(m.pages_per_node().iter().sum::<usize>(), distinct.len());
-        for (&pg, &home0) in distinct.iter().zip(&homes) {
-            let now = m.home_of(base + pg * page).unwrap();
-            if pg == target {
-                prop_assert_eq!(now, moved_to, "explicit placement lost");
-            } else {
-                prop_assert_eq!(now, home0, "page {} changed home without place_page", pg);
-            }
-        }
-    }
-
-    /// The migration daemon's lock-free reference counters, sampled by
-    /// team shards racing on host threads, never lose or invent a fill:
-    /// with no epoch run, the counts sum exactly to the machine's
-    /// memory-fill counters (`local + remote` misses), and no single
-    /// page's count exceeds that total (no underflow wrap, no
-    /// double-count).
-    #[test]
-    fn migration_counters_balance_under_concurrent_sampling(
-        pages in prop::collection::vec(0u64..32, 8..48),
-        nthreads in 2usize..8,
-    ) {
-        let mut cfg = MachineConfig::small_test(8);
-        cfg.migration = MigrationPolicy::threshold(4);
-        cfg.migration_epoch = u64::MAX; // sample only — no resets/decay
-        let mut m = Machine::new(cfg);
-        let page = m.config().page_size as u64;
-        let base = m.alloc_pages(32 * page as usize);
-        let ids: Vec<ProcId> = (0..nthreads).map(ProcId).collect();
-
-        let shards = m.team_shards(&ids);
-        std::thread::scope(|s| {
-            for (t, mut shard) in shards.into_iter().enumerate() {
-                let pages = &pages;
-                s.spawn(move || {
-                    for i in 0..pages.len() {
-                        let pg = pages[(i + t * 5) % pages.len()];
-                        shard.access(base + pg * page + t as u64 * 8, AccessKind::Read);
-                    }
-                });
-            }
-        });
-        m.drain_mail();
-
-        let t = m.total_counters();
-        let fills = t.local_misses + t.remote_misses;
-        let refs = m.ref_counters();
-        prop_assert_eq!(refs.total(), fills, "sampled counts != memory fills");
-        for vp in 0..refs.pages() {
-            let per: u64 = refs.counts(vp).iter().map(|&c| u64::from(c)).sum();
-            prop_assert!(per <= fills, "page {} counts {} exceed fills {}", vp, per, fills);
-        }
-    }
-
     /// After a migration epoch, every migrated page still maps, holds its
     /// data bit-exactly, and the directory carries no sharers for its
     /// frame (the shootdown invalidated every cached copy).
@@ -372,14 +255,14 @@ const WORDS: u64 = 512;
 
 proptest! {
     /// The contract `Machine::serial` states: a per-processor operation on
-    /// the whole machine is the same operation on that processor's shard
-    /// followed by delivering every mailbox. Three machines take one
-    /// random history over processors that share lines — through the
-    /// `Machine` API, through one-member `team_shards` views followed by
-    /// `drain_mail`, and through `Machine` with every fill run unrolled
-    /// into single stores (bulk runs that invalidate other processors'
-    /// lines must stay element-for-element exact) — and must agree on
-    /// every cost, counter, page home and memory word, exact and at 1/2
+    /// the whole machine is the same operation on that processor's shard,
+    /// invalidations of the other processors' lines delivered within it.
+    /// Three machines take one random history over processors that share
+    /// lines — through the `Machine` API, through `Machine::serial` shard
+    /// operations, and through `Machine` with every fill run unrolled into
+    /// single stores (bulk runs that invalidate other processors' lines
+    /// must stay element-for-element exact) — and must agree on every
+    /// cost, counter, page home and memory word, exact and at 1/2
     /// sampling.
     #[test]
     fn whole_machine_ops_are_shard_ops_plus_delivery(
@@ -421,16 +304,11 @@ proptest! {
                     (0, 0) => m.read_i64(p, addr).1,
                     (0, 1) => m.write_i64(p, addr, word as i64),
                     (0, _) => m.fill_run_u64(p, &run, word),
-                    (1, _) => {
-                        let mut sh = m.team_shards(&[p]).pop().expect("one member");
-                        let cost = match op {
-                            0 => sh.read_i64(addr).1,
-                            1 => sh.write_i64(addr, word as i64),
-                            _ => sh.fill_run_u64(&run, word),
-                        };
-                        m.drain_mail();
-                        cost
-                    }
+                    (1, _) => m.serial(p, |sh| match op {
+                        0 => sh.read_i64(addr).1,
+                        1 => sh.write_i64(addr, word as i64),
+                        _ => sh.fill_run_u64(&run, word),
+                    }),
                     (_, 0) => m.read_i64(p, addr).1,
                     (_, 1) => m.write_i64(p, addr, word as i64),
                     (_, _) => (0..run.count)
@@ -796,5 +674,119 @@ proptest! {
             format!("{:?}", with_cursors.snapshot()),
             format!("{:?}", plain.snapshot())
         );
+    }
+}
+
+// ---------------------------------------------------------------------
+// The directory was a `HashMap` from line to sharer set; the frame-indexed
+// table replaced it for speed only. The map lives on here as the oracle.
+// ---------------------------------------------------------------------
+
+use dsm_machine::directory::{CoherenceResult, LineState};
+use dsm_machine::Directory;
+
+/// Line → state, an entry only while some processor holds the line.
+#[derive(Default)]
+struct RefDirectory {
+    lines: std::collections::HashMap<u64, LineState>,
+    invalidations: u64,
+}
+
+impl RefDirectory {
+    fn others(st: &LineState, proc: ProcId) -> Vec<ProcId> {
+        (0..128)
+            .filter(|&i| i != proc.0 && st.sharers & (1u128 << i) != 0)
+            .map(ProcId)
+            .collect()
+    }
+
+    fn read(&mut self, line: u64, proc: ProcId) -> CoherenceResult {
+        let st = self.lines.entry(line).or_default();
+        let mut res = CoherenceResult::default();
+        if st.exclusive && !Self::others(st, proc).is_empty() {
+            res.intervention = true;
+            st.exclusive = false;
+        }
+        st.sharers |= 1u128 << proc.0;
+        res
+    }
+
+    fn write(&mut self, line: u64, proc: ProcId) -> CoherenceResult {
+        let st = self.lines.entry(line).or_default();
+        let mut res = CoherenceResult::default();
+        let others = Self::others(st, proc);
+        if !others.is_empty() {
+            res.intervention = st.exclusive;
+            self.invalidations += others.len() as u64;
+            res.invalidate = others;
+        }
+        *st = LineState {
+            sharers: 1u128 << proc.0,
+            exclusive: true,
+        };
+        res
+    }
+
+    fn evict(&mut self, line: u64, proc: ProcId) {
+        if let Some(st) = self.lines.get_mut(&line) {
+            st.sharers &= !(1u128 << proc.0);
+            if st.sharers == 0 {
+                self.lines.remove(&line);
+            }
+        }
+    }
+
+    fn sharers(&self, line: u64) -> Vec<ProcId> {
+        self.lines
+            .get(&line)
+            .map_or_else(Vec::new, |st| Self::others(st, ProcId(usize::MAX)))
+    }
+}
+
+/// Frames of the directory proptest: low ones, and the highest frames of
+/// the unscaled 128-processor machine (64 nodes of 16 000) and past them
+/// (overcommitted frames).
+const DIR_FRAMES: [u64; 6] = [0, 1, 37, 64 * 16_000 - 2, 64 * 16_000 - 1, 64 * 16_000 + 5];
+
+proptest! {
+    /// Random histories of reads, writes, evictions and line clears over
+    /// lines of low and of the highest frames give the same coherence
+    /// result, the same sharer set, the same tracked-line count and the
+    /// same invalidation total on the frame-indexed directory as on the
+    /// map — for frames of one, eight and 128 lines.
+    #[test]
+    fn frame_indexed_directory_matches_map_reference(
+        lines_per_frame in prop_oneof![Just(1usize), Just(8), Just(128)],
+        ops in prop::collection::vec((0u8..10, 0usize..6, 0u64..128, 0usize..128), 1..400),
+    ) {
+        let mut dir = Directory::new(lines_per_frame);
+        let mut reference = RefDirectory::default();
+        let mut touched = std::collections::BTreeSet::new();
+        for &(op, frame, off, proc) in &ops {
+            let line = DIR_FRAMES[frame] * lines_per_frame as u64 + off % lines_per_frame as u64;
+            let proc = ProcId(proc);
+            touched.insert(line);
+            match op {
+                0..=3 => prop_assert_eq!(dir.read(line, proc), reference.read(line, proc)),
+                4..=6 => prop_assert_eq!(dir.write(line, proc), reference.write(line, proc)),
+                7 | 8 => {
+                    dir.evict(line, proc);
+                    reference.evict(line, proc);
+                }
+                _ => {
+                    dir.clear_line(line);
+                    reference.lines.remove(&line);
+                }
+            }
+            prop_assert_eq!(dir.sharers(line), reference.sharers(line), "line {}", line);
+            prop_assert_eq!(dir.tracked_lines(), reference.lines.len());
+            prop_assert_eq!(dir.total_invalidations(), reference.invalidations);
+        }
+        for &line in &touched {
+            prop_assert_eq!(dir.sharers(line), reference.sharers(line), "line {}", line);
+        }
+        let frames: std::collections::BTreeSet<u64> =
+            touched.iter().map(|l| l / lines_per_frame as u64).collect();
+        prop_assert!(dir.frame_blocks() <= frames.len());
     }
 }

@@ -168,7 +168,8 @@ pub fn sources_from_value(v: &Value) -> Result<Vec<(String, String)>, String> {
 
 /// Decode the `options` object of a `run` request into [`ExecOptions`]
 /// (the inverse of `ExecOptions::to_json`). Absent members keep their
-/// defaults.
+/// defaults; unknown members — such as `serial_team`, which older
+/// clients still send — are ignored.
 ///
 /// # Errors
 ///
@@ -185,9 +186,6 @@ pub fn exec_options_from_value(v: &Value) -> Result<ExecOptions, String> {
     }
     if let Some(n) = v.get("max_steps").and_then(Value::as_u64) {
         opts = opts.max_steps(n);
-    }
-    if let Some(b) = v.get("serial_team").and_then(Value::as_bool) {
-        opts = opts.serial_team(b);
     }
     if let Some(b) = v.get("profile").and_then(Value::as_bool) {
         opts = opts.profile(b);
@@ -563,7 +561,6 @@ mod tests {
     fn exec_options_round_trip() {
         let opts = ExecOptions::new(4)
             .with_checks(true)
-            .serial_team(true)
             .profile(true)
             .max_steps(1234)
             .capture(&["a", "b"])

@@ -1,13 +1,12 @@
 //! Scheduler-side epoch boundaries for the reactive page-migration
 //! daemon.
 //!
-//! The machine's migration engine ([`Machine::migration_epoch`]) only
-//! runs with the whole machine in hand — team shards merely bump the
-//! lock-free reference counters while they execute.  The natural
-//! whole-machine moments during a parallel program are the `doacross`
-//! join points, so the scheduler owns the cadence: an [`EpochClock`]
-//! decides which joins are epoch boundaries, and [`join_epoch`] fires
-//! the daemon there (after the team's invalidation mail has drained).
+//! The machine's migration engine ([`Machine::migration_epoch`]) does
+//! not run inside a parallel region — team members merely bump the
+//! reference counters while they execute.  The natural whole-team
+//! moments during a parallel program are the `doacross` join points, so
+//! the scheduler owns the cadence: an [`EpochClock`] decides which joins
+//! are epoch boundaries, and [`join_epoch`] fires the daemon there.
 //!
 //! Serial stretches between regions are covered independently by the
 //! machine's own access-count epochs
@@ -52,9 +51,8 @@ impl Default for EpochClock {
 }
 
 /// Team-join hook: advance `clock` and run a migration epoch on the
-/// boundary. Call after the join barrier has drained invalidation mail,
-/// so the daemon sees settled directory state. A no-op machine-side
-/// when migration is off.
+/// boundary. Call after the join barrier, so the daemon sees the whole
+/// team's references. A no-op machine-side when migration is off.
 pub fn join_epoch(m: &mut Machine, clock: &mut EpochClock) {
     if clock.tick() {
         m.migration_epoch();
