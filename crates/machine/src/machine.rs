@@ -969,19 +969,9 @@ pub struct MachineShard<'m> {
 }
 
 impl MachineShard<'_> {
-    /// The processor this shard simulates.
-    pub fn proc(&self) -> ProcId {
-        self.proc
-    }
-
     /// Node this shard's processor lives on.
     pub fn node(&self) -> NodeId {
         self.p.node
-    }
-
-    /// The machine configuration.
-    pub fn config(&self) -> &MachineConfig {
-        self.cfg
     }
 
     /// Apply the invalidations this processor's write sends: purge L2
