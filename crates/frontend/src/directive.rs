@@ -49,8 +49,8 @@ pub enum Directive {
 /// # Errors
 ///
 /// Returns diagnostics for unknown directives and malformed clauses.
-pub fn parse_directive(line: &Line, file_name: &str) -> Result<Directive, Vec<CompileError>> {
-    let mut cur = Cursor::new(&line.toks);
+pub fn parse_directive(line: &Line<'_>, file_name: &str) -> Result<Directive, Vec<CompileError>> {
+    let mut cur = Cursor::new(line);
     let fail = |msg: String| {
         Err(vec![CompileError::new(
             line.span,
@@ -67,7 +67,7 @@ pub fn parse_directive(line: &Line, file_name: &str) -> Result<Directive, Vec<Co
                 fail("trailing tokens after c$barrier".into())
             }
         }
-        Some("doacross") => match parse_doacross(line, &mut cur) {
+        Some("doacross") => match parse_doacross(&mut cur) {
             Ok(mut d) => {
                 d.span = line.span;
                 Ok(Directive::Doacross(d))
@@ -110,18 +110,13 @@ pub fn parse_directive(line: &Line, file_name: &str) -> Result<Directive, Vec<Co
             Err(m) => fail(m),
         },
         Some("resize_team") => {
-            if !cur.eat(&Tok::LParen) {
+            if !cur.eat(Tok::LParen) {
                 return fail("expected `(` after resize_team".into());
             }
-            let nprocs = match cur.peek() {
-                Some(Tok::Int(v)) => {
-                    let v = *v;
-                    cur.eat(&Tok::Int(v));
-                    v
-                }
-                _ => return fail("resize_team size must be an integer literal".into()),
+            let Some(nprocs) = cur.int() else {
+                return fail("resize_team size must be an integer literal".into());
             };
-            if !cur.eat(&Tok::RParen) {
+            if !cur.eat(Tok::RParen) {
                 return fail("missing `)` closing resize_team".into());
             }
             if !cur.at_end() {
@@ -140,75 +135,66 @@ fn parse_dist_target(cur: &mut Cursor<'_>) -> Result<(String, Vec<DistItem>), St
     let Some(array) = cur.ident().map(str::to_string) else {
         return Err("expected array name in distribution directive".into());
     };
-    if !cur.eat(&Tok::LParen) {
+    if !cur.eat(Tok::LParen) {
         return Err(format!("expected `(` after `{array}`"));
     }
     let mut dists = Vec::new();
     loop {
-        let item = match cur.peek() {
-            Some(Tok::Star) => {
-                cur.eat(&Tok::Star);
-                DistItem::Star
-            }
-            Some(Tok::Ident(w)) if w == "block" => {
-                cur.ident();
-                DistItem::Block
-            }
-            Some(Tok::Ident(w)) if w == "cyclic" => {
-                cur.ident();
-                if cur.eat(&Tok::LParen) {
-                    let e = cur.expr()?;
-                    if !cur.eat(&Tok::RParen) {
-                        return Err("missing `)` after cyclic chunk".into());
-                    }
-                    DistItem::Cyclic(Some(e))
-                } else {
-                    DistItem::Cyclic(None)
+        let item = if cur.eat(Tok::Star) {
+            DistItem::Star
+        } else if cur.peek_ident() == Some("block") {
+            cur.ident();
+            DistItem::Block
+        } else if cur.peek_ident() == Some("cyclic") {
+            cur.ident();
+            if cur.eat(Tok::LParen) {
+                let e = cur.expr()?;
+                if !cur.eat(Tok::RParen) {
+                    return Err("missing `)` after cyclic chunk".into());
                 }
+                DistItem::Cyclic(Some(e))
+            } else {
+                DistItem::Cyclic(None)
             }
-            other => {
-                return Err(format!(
-                    "expected `block`, `cyclic` or `*`, found `{}`",
-                    other.map_or("<eol>".into(), |t| t.to_string())
-                ))
-            }
+        } else {
+            return Err(format!(
+                "expected `block`, `cyclic` or `*`, found `{}`",
+                cur.found()
+            ));
         };
         dists.push(item);
-        if !cur.eat(&Tok::Comma) {
+        if !cur.eat(Tok::Comma) {
             break;
         }
     }
-    if !cur.eat(&Tok::RParen) {
+    if !cur.eat(Tok::RParen) {
         return Err("missing `)` in distribution".into());
     }
     Ok((array, dists))
 }
 
 fn parse_onto(cur: &mut Cursor<'_>) -> Result<Vec<i64>, String> {
-    if !cur.eat(&Tok::LParen) {
+    if !cur.eat(Tok::LParen) {
         return Err("expected `(` after onto".into());
     }
     let mut out = Vec::new();
     loop {
-        match cur.peek() {
-            Some(Tok::Int(v)) => {
-                out.push(*v);
-                cur.eat(&Tok::Int(*v));
-            }
-            _ => return Err("onto ratios must be integer literals".into()),
+        match cur.int() {
+            Some(v) => out.push(v),
+            None => return Err("onto ratios must be integer literals".into()),
         }
-        if !cur.eat(&Tok::Comma) {
+        if !cur.eat(Tok::Comma) {
             break;
         }
     }
-    if !cur.eat(&Tok::RParen) {
+    if !cur.eat(Tok::RParen) {
         return Err("missing `)` closing onto".into());
     }
     Ok(out)
 }
 
 fn parse_name_list(cur: &mut Cursor<'_>) -> Result<Vec<String>, String> {
-    if !cur.eat(&Tok::LParen) {
+    if !cur.eat(Tok::LParen) {
         return Err("expected `(`".into());
     }
     let mut out = Vec::new();
@@ -217,21 +203,21 @@ fn parse_name_list(cur: &mut Cursor<'_>) -> Result<Vec<String>, String> {
             Some(n) => out.push(n.to_string()),
             None => return Err("expected name".into()),
         }
-        if !cur.eat(&Tok::Comma) {
+        if !cur.eat(Tok::Comma) {
             break;
         }
     }
-    if !cur.eat(&Tok::RParen) {
+    if !cur.eat(Tok::RParen) {
         return Err("missing `)`".into());
     }
     Ok(out)
 }
 
-fn parse_doacross(_line: &Line, cur: &mut Cursor<'_>) -> Result<DoacrossDir, String> {
+fn parse_doacross(cur: &mut Cursor<'_>) -> Result<DoacrossDir, String> {
     let mut d = DoacrossDir::default();
     loop {
         // Optional clause separators.
-        while cur.eat(&Tok::Comma) {}
+        while cur.eat(Tok::Comma) {}
         let Some(kw) = cur.peek_ident() else {
             break;
         };
@@ -251,29 +237,29 @@ fn parse_doacross(_line: &Line, cur: &mut Cursor<'_>) -> Result<DoacrossDir, Str
             "affinity" => {
                 cur.ident();
                 let loop_vars = parse_name_list(cur)?;
-                if !cur.eat(&Tok::Assign) {
+                if !cur.eat(Tok::Assign) {
                     return Err("expected `=` after affinity(...)".into());
                 }
                 if cur.ident() != Some("data") {
                     return Err("expected `data` after affinity(...) =".into());
                 }
-                if !cur.eat(&Tok::LParen) {
+                if !cur.eat(Tok::LParen) {
                     return Err("expected `(` after data".into());
                 }
                 let Some(array) = cur.ident().map(str::to_string) else {
                     return Err("expected array name in data(...)".into());
                 };
-                if !cur.eat(&Tok::LParen) {
+                if !cur.eat(Tok::LParen) {
                     return Err("expected `(` after data array name".into());
                 }
                 let mut indices = Vec::new();
                 loop {
                     indices.push(cur.expr()?);
-                    if !cur.eat(&Tok::Comma) {
+                    if !cur.eat(Tok::Comma) {
                         break;
                     }
                 }
-                if !cur.eat(&Tok::RParen) || !cur.eat(&Tok::RParen) {
+                if !cur.eat(Tok::RParen) || !cur.eat(Tok::RParen) {
                     return Err("missing `)` closing data(...)".into());
                 }
                 d.affinity = Some(AffinityDir {
@@ -284,21 +270,19 @@ fn parse_doacross(_line: &Line, cur: &mut Cursor<'_>) -> Result<DoacrossDir, Str
             }
             "schedtype" => {
                 cur.ident();
-                if !cur.eat(&Tok::LParen) {
+                if !cur.eat(Tok::LParen) {
                     return Err("expected `(` after schedtype".into());
                 }
                 let spec = match cur.ident() {
                     Some("simple") => SchedSpec::Simple,
                     Some(k @ ("interleave" | "dynamic")) => {
-                        if !cur.eat(&Tok::LParen) {
+                        if !cur.eat(Tok::LParen) {
                             return Err(format!("expected `(` after {k}"));
                         }
-                        let n = match cur.peek() {
-                            Some(Tok::Int(v)) => *v,
-                            _ => return Err("chunk must be an integer literal".into()),
+                        let Some(n) = cur.int() else {
+                            return Err("chunk must be an integer literal".into());
                         };
-                        cur.eat(&Tok::Int(n));
-                        if !cur.eat(&Tok::RParen) {
+                        if !cur.eat(Tok::RParen) {
                             return Err("missing `)`".into());
                         }
                         if k == "interleave" {
@@ -311,7 +295,7 @@ fn parse_doacross(_line: &Line, cur: &mut Cursor<'_>) -> Result<DoacrossDir, Str
                         return Err(format!("unknown schedtype `{}`", other.unwrap_or("<eol>")))
                     }
                 };
-                if !cur.eat(&Tok::RParen) {
+                if !cur.eat(Tok::RParen) {
                     return Err("missing `)` closing schedtype".into());
                 }
                 d.sched = Some(spec);
@@ -331,10 +315,16 @@ mod tests {
     use crate::ast::AExpr;
     use crate::lexer::lex;
 
+    /// Parse the directive on the first line of `src`.
+    fn parse_first(src: &str) -> Result<Directive, Vec<CompileError>> {
+        let lexed = lex(0, "t.f", src).unwrap();
+        let line = lexed.lines().next().expect("one line");
+        assert!(line.directive, "not a directive line: {src}");
+        parse_directive(&line, "t.f")
+    }
+
     fn dir(src: &str) -> Directive {
-        let lines = lex(0, "t.f", src).unwrap();
-        assert!(lines[0].directive, "not a directive line: {src}");
-        parse_directive(&lines[0], "t.f").unwrap()
+        parse_first(src).unwrap()
     }
 
     #[test]
@@ -406,24 +396,20 @@ mod tests {
     #[test]
     fn resize_team_parses_positive_literal() {
         assert_eq!(dir("c$resize_team(4)\n"), Directive::ResizeTeam { nprocs: 4 });
-        let lines = lex(0, "t.f", "c$resize_team(0)\n").unwrap();
-        let e = parse_directive(&lines[0], "t.f").unwrap_err();
+        let e = parse_first("c$resize_team(0)\n").unwrap_err();
         assert!(e[0].msg.contains("positive"), "{}", e[0].msg);
-        let lines = lex(0, "t.f", "c$resize_team(n)\n").unwrap();
-        assert!(parse_directive(&lines[0], "t.f").is_err());
+        assert!(parse_first("c$resize_team(n)\n").is_err());
     }
 
     #[test]
     fn unknown_directive_rejected() {
-        let lines = lex(0, "t.f", "c$frobnicate a(block)\n").unwrap();
-        let e = parse_directive(&lines[0], "t.f").unwrap_err();
+        let e = parse_first("c$frobnicate a(block)\n").unwrap_err();
         assert!(e[0].msg.contains("unknown directive"));
     }
 
     #[test]
     fn malformed_affinity_rejected() {
-        let lines = lex(0, "t.f", "c$doacross affinity(i) = banana(a(i))\n").unwrap();
-        let e = parse_directive(&lines[0], "t.f").unwrap_err();
+        let e = parse_first("c$doacross affinity(i) = banana(a(i))\n").unwrap_err();
         assert!(e[0].msg.contains("data"));
     }
 

@@ -1,4 +1,7 @@
 //! Recursive-descent parser from token lines to [`SourceUnit`]s.
+//!
+//! The parser reads the lexer's borrowed [`Line`] views and never copies
+//! a line or a token; a `String` is made only where the AST owns a name.
 
 use crate::ast::*;
 use crate::directive::{parse_directive, Directive};
@@ -15,12 +18,13 @@ pub fn parse_source(
     file_name: &str,
     text: &str,
 ) -> Result<Vec<SourceUnit>, Vec<CompileError>> {
-    let lines = lex(file, file_name, text)?;
+    let lexed = lex(file, file_name, text)?;
+    let lines: Vec<Line> = lexed.lines().collect();
     let mut p = Parser {
-        lines,
+        lines: &lines,
         pos: 0,
         file,
-        file_name: file_name.to_string(),
+        file_name,
         errors: vec![],
     };
     let mut units = Vec::new();
@@ -37,48 +41,49 @@ pub fn parse_source(
     }
 }
 
-struct Parser {
-    lines: Vec<Line>,
+struct Parser<'a> {
+    lines: &'a [Line<'a>],
     pos: usize,
     file: usize,
-    file_name: String,
+    file_name: &'a str,
     errors: Vec<CompileError>,
 }
 
-impl Parser {
+/// True when `line` is the block terminator `t`, also when spelt as two
+/// words (`end do`, `end if`).
+fn is_terminator(line: &Line<'_>, t: &str) -> bool {
+    let head = line.ident(0);
+    head == Some(t)
+        || (line.toks.len() == 2
+            && matches!((head, line.ident(1)), (Some(a), Some(b)) if t.strip_prefix(a) == Some(b)))
+}
+
+impl<'a> Parser<'a> {
     fn err(&mut self, span: Span, msg: impl Into<String>) {
         self.errors.push(CompileError::new(
             span,
             ErrorKind::Parse,
-            &self.file_name,
+            self.file_name,
             msg,
         ));
     }
 
-    fn peek(&self) -> Option<&Line> {
+    fn peek(&self) -> Option<&'a Line<'a>> {
         self.lines.get(self.pos)
     }
 
-    fn bump(&mut self) -> Option<Line> {
-        let l = self.lines.get(self.pos).cloned();
+    fn bump(&mut self) -> Option<&'a Line<'a>> {
+        let l = self.peek();
         if l.is_some() {
             self.pos += 1;
         }
         l
     }
 
-    /// First identifier of a line (the statement keyword, usually).
-    fn head_of(line: &Line) -> Option<&str> {
-        match line.toks.first() {
-            Some(Tok::Ident(s)) => Some(s.as_str()),
-            _ => None,
-        }
-    }
-
     fn parse_unit(&mut self) -> Option<SourceUnit> {
         let header = self.bump()?;
         let span = header.span;
-        let mut cur = Cursor::new(&header.toks);
+        let mut cur = Cursor::new(header);
         let kind = match cur.ident() {
             Some("program") => UnitKind::Program,
             Some("subroutine") => UnitKind::Subroutine,
@@ -92,7 +97,7 @@ impl Parser {
                 );
                 // Skip to the next plausible unit header.
                 while let Some(l) = self.peek() {
-                    if matches!(Self::head_of(l), Some("program") | Some("subroutine")) {
+                    if matches!(l.ident(0), Some("program") | Some("subroutine")) {
                         break;
                     }
                     self.pos += 1;
@@ -105,14 +110,14 @@ impl Parser {
             return None;
         };
         let mut params = Vec::new();
-        if cur.eat(&Tok::LParen) {
+        if cur.eat(Tok::LParen) {
             while let Some(p) = cur.ident() {
                 params.push(p.to_string());
-                if !cur.eat(&Tok::Comma) {
+                if !cur.eat(Tok::Comma) {
                     break;
                 }
             }
-            if !cur.eat(&Tok::RParen) {
+            if !cur.eat(Tok::RParen) {
                 self.err(span, "missing `)` after parameter list");
             }
         }
@@ -143,38 +148,30 @@ impl Parser {
     fn parse_stmts(
         &mut self,
         unit: &mut SourceUnit,
-        terminators: &[&str],
-    ) -> (Vec<AStmt>, Option<String>) {
+        terminators: &[&'static str],
+    ) -> (Vec<AStmt>, Option<&'static str>) {
         let mut out = Vec::new();
         let mut pending_doacross: Option<DoacrossDir> = None;
-        while let Some(line) = self.peek().cloned() {
+        while let Some(line) = self.peek() {
             let span = line.span;
-            // Normalize two-word terminators: `end do`, `end if`.
-            let head = Self::head_of(&line).unwrap_or("").to_string();
-            let head2 = match (line.toks.first(), line.toks.get(1)) {
-                (Some(Tok::Ident(a)), Some(Tok::Ident(b))) => format!("{a}{b}"),
-                _ => head.clone(),
-            };
-            let term = |t: &str| t == head || (t == head2 && line.toks.len() == 2);
-            if let Some(t) = terminators.iter().find(|t| term(t)) {
+            let head = line.ident(0).unwrap_or("");
+            if let Some(&t) = terminators.iter().find(|t| is_terminator(line, t)) {
                 self.pos += 1;
                 if pending_doacross.is_some() {
                     self.err(span, "c$doacross not followed by a do loop");
                 }
-                return (out, Some(t.to_string()));
+                return (out, Some(t));
             }
             // `else` / `endif` etc. reaching here unrequested is an error
             // handled by the caller context; detect strays:
-            if ["else", "endif", "enddo"].contains(&head.as_str())
-                && !terminators.contains(&head.as_str())
-            {
+            if ["else", "endif", "enddo"].contains(&head) && !terminators.contains(&head) {
                 self.err(span, format!("unexpected `{head}`"));
                 self.pos += 1;
                 continue;
             }
             if line.directive {
                 self.pos += 1;
-                match parse_directive(&line, &self.file_name) {
+                match parse_directive(line, self.file_name) {
                     Ok(Directive::Doacross(d)) => {
                         if pending_doacross.replace(d).is_some() {
                             self.err(span, "two consecutive c$doacross directives");
@@ -194,41 +191,41 @@ impl Parser {
             }
             // Declarations are only legal before executable statements,
             // but we accept them anywhere for simplicity.
-            match head.as_str() {
+            match head {
                 "integer" | "real" => {
                     self.pos += 1;
-                    self.parse_decl(unit, &line);
+                    self.parse_decl(unit, line);
                     continue;
                 }
                 "common" => {
                     self.pos += 1;
-                    self.parse_common(unit, &line);
+                    self.parse_common(unit, line);
                     continue;
                 }
                 "equivalence" => {
                     self.pos += 1;
-                    self.parse_equivalence(unit, &line);
+                    self.parse_equivalence(unit, line);
                     continue;
                 }
                 "parameter" => {
                     self.pos += 1;
-                    self.parse_parameter(unit, &line);
+                    self.parse_parameter(unit, line);
                     continue;
                 }
                 _ => {}
             }
             // Executable statement.
             self.pos += 1;
-            if let Some(stmt) = self.parse_exec_stmt(unit, &line, pending_doacross.take()) {
+            if let Some(stmt) = self.parse_exec_stmt(unit, line, pending_doacross.take()) {
                 out.push(stmt);
             }
         }
         (out, None)
     }
 
-    fn parse_decl(&mut self, unit: &mut SourceUnit, line: &Line) {
+    fn parse_decl(&mut self, unit: &mut SourceUnit, line: &Line<'a>) {
         let span = line.span;
-        let mut cur = Cursor::new(&line.toks);
+        let mut cur = Cursor::new(line);
         let ty = match cur.ident() {
             Some("integer") => ATy::Int,
             Some("real") => ATy::Real,
@@ -240,7 +237,7 @@ impl Parser {
                 return;
             };
             let mut dims = Vec::new();
-            if cur.eat(&Tok::LParen) {
+            if cur.eat(Tok::LParen) {
                 loop {
                     match cur.expr() {
                         Ok(e) => dims.push(e),
@@ -249,11 +246,11 @@ impl Parser {
                             return;
                         }
                     }
-                    if !cur.eat(&Tok::Comma) {
+                    if !cur.eat(Tok::Comma) {
                         break;
                     }
                 }
-                if !cur.eat(&Tok::RParen) {
+                if !cur.eat(Tok::RParen) {
                     self.err(span, "missing `)` in array declaration");
                     return;
                 }
@@ -264,7 +261,7 @@ impl Parser {
                 ty,
                 dims,
             });
-            if !cur.eat(&Tok::Comma) {
+            if !cur.eat(Tok::Comma) {
                 break;
             }
         }
@@ -273,11 +270,11 @@ impl Parser {
         }
     }
 
-    fn parse_common(&mut self, unit: &mut SourceUnit, line: &Line) {
+    fn parse_common(&mut self, unit: &mut SourceUnit, line: &Line<'a>) {
         let span = line.span;
-        let mut cur = Cursor::new(&line.toks);
+        let mut cur = Cursor::new(line);
         cur.ident(); // common
-        if !cur.eat(&Tok::Slash) {
+        if !cur.eat(Tok::Slash) {
             self.err(span, "expected `/name/` after `common`");
             return;
         }
@@ -285,14 +282,14 @@ impl Parser {
             self.err(span, "missing common block name");
             return;
         };
-        if !cur.eat(&Tok::Slash) {
+        if !cur.eat(Tok::Slash) {
             self.err(span, "expected closing `/` after common block name");
             return;
         }
         let mut members = Vec::new();
         while let Some(m) = cur.ident() {
             members.push(m.to_string());
-            if !cur.eat(&Tok::Comma) {
+            if !cur.eat(Tok::Comma) {
                 break;
             }
         }
@@ -302,18 +299,18 @@ impl Parser {
         unit.commons.push((name, members));
     }
 
-    fn parse_equivalence(&mut self, unit: &mut SourceUnit, line: &Line) {
+    fn parse_equivalence(&mut self, unit: &mut SourceUnit, line: &Line<'a>) {
         let span = line.span;
-        let mut cur = Cursor::new(&line.toks);
+        let mut cur = Cursor::new(line);
         cur.ident(); // equivalence
-        if !cur.eat(&Tok::LParen) {
+        if !cur.eat(Tok::LParen) {
             self.err(span, "expected `(` after `equivalence`");
             return;
         }
         let a = cur.ident().map(str::to_string);
-        cur.eat(&Tok::Comma);
+        cur.eat(Tok::Comma);
         let b = cur.ident().map(str::to_string);
-        if !cur.eat(&Tok::RParen) {
+        if !cur.eat(Tok::RParen) {
             self.err(span, "expected `)` closing equivalence");
             return;
         }
@@ -323,11 +320,11 @@ impl Parser {
         }
     }
 
-    fn parse_parameter(&mut self, unit: &mut SourceUnit, line: &Line) {
+    fn parse_parameter(&mut self, unit: &mut SourceUnit, line: &Line<'a>) {
         let span = line.span;
-        let mut cur = Cursor::new(&line.toks);
+        let mut cur = Cursor::new(line);
         cur.ident(); // parameter
-        if !cur.eat(&Tok::LParen) {
+        if !cur.eat(Tok::LParen) {
             self.err(span, "expected `(` after `parameter`");
             return;
         }
@@ -336,7 +333,7 @@ impl Parser {
                 self.err(span, "expected name in parameter statement");
                 return;
             };
-            if !cur.eat(&Tok::Assign) {
+            if !cur.eat(Tok::Assign) {
                 self.err(span, "expected `=` in parameter statement");
                 return;
             }
@@ -347,11 +344,11 @@ impl Parser {
                     return;
                 }
             }
-            if !cur.eat(&Tok::Comma) {
+            if !cur.eat(Tok::Comma) {
                 break;
             }
         }
-        if !cur.eat(&Tok::RParen) {
+        if !cur.eat(Tok::RParen) {
             self.err(span, "missing `)` closing parameter statement");
         }
     }
@@ -359,30 +356,30 @@ impl Parser {
     fn parse_exec_stmt(
         &mut self,
         unit: &mut SourceUnit,
-        line: &Line,
+        line: &Line<'a>,
         doacross: Option<DoacrossDir>,
     ) -> Option<AStmt> {
         let span = line.span;
-        let head = Self::head_of(line).unwrap_or("");
+        let head = line.ident(0).unwrap_or("");
         match head {
             "do" => {
-                let mut cur = Cursor::new(&line.toks);
+                let mut cur = Cursor::new(line);
                 cur.ident(); // do
                 let Some(var) = cur.ident().map(str::to_string) else {
                     self.err(span, "expected loop variable after `do`");
                     return None;
                 };
-                if !cur.eat(&Tok::Assign) {
+                if !cur.eat(Tok::Assign) {
                     self.err(span, "expected `=` in do statement");
                     return None;
                 }
                 let lb = self.expr_or_err(span, &mut cur)?;
-                if !cur.eat(&Tok::Comma) {
+                if !cur.eat(Tok::Comma) {
                     self.err(span, "expected `,` after do lower bound");
                     return None;
                 }
                 let ub = self.expr_or_err(span, &mut cur)?;
-                let step = if cur.eat(&Tok::Comma) {
+                let step = if cur.eat(Tok::Comma) {
                     Some(self.expr_or_err(span, &mut cur)?)
                 } else {
                     None
@@ -405,21 +402,21 @@ impl Parser {
                 if doacross.is_some() {
                     self.err(span, "c$doacross must be followed by a do loop");
                 }
-                let mut cur = Cursor::new(&line.toks);
+                let mut cur = Cursor::new(line);
                 cur.ident(); // if
-                if !cur.eat(&Tok::LParen) {
+                if !cur.eat(Tok::LParen) {
                     self.err(span, "expected `(` after if");
                     return None;
                 }
                 let cond = self.expr_or_err(span, &mut cur)?;
-                if !cur.eat(&Tok::RParen) {
+                if !cur.eat(Tok::RParen) {
                     self.err(span, "expected `)` closing if condition");
                     return None;
                 }
                 if cur.peek_ident() == Some("then") {
                     cur.ident();
                     let (then_body, term) = self.parse_stmts(unit, &["endif", "else"]);
-                    let else_body = if term.as_deref() == Some("else") {
+                    let else_body = if term == Some("else") {
                         let (e, term2) = self.parse_stmts(unit, &["endif"]);
                         if term2.is_none() {
                             self.err(span, "if missing `endif`");
@@ -441,9 +438,8 @@ impl Parser {
                     // One-line logical if: the rest of the line is a
                     // simple statement.
                     let rest = Line {
-                        span,
-                        directive: false,
-                        toks: cur.rest().to_vec(),
+                        toks: cur.rest(),
+                        ..*line
                     };
                     let inner = self.parse_exec_stmt(unit, &rest, None)?;
                     Some(AStmt::If {
@@ -458,21 +454,21 @@ impl Parser {
                 if doacross.is_some() {
                     self.err(span, "c$doacross must be followed by a do loop");
                 }
-                let mut cur = Cursor::new(&line.toks);
+                let mut cur = Cursor::new(line);
                 cur.ident(); // call
                 let Some(name) = cur.ident().map(str::to_string) else {
                     self.err(span, "expected subroutine name after `call`");
                     return None;
                 };
                 let mut args = Vec::new();
-                if cur.eat(&Tok::LParen) && !cur.eat(&Tok::RParen) {
+                if cur.eat(Tok::LParen) && !cur.eat(Tok::RParen) {
                     loop {
                         args.push(self.expr_or_err(span, &mut cur)?);
-                        if !cur.eat(&Tok::Comma) {
+                        if !cur.eat(Tok::Comma) {
                             break;
                         }
                     }
-                    if !cur.eat(&Tok::RParen) {
+                    if !cur.eat(Tok::RParen) {
                         self.err(span, "missing `)` closing call");
                     }
                 }
@@ -483,25 +479,25 @@ impl Parser {
                     self.err(span, "c$doacross must be followed by a do loop");
                 }
                 // Assignment: name [ (indices) ] = expr
-                let mut cur = Cursor::new(&line.toks);
+                let mut cur = Cursor::new(line);
                 let Some(lhs) = cur.ident().map(str::to_string) else {
                     self.err(span, "expected a statement");
                     return None;
                 };
                 let mut lhs_indices = Vec::new();
-                if cur.eat(&Tok::LParen) {
+                if cur.eat(Tok::LParen) {
                     loop {
                         lhs_indices.push(self.expr_or_err(span, &mut cur)?);
-                        if !cur.eat(&Tok::Comma) {
+                        if !cur.eat(Tok::Comma) {
                             break;
                         }
                     }
-                    if !cur.eat(&Tok::RParen) {
+                    if !cur.eat(Tok::RParen) {
                         self.err(span, "missing `)` on left-hand side");
                         return None;
                     }
                 }
-                if !cur.eat(&Tok::Assign) {
+                if !cur.eat(Tok::Assign) {
                     self.err(
                         span,
                         format!("expected `=` in statement starting with `{lhs}`"),
@@ -533,15 +529,22 @@ impl Parser {
     }
 }
 
-/// Token cursor with an expression parser (precedence climbing).
+/// Token cursor over one line, with an expression parser (precedence
+/// climbing).
 pub(crate) struct Cursor<'a> {
     toks: &'a [Tok],
+    /// The lowered file text identifiers index.
+    text: &'a str,
     i: usize,
 }
 
 impl<'a> Cursor<'a> {
-    pub(crate) fn new(toks: &'a [Tok]) -> Self {
-        Cursor { toks, i: 0 }
+    pub(crate) fn new(line: &Line<'a>) -> Self {
+        Cursor {
+            toks: line.toks,
+            text: line.text,
+            i: 0,
+        }
     }
 
     pub(crate) fn at_end(&self) -> bool {
@@ -552,18 +555,21 @@ impl<'a> Cursor<'a> {
         &self.toks[self.i.min(self.toks.len())..]
     }
 
-    pub(crate) fn peek(&self) -> Option<&'a Tok> {
-        self.toks.get(self.i)
+    pub(crate) fn peek(&self) -> Option<Tok> {
+        self.toks.get(self.i).copied()
+    }
+
+    /// The next token as a diagnostic quotes it, `<eol>` at the end.
+    pub(crate) fn found(&self) -> String {
+        self.peek()
+            .map_or("<eol>".into(), |t| t.show(self.text).to_string())
     }
 
     pub(crate) fn peek_ident(&self) -> Option<&'a str> {
-        match self.peek() {
-            Some(Tok::Ident(s)) => Some(s.as_str()),
-            _ => None,
-        }
+        self.peek()?.name(self.text)
     }
 
-    pub(crate) fn eat(&mut self, t: &Tok) -> bool {
+    pub(crate) fn eat(&mut self, t: Tok) -> bool {
         if self.peek() == Some(t) {
             self.i += 1;
             true
@@ -573,13 +579,18 @@ impl<'a> Cursor<'a> {
     }
 
     pub(crate) fn ident(&mut self) -> Option<&'a str> {
-        match self.peek() {
-            Some(Tok::Ident(s)) => {
-                self.i += 1;
-                Some(s.as_str())
-            }
-            _ => None,
-        }
+        let name = self.peek_ident()?;
+        self.i += 1;
+        Some(name)
+    }
+
+    /// Consume an integer literal.
+    pub(crate) fn int(&mut self) -> Option<i64> {
+        let Some(Tok::Int(v)) = self.peek() else {
+            return None;
+        };
+        self.i += 1;
+        Some(v)
     }
 
     /// Parse a full expression.
@@ -589,7 +600,7 @@ impl<'a> Cursor<'a> {
 
     fn or_expr(&mut self) -> Result<AExpr, String> {
         let mut lhs = self.and_expr()?;
-        while self.eat(&Tok::Or) {
+        while self.eat(Tok::Or) {
             let rhs = self.and_expr()?;
             lhs = AExpr::Bin(ABinOp::Or, Box::new(lhs), Box::new(rhs));
         }
@@ -598,7 +609,7 @@ impl<'a> Cursor<'a> {
 
     fn and_expr(&mut self) -> Result<AExpr, String> {
         let mut lhs = self.not_expr()?;
-        while self.eat(&Tok::And) {
+        while self.eat(Tok::And) {
             let rhs = self.not_expr()?;
             lhs = AExpr::Bin(ABinOp::And, Box::new(lhs), Box::new(rhs));
         }
@@ -606,7 +617,7 @@ impl<'a> Cursor<'a> {
     }
 
     fn not_expr(&mut self) -> Result<AExpr, String> {
-        if self.eat(&Tok::Not) {
+        if self.eat(Tok::Not) {
             let e = self.not_expr()?;
             return Ok(AExpr::Un(AUnOp::Not, Box::new(e)));
         }
@@ -658,11 +669,11 @@ impl<'a> Cursor<'a> {
     }
 
     fn unary_expr(&mut self) -> Result<AExpr, String> {
-        if self.eat(&Tok::Minus) {
+        if self.eat(Tok::Minus) {
             let e = self.unary_expr()?;
             return Ok(AExpr::Un(AUnOp::Neg, Box::new(e)));
         }
-        if self.eat(&Tok::Plus) {
+        if self.eat(Tok::Plus) {
             return self.unary_expr();
         }
         self.pow_expr()
@@ -670,7 +681,7 @@ impl<'a> Cursor<'a> {
 
     fn pow_expr(&mut self) -> Result<AExpr, String> {
         let base = self.primary()?;
-        if self.eat(&Tok::StarStar) {
+        if self.eat(Tok::StarStar) {
             // Right-associative.
             let exp = self.unary_expr()?;
             return Ok(AExpr::Bin(ABinOp::Pow, Box::new(base), Box::new(exp)));
@@ -679,7 +690,25 @@ impl<'a> Cursor<'a> {
     }
 
     fn primary(&mut self) -> Result<AExpr, String> {
-        match self.peek().cloned() {
+        if let Some(name) = self.ident() {
+            if !self.eat(Tok::LParen) {
+                return Ok(AExpr::Name(name.to_string()));
+            }
+            let mut args = Vec::new();
+            if !self.eat(Tok::RParen) {
+                loop {
+                    args.push(self.expr()?);
+                    if !self.eat(Tok::Comma) {
+                        break;
+                    }
+                }
+                if !self.eat(Tok::RParen) {
+                    return Err(format!("missing `)` after `{name}(`"));
+                }
+            }
+            return Ok(AExpr::Index(name.to_string(), args));
+        }
+        match self.peek() {
             Some(Tok::Int(v)) => {
                 self.i += 1;
                 Ok(AExpr::Int(v))
@@ -691,35 +720,12 @@ impl<'a> Cursor<'a> {
             Some(Tok::LParen) => {
                 self.i += 1;
                 let e = self.expr()?;
-                if !self.eat(&Tok::RParen) {
+                if !self.eat(Tok::RParen) {
                     return Err("missing `)`".into());
                 }
                 Ok(e)
             }
-            Some(Tok::Ident(name)) => {
-                self.i += 1;
-                if self.eat(&Tok::LParen) {
-                    let mut args = Vec::new();
-                    if !self.eat(&Tok::RParen) {
-                        loop {
-                            args.push(self.expr()?);
-                            if !self.eat(&Tok::Comma) {
-                                break;
-                            }
-                        }
-                        if !self.eat(&Tok::RParen) {
-                            return Err(format!("missing `)` after `{name}(`"));
-                        }
-                    }
-                    Ok(AExpr::Index(name, args))
-                } else {
-                    Ok(AExpr::Name(name))
-                }
-            }
-            other => Err(format!(
-                "expected expression, found `{}`",
-                other.map_or("<eol>".into(), |t| t.to_string())
-            )),
+            _ => Err(format!("expected expression, found `{}`", self.found())),
         }
     }
 }

@@ -1,37 +1,12 @@
 //! Property-based tests of the frontend: generated programs survive the
-//! lexer/parser round trip, and the lexer never panics on arbitrary text.
+//! lexer/parser round trip, and the front end never panics on arbitrary
+//! text.
 
+mod common;
+
+use common::{arb_garbage, arb_program};
 use dsm_frontend::{compile_sources, parse_source};
 use proptest::prelude::*;
-
-/// A tiny generator of well-formed programs.
-fn arb_program() -> impl Strategy<Value = String> {
-    let name = "[a-d]";
-    let num = 1i64..100;
-    (
-        prop::collection::vec((name, num.clone()), 1..4),
-        prop::collection::vec((name, num.clone(), num), 0..4),
-    )
-        .prop_map(|(arrays, loops)| {
-            let mut src = String::from("      program main\n      integer i\n");
-            let mut declared = std::collections::BTreeSet::new();
-            for (n, sz) in &arrays {
-                if declared.insert(n.clone()) {
-                    src.push_str(&format!("      real*8 {n}({sz})\n"));
-                }
-            }
-            for (n, lo, hi) in &loops {
-                if declared.contains(n) {
-                    let (lo, hi) = (*lo.min(hi), *lo.max(hi));
-                    src.push_str(&format!(
-                        "      do i = {lo}, {hi}\n        {n}(mod(i, 1) + 1) = i\n      enddo\n"
-                    ));
-                }
-            }
-            src.push_str("      end\n");
-            src
-        })
-}
 
 proptest! {
     /// Generated programs parse and analyze cleanly.
@@ -41,11 +16,12 @@ proptest! {
         prop_assert!(result.is_ok(), "failed on:\n{}\n{:?}", src, result.err());
     }
 
-    /// The lexer/parser never panic on arbitrary ASCII input — errors are
-    /// diagnostics, not crashes.
+    /// Parsing and semantic analysis never panic on garbage, non-ASCII
+    /// chars included — errors are diagnostics, not crashes.
     #[test]
-    fn parser_total_on_ascii_garbage(text in "[ -~\n]{0,300}") {
+    fn parser_total_on_ascii_garbage(text in arb_garbage()) {
         let _ = parse_source(0, "garbage.f", &text);
+        let _ = compile_sources(&[("garbage.f", &text)]);
     }
 
     /// Integer literals round-trip through the lexer.

@@ -254,10 +254,20 @@ impl Cache {
 
     /// Drop every line belonging to the physical page `ppage`
     /// (`page_bits` = log2 of the page size). Used when a page migrates.
+    ///
+    /// A line can only sit in its own set, and a page's lines map to
+    /// consecutive sets starting at a multiple of the page's line count,
+    /// so only `min(lines per page, sets)` sets — one slice of the way
+    /// array — are probed.
     pub fn invalidate_page(&mut self, ppage: u64, page_bits: u32) -> usize {
         let shift = page_bits - self.line_bits;
+        let n_sets = self.set_mask + 1;
+        let sets = (1u64 << shift).min(n_sets);
+        let first = (ppage << shift) & self.set_mask;
+        let assoc = self.cfg.assoc;
+        let ways = &mut self.ways[first as usize * assoc..(first + sets) as usize * assoc];
         let mut dropped = 0;
-        for l in &mut self.ways {
+        for l in ways {
             if l.lru != 0 && (l.tag >> shift) == ppage {
                 *l = EMPTY;
                 dropped += 1;
@@ -355,6 +365,49 @@ mod tests {
         assert!(dropped > 0);
         assert!(c.contains(0x000));
         assert!(!c.contains(0x400));
+    }
+
+    /// The reference for [`Cache::invalidate_page`]: scan every way of
+    /// every set.
+    fn invalidate_page_full_scan(c: &mut Cache, ppage: u64, page_bits: u32) -> usize {
+        let shift = page_bits - c.line_bits;
+        let mut dropped = 0;
+        for l in &mut c.ways {
+            if l.lru != 0 && (l.tag >> shift) == ppage {
+                *l = EMPTY;
+                dropped += 1;
+            }
+        }
+        dropped
+    }
+
+    proptest::proptest! {
+        /// Probing only the page's sets drops what the full scan drops and
+        /// leaves every way as the full scan does — for pages smaller than,
+        /// equal to and larger than the cache's set span.
+        #[test]
+        fn invalidate_page_matches_full_scan(
+            set_bits in 0u32..6,
+            assoc in 1usize..5,
+            line_bits in 4u32..8,
+            lines_per_page_bits in 0u32..9,
+            addrs in proptest::collection::vec(0u64..1 << 16, 0..300),
+            pages in proptest::collection::vec(0u64..64, 1..8),
+        ) {
+            let line = 1usize << line_bits;
+            let mut c = Cache::new(CacheConfig::new((line * assoc) << set_bits, line, assoc));
+            let page_bits = line_bits + lines_per_page_bits;
+            for &a in &addrs {
+                c.access(a, a & 1 == 1);
+            }
+            for ppage in pages {
+                let mut reference = c.clone();
+                let dropped = c.invalidate_page(ppage, page_bits);
+                let expected = invalidate_page_full_scan(&mut reference, ppage, page_bits);
+                proptest::prop_assert_eq!(dropped, expected, "page {}", ppage);
+                proptest::prop_assert!(c.ways == reference.ways, "page {}", ppage);
+            }
+        }
     }
 
     #[test]

@@ -145,9 +145,15 @@ impl Processor {
 
     /// Inclusion: drop the L1 lines inside L2 line `dir_line`.
     fn purge_l1(&mut self, cfg: &MachineConfig, dir_line: u64) {
-        let (l1, l2) = (cfg.l1.line_size as u64, cfg.l2.line_size as u64);
-        for byte in (dir_line * l2..(dir_line + 1) * l2).step_by(l1 as usize) {
-            self.l1.invalidate_line(byte >> l1.trailing_zeros());
+        let (l1_bits, l2_bits) = (
+            cfg.l1.line_size.trailing_zeros(),
+            cfg.l2.line_size.trailing_zeros(),
+        );
+        // Line sizes are powers of two: shifts, not `step_by`'s division.
+        let first = (dir_line << l2_bits) >> l1_bits;
+        let count = 1u64 << l2_bits.saturating_sub(l1_bits);
+        for line in first..first + count {
+            self.l1.invalidate_line(line);
         }
     }
 }
